@@ -4,7 +4,8 @@ Both replay synthetic traces through :class:`repro.grid.simulator.
 GridSimulator` as a library user would: generate the trace, build the policy
 and the simulator, ``run()``.  Every cMA budget is an iteration count
 (``max_seconds=inf``), so all repetitions of one seed do identical solver
-work and only the box's speed varies.
+work and only the box's speed varies.  The untraced run samples that speed
+(:class:`common.BoxSpeed`) and reports its timings calibrated by it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
-from common import OUT, Metric, median, peak_rss_mb, percentile, source_sha, timing_note
+from common import (OUT, BoxSpeed, Metric, median, peak_rss_mb, percentile, source_sha,
+                    timing_note)
 from spans import Recorder, install
 
 from repro.core.config import ActivationPolicy, RetryPolicy, TraceConfig
@@ -140,12 +142,15 @@ class Rep:
     run_s: float
     policy: BatchSchedulingPolicy
     metrics: object
+    #: Clock readings around set-up and ``run()``.
+    setup_at: tuple[float, float]
+    run_at: tuple[float, float]
 
 
-def _setup(spec, seed, recorder=None, registry=None):
-    """Trace generation, policy construction and ``from_trace``, and their seconds."""
+def _setup(spec, seed, recorder=None, registry=None, clock=perf_counter):
+    """Trace generation, policy construction and ``from_trace``, and when they ran."""
     span = recorder.span if recorder is not None else lambda name: nullcontext()
-    start = perf_counter()
+    start = clock()
     with span("traces.generate_trace"):
         trace = generate_trace(spec.trace, seed)
     policy = _policy(spec)
@@ -155,21 +160,22 @@ def _setup(spec, seed, recorder=None, registry=None):
         simulator = GridSimulator.from_trace(
             trace, policy, spec.simulation, rng=seed, registry=registry
         )
-    return simulator, policy, perf_counter() - start
+    return simulator, policy, (start, clock())
 
 
 def run_rep(spec: ReplaySpec, seed: int, recorder: Recorder | None = None,
-            registry: MetricsRegistry | None = None) -> Rep:
+            registry: MetricsRegistry | None = None, clock=perf_counter) -> Rep:
     gc.collect()
     root = recorder.span("bench.rep") if recorder is not None else nullcontext()
     with root:
-        simulator, policy, setup_s = _setup(spec, seed, recorder, registry)
+        simulator, policy, setup_at = _setup(spec, seed, recorder, registry, clock)
         run = recorder.span("grid.run") if recorder is not None else nullcontext()
         with run:
-            start = perf_counter()
+            start = clock()
             metrics = simulator.run()
-            run_s = perf_counter() - start
-    return Rep(setup_s, run_s, policy, metrics)
+            run_at = (start, clock())
+    return Rep(setup_at[1] - setup_at[0], run_at[1] - run_at[0], policy, metrics,
+               setup_at, run_at)
 
 
 def planned_latency(metrics, arrivals: np.ndarray) -> np.ndarray:
@@ -210,7 +216,8 @@ def _check_rep(rep: Rep, problems: list[str]) -> None:
         )
 
 
-def _replay_all(spec: ReplaySpec, seeds: list[int], seconds: float, problems: list[str]):
+def _replay_all(spec: ReplaySpec, seeds: list[int], seconds: float, problems: list[str],
+                clock):
     """Replays every trace once, then cycles until ``seconds`` and one repeat.
 
     The repeat is the in-run determinism check: a replay of the same trace
@@ -220,7 +227,7 @@ def _replay_all(spec: ReplaySpec, seeds: list[int], seconds: float, problems: li
     start = perf_counter()
     while len(reps) <= len(seeds) or perf_counter() - start < seconds:
         seed = seeds[len(reps) % len(seeds)]
-        rep = run_rep(spec, seed)
+        rep = run_rep(spec, seed, clock=clock)
         _check_rep(rep, problems)
         reps.append((seed, rep))
     for seed, rep in reps[len(seeds):]:
@@ -233,28 +240,42 @@ def _replay_all(spec: ReplaySpec, seeds: list[int], seconds: float, problems: li
     return reps
 
 
-def _setup_rounds(spec: ReplaySpec, seeds: list[int], reps) -> list[float]:
-    """Set-up seconds of the whole input (every trace), ``setup_rounds`` times."""
+def _setup_rounds(spec: ReplaySpec, seeds: list[int], reps, clock):
+    """Set-up seconds of the whole input (every trace), ``setup_rounds`` times.
+
+    Also returns when every set-up ran.
+    """
     passes = [reps[i: i + len(seeds)] for i in range(0, len(reps) - len(seeds) + 1, len(seeds))]
     rounds = [sum(rep.setup_s for _, rep in done) for done in passes]
+    windows = [rep.setup_at for _, rep in reps]
     while len(rounds) < spec.setup_rounds:
         setup = 0.0
         for seed in seeds:
             gc.collect()
-            simulator, _, setup_s = _setup(spec, seed)
-            setup += setup_s
+            simulator, _, (start, end) = _setup(spec, seed, clock=clock)
+            setup += end - start
+            windows.append((start, end))
             del simulator
         rounds.append(setup)
-    return rounds
+    return rounds, windows
 
 
 def measure(workload: str, seed: int, seconds: float, tiny: bool) -> dict:
-    """The untraced run: end-to-end metrics plus the outcome of every check."""
+    """The untraced run: end-to-end metrics plus the outcome of every check.
+
+    Its timings are calibrated to the nominal box: set-up and ``run()``
+    seconds are scaled by the box's speed sampled during set-ups and during
+    ``run()`` calls respectively.
+    """
     spec = replay_spec(workload, tiny)
     seeds = trace_seeds(spec, seed)
     problems: list[str] = []
-    reps = _replay_all(spec, seeds, seconds, problems)
-    setups = _setup_rounds(spec, seeds, reps)
+    with BoxSpeed() as box:
+        reps = _replay_all(spec, seeds, seconds, problems, box.now)
+        wall_setups, setup_windows = _setup_rounds(spec, seeds, reps, box.now)
+    setup_speed, setup_probes = box.speed(setup_windows)
+    run_speed, run_probes = box.speed([rep.run_at for _, rep in reps])
+    setups = [setup_s * setup_speed for setup_s in wall_setups]
     first = [rep.metrics for _, rep in reps[: len(seeds)]]
     traces = [generate_trace(spec.trace, s) for s in seeds]
     if spec.iterations is None:
@@ -273,10 +294,17 @@ def measure(workload: str, seed: int, seconds: float, tiny: bool) -> dict:
         planned_latency(m, trace.job_arrivals) for m, trace in zip(first, traces)
     ]) * 1e3
     completed = sum(rep.metrics.completed_jobs for _, rep in reps)
-    run_s = sum(rep.run_s for _, rep in reps)
+    wall_run_s = sum(rep.run_s for _, rep in reps)
+    run_s = wall_run_s * run_speed
     # A replay hands its whole trace over at once, so no submission waits:
-    # what each submitted job costs is its share of run().
-    submit = [rep.run_s / rep.metrics.nb_jobs * 1e3 for _, rep in reps]
+    # what each submitted job costs is its share of run().  Pooling each
+    # trace's replays first keeps the traces equally weighted however many
+    # repeats fitted in the run.
+    submit = [
+        sum(rep.run_s for s, rep in reps if s == trace_seed) * run_speed * 1e3
+        / sum(rep.metrics.nb_jobs for s, rep in reps if s == trace_seed)
+        for trace_seed in seeds
+    ]
     attempted = sum(rep.metrics.nb_jobs for _, rep in reps)
     failed = attempted - completed
     makespan = sum(m.makespan for m in first) / sum(m.makespan for m in reference)
@@ -284,10 +312,14 @@ def measure(workload: str, seed: int, seconds: float, tiny: bool) -> dict:
     reference_note = "MCT is the workload's own policy" if reference is first else "vs MCT replays"
     metrics = [
         Metric("setup_s", median(setups), "s",
-               f"median of {len(setups)} set-ups of {len(seeds)} trace(s)"),
+               f"median of {len(setups)} set-ups of {len(seeds)} trace(s); "
+               f"wall {median(wall_setups):.4g} s at box speed {setup_speed:.3f} "
+               f"(n={setup_probes} probes)"),
         Metric("peak_rss_mb", peak_rss_mb(), "MB", "this process"),
         Metric("jobs_per_s", completed / run_s, "jobs/s",
-               f"{completed} jobs over {len(reps)} replays of {len(seeds)} trace(s)"),
+               f"{completed} jobs over {len(reps)} replays of {len(seeds)} trace(s); "
+               f"wall {completed / wall_run_s:.6g} jobs/s at box speed {run_speed:.3f} "
+               f"(n={run_probes} probes)"),
         Metric("makespan_vs_mct", makespan, "ratio",
                f"summed over {len(seeds)} trace(s), {reference_note}"),
         Metric("flowtime_vs_mct", flowtime, "ratio",
@@ -297,12 +329,14 @@ def measure(workload: str, seed: int, seconds: float, tiny: bool) -> dict:
         Metric("planned_p99_ms", percentile(planned, 99), "ms",
                "simulated arrival->planned, " + timing_note(planned, 99)),
         Metric("submit_p50_ms", median(submit), "ms",
-               f"run() wall ms per submitted job, median of {len(submit)} replays"),
+               f"run() ms per submitted job, median of {len(submit)} trace(s)"),
         Metric("failed_frac", failed / attempted, "ratio", f"{failed} of {attempted}"),
     ]
     units = [(seed, rep.metrics.completed_jobs, rep.run_s, rep.setup_s) for seed, rep in reps]
+    box_record = {"setup_speed": setup_speed, "run_speed": run_speed,
+                  "probes": len(box.samples), "probe_s": box.probe_s}
     return {"metrics": metrics, "attempted": attempted, "failed": failed, "problems": problems,
-            "units": units}
+            "units": units, "box": box_record}
 
 
 def _outer(recorder: Recorder, name: str) -> list:

@@ -113,6 +113,7 @@ def main() -> int:
     result = _measure(args, seconds)
     env["ref_rate_after"] = reference_rate()
     env["env.ref_rate"] = (env["ref_rate_before"] + env["ref_rate_after"]) / 2.0
+    env.update({f"box.{key}": value for key, value in result.get("box", {}).items()})
     print("env: " + " ".join(f"{key}={value}" for key, value in env.items()))
 
     metrics = _declared(result, spec, args.trace, env["env.ref_rate"])
