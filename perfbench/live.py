@@ -8,8 +8,8 @@ queued behind it in the figures too.  A warm-up precedes the timed window,
 and ``GET /metrics`` is scraped once a second as a Prometheus server would.
 Nothing is simulated: the cMA plans wall-clock batches in the server's
 activation thread, which shares the interpreter lock with intake.  The
-untraced run samples the box's speed in the client (:class:`common.BoxSpeed`)
-and calibrates the set-up and submit timings by it.
+untraced run samples the box's speed in the client through the set-ups
+(:class:`common.BoxSpeed`) and calibrates ``setup_s`` by it.
 """
 
 from __future__ import annotations
@@ -105,30 +105,32 @@ async def _planned_count(port: int) -> float:
 
 
 async def _session(seed: int, seconds: float, warmup: float, trace: bool, setups: int,
-                   clock=perf_counter) -> dict:
+                   box: BoxSpeed | None = None) -> dict:
     """Set up (``setups`` times), load, drain, stop; everything one session measures.
 
-    ``setup_at`` and ``load_at`` are *clock* readings around each set-up and
-    around the load.
+    *box*, if given, samples the box's speed through the set-ups, and
+    ``setup_at`` holds its clock's readings around each set-up.
     """
     loop = asyncio.get_running_loop()
     recorder = Recorder() if trace else None
     generate = recorder.span if recorder is not None else lambda name: nullcontext()
+    clock = box.now if box is not None else perf_counter
     setup_at: list[tuple[float, float]] = []
     servers: list[Server] = []
     try:
-        for _ in range(setups):
-            start = clock()
-            with generate("traces.generate_trace"):
-                jobs = generate_trace(live_trace_config(warmup + seconds), seed)
-            window_jobs = int((jobs.job_arrivals >= warmup).sum())
-            server = Server(seed, window_jobs, trace)
-            servers.append(server)
-            first = await server.ready()
-            setup_at.append((start, clock()))
-            if len(setup_at) < setups:
-                await first.close()
-                await server.stop()
+        with box if box is not None else nullcontext():
+            for _ in range(setups):
+                start = clock()
+                with generate("traces.generate_trace"):
+                    jobs = generate_trace(live_trace_config(warmup + seconds), seed)
+                window_jobs = int((jobs.job_arrivals >= warmup).sum())
+                server = Server(seed, window_jobs, trace)
+                servers.append(server)
+                first = await server.ready()
+                setup_at.append((start, clock()))
+                if len(setup_at) < setups:
+                    await first.close()
+                    await server.stop()
         server = servers[-1]
         clients = [first] + [
             await ServiceClient.connect("127.0.0.1", server.ports["port"], timeout=10.0)
@@ -138,9 +140,7 @@ async def _session(seed: int, seconds: float, warmup: float, trace: bool, setups
             for method in ("submit", "metrics"):
                 recorder.patch(ServiceClient, method, f"service.client.{method}")
         try:
-            load_start = clock()
             load = await _load(loop, clients, jobs, warmup, seconds, server.ports)
-            load_at = (load_start, clock())
             snapshot = await _drained(clients[0])
         finally:
             if recorder is not None:
@@ -151,8 +151,8 @@ async def _session(seed: int, seconds: float, warmup: float, trace: bool, setups
     finally:
         for server in servers:
             server.kill()
-    return {"setup_at": setup_at, "load_at": load_at, "load": load, "snapshot": snapshot,
-            "server": result, "window_jobs": window_jobs, "recorder": recorder}
+    return {"setup_at": setup_at, "load": load, "snapshot": snapshot, "server": result,
+            "window_jobs": window_jobs, "recorder": recorder}
 
 
 async def _load(loop, clients, jobs, warmup, seconds, ports) -> dict:
@@ -244,24 +244,21 @@ def _window(load: dict) -> list[tuple]:
 def measure(seed: int, seconds: float, tiny: bool) -> dict:
     """The untraced run: several set-ups, one load window, end-to-end metrics.
 
-    Set-up and submit latency are calibrated by the box's speed sampled in
-    the client during the set-ups and during the load: both are work on
-    the box (process start, intake, a reply) more than waiting.  The
-    planning latencies are not: most of them is waiting for the next
-    activation, paced by the activation interval.
+    Set-up, mostly the server process starting, is work on the box, so it
+    is calibrated by the box's speed sampled in the client meanwhile.  The
+    latencies stay on the wall clock: the submit latency read the same
+    across box speeds 0.7-1.2 (the event loop's wake-ups and the loopback
+    round trip set it), so scaling it by the speed only added spread.
     """
     warmup = WARMUP_S["tiny" if tiny else "full"]
-    with BoxSpeed() as box:
-        session = asyncio.run(_session(seed, seconds, warmup, trace=False, setups=SETUPS,
-                                       clock=box.now))
+    box = BoxSpeed()
+    session = asyncio.run(_session(seed, seconds, warmup, trace=False, setups=SETUPS, box=box))
     setup_speed, setup_probes = box.speed(session["setup_at"])
-    load_speed, load_probes = box.speed([session["load_at"]])
     problems: list[str] = []
     attempted, failed = _check(session, problems)
     snapshot, server = session["snapshot"], session["server"]
     wall_setups = [end - start for start, end in session["setup_at"]]
-    wall_submit = [(reply - due) * 1e3 for _, due, _, reply, _ in _window(session["load"])]
-    submit = [latency * load_speed for latency in wall_submit]
+    submit = [(reply - due) * 1e3 for _, due, _, reply, _ in _window(session["load"])]
     planned = session["window_jobs"]
     batches = f"over {server['batches']} batches, vs MCT on each batch instance"
     metrics = [
@@ -277,13 +274,10 @@ def measure(seed: int, seconds: float, tiny: bool) -> dict:
                f"p50 of n={planned} (service snapshot)"),
         Metric("planned_p99_ms", snapshot["p99_latency"] * 1e3, "ms",
                f"p99 of n={planned} ({int(planned * 0.01)} beyond, service snapshot)"),
-        Metric("submit_p50_ms", percentile(submit, 50), "ms",
-               f"{timing_note(submit, 50)}; wall {percentile(wall_submit, 50):.4g} ms "
-               f"at box speed {load_speed:.3f} (n={load_probes} probes)"),
+        Metric("submit_p50_ms", percentile(submit, 50), "ms", timing_note(submit, 50)),
         Metric("failed_frac", failed / attempted, "ratio", f"{failed} of {attempted}"),
     ]
-    box_record = {"setup_speed": setup_speed, "load_speed": load_speed,
-                  "probes": len(box.samples), "probe_s": box.probe_s}
+    box_record = {"setup_speed": setup_speed, "probes": len(box.samples), "probe_s": box.probe_s}
     return {"metrics": metrics, "attempted": attempted, "failed": failed, "problems": problems,
             "box": box_record}
 
