@@ -791,6 +791,20 @@ class ActivationPolicy:
         """Whether this policy schedules ticks on demand."""
         return self.mode == "adaptive"
 
+    def gap(self, backlog: int, interval: float, membership_changed: bool = False) -> float:
+        """How long after the last activation the next one is due.
+
+        Periodic mode waits *interval*.  Adaptive mode waits
+        ``min_interval`` (``None``: 0) once triggered — *backlog* at the
+        threshold, or a membership change with ``on_machine_change`` — and
+        ``max_interval`` (``None``: *interval*) otherwise.
+        """
+        if self.mode != "adaptive":
+            return interval
+        if backlog >= self.backlog_threshold or (membership_changed and self.on_machine_change):
+            return self.min_interval or 0.0
+        return interval if self.max_interval is None else self.max_interval
+
     @classmethod
     def periodic(cls) -> "ActivationPolicy":
         """The fixed-cadence driver (ticks at ``activation_interval``)."""

@@ -389,13 +389,12 @@ class LocalMCTSwapSearch(LocalSearch):
         """Hybrid batched LMCTS step: per-row pair scans, batched acceptance.
 
         The swap neighborhood is a ragged ``source-jobs × other-jobs`` pair
-        set per row; packing it into one rectangular tensor
-        (:func:`repro.engine.scan.score_critical_swaps_batch`) multiplies
-        the scored candidates several-fold, which loses to the compact
-        per-row kernel unless matmuls are effectively free.  So the scans
-        stay per row (each one already a single vectorized expression) while
-        the expensive part — applying every row's chosen swap, evaluating
-        the whole batch and reverting non-improvements — runs vectorized.
+        set per row; padding it into one rectangular tensor for the whole
+        batch would multiply the scored candidates several-fold.  So the
+        scans stay per row (each one already a single vectorized
+        expression) while the expensive part — applying every row's chosen
+        swap, evaluating the whole batch and reverting non-improvements —
+        runs vectorized.
         """
         improved = np.zeros(rows.shape[0], dtype=bool)
         etc = batch.instance.etc

@@ -4,9 +4,9 @@ Every local-search method of the paper ranks candidate moves by the machine
 completion times they would produce.  The functions in this module compute
 those scores as single numpy expressions over the *current* assignment and
 completion arrays — no per-candidate ``np.delete``, no schedule copies.
-Each kernel exists at two granularities: per row (one solution at a time,
-consumed by the scalar local-search steps and the
-:class:`~repro.model.schedule.Schedule` path) and ``*_batch`` (a whole
+The kernels exist per row (one solution at a time, consumed by the scalar
+local-search steps and the :class:`~repro.model.schedule.Schedule` path)
+and, except the ragged critical-swap scan, as ``*_batch`` (a whole
 population of rows in one expression, consumed by the batched local-search
 steps that improve an entire resident offspring batch per iteration).
 
@@ -33,7 +33,6 @@ __all__ = [
     "score_critical_moves",
     "score_critical_moves_batch",
     "score_critical_swaps",
-    "score_critical_swaps_batch",
 ]
 
 
@@ -271,59 +270,3 @@ def score_critical_moves_batch(
     np.put_along_axis(metric, sources[:, None, None], np.inf, axis=2)
     metric[~valid] = np.inf
     return metric
-
-
-def score_critical_swaps_batch(
-    etc: np.ndarray,
-    assignments: np.ndarray,
-    completions: np.ndarray,
-    source_jobs: np.ndarray,
-    valid: np.ndarray,
-    sources: np.ndarray,
-) -> np.ndarray:
-    """:func:`score_critical_swaps` for a whole batch, ``(rows, A, jobs)``.
-
-    ``metric[r, a, b]`` ranks swapping ``source_jobs[r, a]`` (on row *r*'s
-    makespan-defining machine ``sources[r]``) with job *b*.  Candidates *b*
-    run over **all** jobs so rows with different off-machine job sets share
-    one rectangular tensor; entries where *b* sits on the source machine and
-    padded *a* entries hold ``+inf``.
-
-    The new-target side ``etc[a, machine_of(b)] + (completion[machine_of(b)]
-    − etc[b])`` is materialized as one batched matmul: the ``(rows, A,
-    machines+1)`` ETC slice (augmented with a column of ones) against a
-    ``(rows, machines+1, jobs)`` matrix whose machine rows are the one-hot
-    membership of each job and whose extra row carries the b-dependent base
-    term.  Each dot product hits the 1.0 of b's machine plus the 1.0 of the
-    base row, so the result is bit-exact while the tensor build runs at
-    BLAS speed instead of fancy-indexed gather speed.  The ``+inf`` masks
-    ride in additively (an infinite addend makes the whole candidate
-    infinite), avoiding extra full-tensor passes.
-    """
-    count, nb_machines = completions.shape
-    rows = np.arange(count)
-    nb_jobs = etc.shape[0]
-    jobs = np.arange(nb_jobs)
-    new_source_base = np.where(
-        valid,
-        completions[rows, sources][:, None] - etc[source_jobs, sources[:, None]],
-        np.inf,
-    )  # (R, A)
-    etc_b_source = etc.T[sources]  # (R, J) b's ETC on row's source machine
-    comp_b = np.take_along_axis(completions, assignments, axis=1)  # (R, J)
-    target_base = np.where(
-        assignments == sources[:, None],  # b already on source machine
-        np.inf,
-        comp_b - etc[jobs[None, :], assignments],
-    )  # (R, J)
-    membership = np.empty((count, nb_machines + 1, nb_jobs))
-    membership[:, :nb_machines, :] = (
-        assignments[:, None, :] == np.arange(nb_machines)[None, :, None]
-    )
-    membership[:, nb_machines, :] = target_base
-    etc_a = np.empty((count, source_jobs.shape[1], nb_machines + 1))
-    etc_a[:, :, :nb_machines] = etc[source_jobs]
-    etc_a[:, :, nb_machines] = 1.0
-    metric = etc_a @ membership  # (R, A, J) == new-target side of the metric
-    new_source = new_source_base[:, :, None] + etc_b_source[:, None, :]
-    return np.maximum(new_source, metric, out=metric)

@@ -172,10 +172,9 @@ class DynamicSchedulerService:
         )
         #: Wall-clock phase split of the most recent activation
         #: (``warm_remap`` — plan remap, fill heuristic and population
-        #: seeding; ``evaluate`` — the cMA evaluation loop).  Callers that
-        #: profile the whole activation (the simulator's ``_fire_scheduler``,
-        #: the live core) merge this under their own instance-build / solve /
-        #: commit envelope.
+        #: seeding; ``evaluate`` — the cMA evaluation loop).  The shared
+        #: activation (:mod:`repro.grid.activation`) merges this under its
+        #: instance-build / solve / commit envelope.
         self.last_phases: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #

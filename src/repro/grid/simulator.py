@@ -33,8 +33,9 @@ vocabulary and the deterministic tie-breaking rules):
 * ``TASK_END`` — a committed placement reaches its planned finish;
   popping it garbage-collects the machine's outstanding-work queue, so
   departure processing scans only genuinely in-flight placements.
-* ``SCHEDULER_TICK`` — one scheduler activation: pending jobs that have
-  arrived are assembled into a static
+* ``SCHEDULER_TICK`` — one scheduler activation, through the steps the
+  live service shares (:mod:`repro.grid.activation`): pending jobs that
+  have arrived are assembled into a static
   :class:`~repro.model.instance.SchedulingInstance` (one vectorized
   :func:`~repro.grid.machine.execution_times_matrix` call; the metadata
   carries stable job/machine ids for stateful policies), the configured
@@ -67,16 +68,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import ActivationPolicy, RetryPolicy
+from repro.grid.activation import Activation, Activator, CommitPlan
 from repro.grid.events import EventQueue, EventType
 from repro.grid.job import GridJob, JobRecord, JobState
 from repro.grid.machine import GridMachine, MachineState, execution_times_matrix
 from repro.grid.metrics import ActivationRecord, MachineEvent, SimulationMetrics
 from repro.grid.scheduler import BatchSchedulingPolicy
-from repro.model.instance import SchedulingInstance
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.phases import PhaseTimer
 from repro.utils.rng import RNGLike, as_generator
-from repro.utils.timer import Stopwatch
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = ["SimulationConfig", "GridSimulator"]
@@ -271,25 +270,9 @@ class GridSimulator:
             driver=driver, outcome="scheduled"
         )
         self._m_activation_idle = activations.labels(driver=driver, outcome="idle")
-        self._m_scheduler_seconds = reg.histogram(
-            "repro_sim_scheduler_seconds",
-            "Wall-clock seconds one scheduler activation took.",
-        )
-        # Activation phase profiler: every non-idle activation splits its
-        # wall-clock cost into named phases (instance build, solve, commit,
-        # plus whatever the policy reports via ``last_phases``).  The
-        # per-phase histogram children are resolved lazily because phase
-        # names partly come from the policy; each observation carries the
-        # activation sequence number as an exemplar linking the histogram
-        # back to the matching trace span.
-        self._phase_hist = reg.histogram(
-            "repro_sim_activation_phase_seconds",
-            "Wall-clock seconds one activation spent in each named phase.",
-            labels=("phase",),
-        )
-        self._m_phase_children: dict[str, object] = {}
-        self._activation_seq = 0
-        self._phase_seconds: dict[str, float] = {}
+        # The activation steps both clock domains share: batch build, timed
+        # solve, SPT commit plan, scheduler/phase histograms.
+        self._activator = Activator("simulator", "repro_sim", reg, trace_log)
         # Failure-model counters: revocations by cause, retry outcomes,
         # user cancellations and SLA misses.
         revocations = reg.counter(
@@ -371,16 +354,7 @@ class GridSimulator:
 
         activation = self.config.activation
         adaptive = activation is not None and activation.is_adaptive
-        if adaptive:
-            self._min_gap = (
-                0.0 if activation.min_interval is None else activation.min_interval
-            )
-            self._max_gap = (
-                self.config.activation_interval
-                if activation.max_interval is None
-                else activation.max_interval
-            )
-        else:
+        if not adaptive:
             # The periodic driver seeds tick 0 at t=0 and chains the next
             # tick after each one fires — identical activation timestamps
             # (k * activation_interval, capped at max_activations) to the
@@ -707,19 +681,19 @@ class GridSimulator:
     def _ensure_wakeup(self, now: float) -> None:
         """Adaptive driver: keep one live tick scheduled while work pends.
 
-        A triggered wakeup (backlog at threshold, membership change) fires
-        at ``last activation + min_interval``; otherwise the fallback fires
-        at ``last activation + max_interval``.  Only a strictly earlier
-        target replaces the live tick — the superseded tick is skipped by
-        timestamp when it pops.
+        The wakeup fires :meth:`~repro.core.config.ActivationPolicy.gap`
+        after the last activation (``min_interval`` when the backlog or a
+        membership change triggers it, ``max_interval`` otherwise).  Only a
+        strictly earlier target replaces the live tick — the superseded tick
+        is skipped by timestamp when it pops.
         """
         if not self._pending_positions:
             return
-        policy = self.config.activation
-        triggered = len(self._pending_positions) >= policy.backlog_threshold or (
-            self._membership_dirty and policy.on_machine_change
+        gap = self.config.activation.gap(
+            len(self._pending_positions),
+            self.config.activation_interval,
+            self._membership_dirty,
         )
-        gap = self._min_gap if triggered else self._max_gap
         target = max(now, self._last_activation + gap)
         if self._next_tick is None or target < self._next_tick:
             self._next_tick = target
@@ -728,92 +702,44 @@ class GridSimulator:
     # ------------------------------------------------------------------ #
     # Scheduler activation
     # ------------------------------------------------------------------ #
-    def _pending_jobs(self) -> list[GridJob]:
-        """Jobs awaiting scheduling, in arrival order."""
-        return [self.jobs[position] for position in sorted(self._pending_positions)]
-
-    def _available_machines(self) -> list[GridMachine]:
-        """Machines currently in the park, in park order."""
-        return [
-            machine
-            for machine, active in zip(self.machines, self._active)
-            if active
-        ]
-
     def _fire_scheduler(self, now: float) -> None:
-        """One activation: build the batch instance, schedule it, commit it."""
-        pending = self._pending_jobs()
-        available = self._available_machines() if pending else []
+        """One activation: build the batch instance, schedule it, commit it.
+
+        The batch is the pending jobs in arrival order, on the machines in
+        the park in park order.
+        """
+        pending = [self.jobs[position] for position in sorted(self._pending_positions)]
+        available = (
+            [machine for machine, active in zip(self.machines, self._active) if active]
+            if pending
+            else []
+        )
         if not pending or not available:
             self._nb_idle_activations += 1
             self._m_activation_idle.inc()
             return
 
-        self._activation_seq += 1
-        seq = self._activation_seq
-        timer = PhaseTimer()
-        with timer.phase("instance_build"):
-            etc = execution_times_matrix(pending, available)
-            ready = np.array(
-                [
-                    self.machine_states[machine.machine_id].ready_time(now)
-                    for machine in available
-                ],
-                dtype=float,
-            )
-            instance = SchedulingInstance(
-                etc=etc,
-                ready_times=ready,
-                name=f"batch@t={now:.2f}",
-                metadata={
-                    "job_ids": np.array([job.job_id for job in pending], dtype=np.int64),
-                    "machine_ids": np.array(
-                        [machine.machine_id for machine in available], dtype=np.int64
-                    ),
-                },
-            )
-        if self._trace_log is not None:
-            self._trace_log.emit_many(
-                "job_batched",
-                [
-                    {
-                        "source": "simulator",
-                        "time": now,
-                        "job_id": job.job_id,
-                        "seq": seq,
-                        "attempt": self.records[job.job_id].reschedules + 1,
-                    }
-                    for job in pending
-                ],
-            )
-
-        stopwatch = Stopwatch()
-        assignment = np.asarray(self.policy.schedule(instance, self.rng), dtype=np.int64)
-        scheduler_seconds = stopwatch.elapsed
-        timer.add("solve", scheduler_seconds)
-        if assignment.shape != (len(pending),):
-            raise ValueError(
-                f"policy returned an assignment of shape {assignment.shape}, "
-                f"expected ({len(pending)},)"
-            )
-        if assignment.size and (assignment.min() < 0 or assignment.max() >= len(available)):
-            raise ValueError("policy returned machine indices outside the batch")
-
-        with timer.phase("commit"):
-            batch_makespan, committed = self._commit_assignment(
-                now, pending, available, assignment, etc, seq
-            )
-        policy_phases = getattr(self.policy, "last_phases", None)
-        if policy_phases:
-            timer.merge(policy_phases)
-        for name, seconds in timer:
-            self._phase_seconds[name] = self._phase_seconds.get(name, 0.0) + seconds
-            child = self._m_phase_children.get(name)
-            if child is None:
-                child = self._m_phase_children[name] = self._phase_hist.labels(
-                    phase=name
-                )
-            child.observe(seconds, exemplar=seq)
+        busy_until = np.array(
+            [self.machine_states[machine.machine_id].busy_until for machine in available]
+        )
+        attempts = (
+            [self.records[job.job_id].reschedules + 1 for job in pending]
+            if self._trace_log is not None
+            else None
+        )
+        activation = self._activator.build(
+            now, pending, available, busy_until, execution_times_matrix, attempts
+        )
+        activation.solve(self.policy, self.rng)
+        plan = activation.plan(busy_until, now, self.config.commit_horizon)
+        batch_makespan = self._commit(activation, plan)
+        phases = activation.finish(plan)
+        # The plan is committed at this instant, so the lifecycle lines go
+        # out eagerly with the *planned* timestamps; a later job_revoked line
+        # supersedes them in causal file order.
+        activation.trace("job_started", plan, plan.starts)
+        activation.trace("job_completed", plan, plan.finishes)
+        committed = len(plan.rows)
         self.activations.append(
             ActivationRecord(
                 time=now,
@@ -821,169 +747,66 @@ class GridSimulator:
                 available_machines=len(available),
                 scheduled_jobs=committed,
                 batch_makespan=batch_makespan,
-                scheduler_wall_seconds=scheduler_seconds,
+                scheduler_wall_seconds=activation.scheduler_seconds,
             )
         )
         self._m_activation_scheduled.inc()
-        self._m_scheduler_seconds.observe(scheduler_seconds)
         if self._trace_log is not None:
             self._trace_log.emit(
                 "activation",
                 source="simulator",
                 time=now,
-                seq=seq,
+                seq=activation.seq,
                 backlog=len(pending),
                 batch_size=len(pending),
                 machines=len(available),
                 mode="normal",
-                scheduler_seconds=scheduler_seconds,
+                scheduler_seconds=activation.scheduler_seconds,
                 scheduled=committed,
                 batch_makespan=batch_makespan,
-                phases=timer.as_dict(),
+                phases=phases,
             )
 
-    def _commit_assignment(
-        self,
-        now: float,
-        pending: list[GridJob],
-        available: list[GridMachine],
-        assignment: np.ndarray,
-        etc: np.ndarray,
-        seq: int = 0,
-    ) -> tuple[float, int]:
-        """Commit the scheduled jobs to the machine queues (SPT order per machine).
+    def _commit(self, activation: Activation, plan: CommitPlan) -> float:
+        """Apply a commit plan: job records, machine queues, ``TASK_END`` events.
 
-        The per-machine shortest-processing-time queueing is computed for the
-        whole batch at once: one stable ``(machine, duration)`` key sort, one
-        cumulative sum with per-machine segment resets.  ``etc`` is the
-        activation's already-built execution-time matrix, so no execution
-        time is recomputed here.  Every committed placement also schedules
-        its ``TASK_END`` event.  Returns ``(batch makespan of the committed
-        work, number of committed jobs)`` — under a ``commit_horizon`` only
-        the placements that start inside the horizon are committed.
+        Returns the batch makespan of the committed work.
         """
-        count = len(pending)
-        if count == 0:
-            return 0.0, 0
-        durations = etc[np.arange(count), assignment]
-        # Stable sort by (machine, duration): within a machine this is the
-        # SPT order, ties broken by batch position exactly like the previous
-        # per-machine stable argsort.
-        order = np.lexsort((durations, assignment))
-        sorted_machines = assignment[order]
-        sorted_durations = durations[order]
-        # Queue base per machine: work may start once the machine finishes
-        # its committed work (never before the activation itself).
-        queue_base = np.array(
-            [
-                max(now, self.machine_states[machine.machine_id].busy_until)
-                for machine in available
-            ],
-            dtype=float,
-        )
-        # Cumulative duration within each machine segment of the sorted batch.
-        running = np.cumsum(sorted_durations)
-        before = running - sorted_durations
-        positions = np.arange(count)
-        new_segment = np.empty(count, dtype=bool)
-        new_segment[0] = True
-        new_segment[1:] = sorted_machines[1:] != sorted_machines[:-1]
-        segment_start = np.maximum.accumulate(np.where(new_segment, positions, 0))
-        starts = queue_base[sorted_machines] + (before - before[segment_start])
-        finishes = starts + sorted_durations
-
-        # Rolling horizon: only placements starting soon are locked in; the
-        # tail of the plan stays pending for the next activation.  Starts
-        # increase within every machine segment, so the committed jobs are a
-        # contiguous prefix of each machine's planned queue.
-        horizon = self.config.commit_horizon
-        if horizon is None:
-            commit = np.ones(count, dtype=bool)
-        else:
-            commit = starts < now + horizon
-
-        tracing = self._trace_log is not None
-        assigned_records: list[dict] = []
-        started_records: list[dict] = []
-        completed_records: list[dict] = []
-        for position in np.nonzero(commit)[0]:
-            job = pending[int(order[position])]
-            machine = available[int(sorted_machines[position])]
-            start = float(starts[position])
-            finish = float(finishes[position])
+        now = activation.now
+        pending = activation.jobs
+        available = activation.machines
+        for row, column, start, finish in zip(
+            plan.rows.tolist(),
+            plan.columns.tolist(),
+            plan.starts.tolist(),
+            plan.finishes.tolist(),
+        ):
+            job = pending[row]
+            machine_id = available[column].machine_id
             record = self.records[job.job_id]
             record.state = JobState.COMPLETED
-            record.machine_id = machine.machine_id
+            record.machine_id = machine_id
             record.start_time = start
             record.completion_time = finish
             record.note(
-                f"scheduled at t={now:.2f} on machine {machine.machine_id} "
+                f"scheduled at t={now:.2f} on machine {machine_id} "
                 f"(start={start:.2f}, finish={finish:.2f})"
             )
-            self._queues[machine.machine_id].append(
+            self._queues[machine_id].append(
                 _QueueEntry(job_id=job.job_id, start=start, finish=finish)
             )
             self._pending_positions.discard(self._job_position[job.job_id])
             self._unfinished -= 1
-            self._has_commits.add(machine.machine_id)
-            self._events.push(finish, EventType.TASK_END, machine.machine_id)
-            if tracing:
-                # The planned start/finish are committed (and the record
-                # stamped) at this instant, so the lifecycle lines are
-                # emitted eagerly with the *planned* timestamps; a later
-                # job_revoked line supersedes them in causal file order.
-                attempt = record.reschedules + 1
-                assigned_records.append(
-                    {
-                        "source": "simulator",
-                        "time": now,
-                        "job_id": job.job_id,
-                        "seq": seq,
-                        "machine_id": machine.machine_id,
-                        "attempt": attempt,
-                    }
-                )
-                started_records.append(
-                    {
-                        "source": "simulator",
-                        "time": start,
-                        "job_id": job.job_id,
-                        "machine_id": machine.machine_id,
-                        "attempt": attempt,
-                    }
-                )
-                completed_records.append(
-                    {
-                        "source": "simulator",
-                        "time": finish,
-                        "job_id": job.job_id,
-                        "machine_id": machine.machine_id,
-                        "attempt": attempt,
-                    }
-                )
-        if tracing:
-            self._trace_log.emit_many("job_assigned", assigned_records)
-            self._trace_log.emit_many("job_started", started_records)
-            self._trace_log.emit_many("job_completed", completed_records)
-
-        committed_machines = sorted_machines[commit]
-        busy_totals = np.bincount(
-            committed_machines, weights=sorted_durations[commit], minlength=len(available)
-        )
-        job_counts = np.bincount(committed_machines, minlength=len(available))
-        # Per machine, the committed queue ends at its last committed finish.
-        queue_end = np.copy(queue_base)
-        np.maximum.at(queue_end, committed_machines, finishes[commit])
+            self._has_commits.add(machine_id)
+            self._events.push(finish, EventType.TASK_END, machine_id)
         batch_finish = now
-        for col, machine in enumerate(available):
-            if job_counts[col] == 0:
-                continue
-            state = self.machine_states[machine.machine_id]
-            state.busy_time += float(busy_totals[col])
-            state.completed_jobs += int(job_counts[col])
-            state.busy_until = float(queue_end[col])
+        for column in np.flatnonzero(plan.jobs).tolist():
+            state = self.machine_states[available[column].machine_id]
+            state.busy_time += float(plan.busy[column])
+            state.completed_jobs += int(plan.jobs[column])
+            state.busy_until = float(plan.ends[column])
             batch_finish = max(batch_finish, state.busy_until)
-        return batch_finish - now, int(commit.sum())
+        return batch_finish - now
 
     def _finished(self, now: float) -> bool:
         """All jobs settled, no arrivals pending, no revocations to come.
@@ -1092,5 +915,5 @@ class GridSimulator:
             total_tardiness=total_tardiness,
             max_tardiness=max_tardiness,
             jobs_with_deadlines=jobs_with_deadlines,
-            phase_seconds=self._phase_seconds,
+            phase_seconds=self._activator.phase_seconds,
         )

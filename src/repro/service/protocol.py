@@ -90,6 +90,8 @@ async def _handle_connection(
                 response = {"ok": False, "error": str(error)}
             writer.write(json.dumps(response).encode() + b"\n")
             await writer.drain()
+    except ConnectionError:
+        pass  # the client went away, or the server closed the connection
     finally:
         writer.close()
         try:
@@ -99,12 +101,16 @@ async def _handle_connection(
 
 
 async def serve_protocol(server: Any, host: str, port: int) -> asyncio.base_events.Server:
-    """Start the TCP listener for *server* (``port=0`` picks a free port)."""
+    """Start the TCP listener for *server* (``port=0`` picks a free port).
+
+    Each connection is registered through ``server.tracked`` so that the
+    server's ``stop()`` can close it.
+    """
 
     async def handler(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         await _handle_connection(server, reader, writer)
 
-    return await asyncio.start_server(handler, host, port, limit=_MAX_LINE)
+    return await asyncio.start_server(server.tracked(handler), host, port, limit=_MAX_LINE)
 
 
 class ServiceClient:

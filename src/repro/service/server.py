@@ -64,6 +64,8 @@ class SchedulerServer:
         self._loop_task: asyncio.Task | None = None
         self._tcp_server: asyncio.base_events.Server | None = None
         self._metrics_server: asyncio.base_events.Server | None = None
+        #: Open connections on either listener: handler task -> writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.address: tuple[str, int] | None = None
         self.metrics_address: tuple[str, int] | None = None
 
@@ -86,7 +88,9 @@ class SchedulerServer:
             self.address = (sockname[0], sockname[1])
         if self._metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
-                self._serve_metrics, self._host or "127.0.0.1", self._metrics_port
+                self.tracked(self._serve_metrics),
+                self._host or "127.0.0.1",
+                self._metrics_port,
             )
             sockname = self._metrics_server.sockets[0].getsockname()
             self.metrics_address = (sockname[0], sockname[1])
@@ -105,14 +109,19 @@ class SchedulerServer:
         self._wake.set()
         await self._loop_task
         self._loop_task = None
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
-            self._metrics_server = None
+        listeners = [self._tcp_server, self._metrics_server]
+        listeners = [listener for listener in listeners if listener is not None]
+        for listener in listeners:
+            listener.close()
+        # Close the open connections too, and let their handlers see EOF and
+        # return: a handler left waiting on an idle client would be cancelled
+        # with the loop (and Server.wait_closed waits for it on 3.12+).
+        for writer in list(self._connections.values()):
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        for listener in listeners:
+            await listener.wait_closed()
+        self._tcp_server = self._metrics_server = None
         loop = asyncio.get_running_loop()
         if drain:
             await loop.run_in_executor(None, self.core.drain)
@@ -135,6 +144,19 @@ class SchedulerServer:
     def snapshot(self) -> ServiceSnapshot:
         """Current metrics snapshot (safe from any thread or task)."""
         return self.core.snapshot()
+
+    def tracked(self, handler):
+        """Wrap a connection handler so :meth:`stop` can close its connection."""
+
+        async def run(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+            task = asyncio.current_task()
+            self._connections[task] = writer
+            try:
+                await handler(reader, writer)
+            finally:
+                del self._connections[task]
+
+        return run
 
     # ------------------------------------------------------------------ #
     # GET /metrics (Prometheus text exposition)

@@ -7,12 +7,13 @@ SchedulingInstance`\\ s against a static machine park, runs the configured
 batch scheduler (normally the warm
 :class:`~repro.grid.service.DynamicSchedulerService`), commits the plan to
 per-machine busy-until tracks, and keeps the operational counters the
-metrics snapshot reports.  Keeping it synchronous and clock-injected is
-what makes the overload behaviour *testable*: the unit tests drive every
-interleaving of submissions and activations with a
-:class:`~repro.service.clock.FakeClock`, no sleeps, no flakiness — the
-asyncio :class:`~repro.service.server.SchedulerServer` is a thin shell on
-top.
+metrics snapshot reports; build, solve, check and the SPT commit plan are
+the activation steps the simulator runs too (:mod:`repro.grid.activation`).
+Keeping it synchronous and clock-injected is what makes the overload
+behaviour *testable*: the unit tests drive every interleaving of
+submissions and activations with a :class:`~repro.service.clock.
+FakeClock`, no sleeps, no flakiness — the asyncio
+:class:`~repro.service.server.SchedulerServer` is a thin shell on top.
 
 Overload is handled in two explicit stages, mirroring how production
 queueing systems degrade:
@@ -33,7 +34,9 @@ Every accepted submission is **exactly-once** accounted: it either appears
 in exactly one activation's ``scheduled_ids``, is withdrawn through
 :meth:`SchedulerCore.cancel`, or is returned by :meth:`SchedulerCore.abort`
 as shed — the property test in ``tests/service/test_exactly_once.py`` pins
-this under arbitrary interleavings.
+this under arbitrary interleavings.  A failed solve (the scheduler raises,
+or returns a malformed assignment) puts its batch back at the front of the
+queue before the error propagates, so it loses no job either.
 
 The failure model reaches the live service through two additions: the
 ``cancel`` verb (a queued submission is withdrawn before it is planned —
@@ -55,14 +58,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.config import ServiceConfig
+from repro.grid.activation import Activator
 from repro.grid.job import GridJob
 from repro.grid.machine import GridMachine, execution_times_matrix
 from repro.grid.metrics import latency_percentiles
-from repro.model.instance import SchedulingInstance
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.phases import PhaseTimer
 from repro.utils.rng import RNGLike, as_generator
-from repro.utils.timer import Stopwatch
 
 __all__ = ["Submission", "ActivationOutcome", "ServiceSnapshot", "SchedulerCore"]
 
@@ -301,28 +302,16 @@ class SchedulerCore:
             for mode in ("normal", "degraded", "idle", "stalled")
         }
         buckets = self.config.latency_buckets
-        self._m_scheduler_seconds = self.registry.histogram(
-            "repro_service_scheduler_seconds",
-            "Wall-clock seconds one scheduler activation took (scheduling latency).",
-            buckets=buckets,
-        )
         self._m_job_latency = self.registry.histogram(
             "repro_service_job_latency_seconds",
             "Per-job scheduling latency: accepted to planned.",
             buckets=buckets,
         )
-        # Activation phase profiler: per-phase histogram children are
-        # resolved lazily (phase names partly come from the scheduler's
-        # ``last_phases``); each observation carries the activation sequence
-        # number as an exemplar linking it to the matching trace span.
-        self._m_phases = self.registry.histogram(
-            "repro_service_activation_phase_seconds",
-            "Wall-clock seconds one activation spent in each named phase.",
-            labels=("phase",),
-            buckets=buckets,
+        # The activation steps both clock domains share: batch build, timed
+        # solve, SPT commit plan, scheduler/phase histograms.
+        self._activator = Activator(
+            "service", "repro_service", self.registry, trace_log, buckets
         )
-        self._m_phase_children: dict[str, Any] = {}
-        self._activation_seq = 0
 
     # ------------------------------------------------------------------ #
     # Submission side
@@ -474,18 +463,7 @@ class SchedulerCore:
         """
         with self._lock:
             backlog = len(self._queue)
-        if self._policy.is_adaptive:
-            triggered = backlog >= self._policy.backlog_threshold
-            if triggered:
-                gap = self._policy.min_interval or 0.0
-            else:
-                gap = (
-                    self._policy.max_interval
-                    if self._policy.max_interval is not None
-                    else self.config.activation_interval
-                )
-        else:
-            gap = self.config.activation_interval
+        gap = self._policy.gap(backlog, self.config.activation_interval)
         return max(0.0, self._last_activation + gap - self._now())
 
     # ------------------------------------------------------------------ #
@@ -497,7 +475,9 @@ class SchedulerCore:
         The queue drain, mode transition and plan commit run under the
         lock; the scheduler itself runs *outside* it, so submissions keep
         flowing (and shedding) while a cMA activation crunches — which is
-        exactly the window where genuine overload happens.
+        exactly the window where genuine overload happens.  If the solve
+        fails, the batch goes back to the front of the queue and the error
+        propagates.
         """
         with self._lock:
             now = self._now()
@@ -546,46 +526,18 @@ class SchedulerCore:
                 self.mode = "normal"
                 transition = "recover"
             mode = self.mode
-            self._activation_seq += 1
-            seq = self._activation_seq
-            timer = PhaseTimer()
             pending = [submission.job for submission in batch]
-            with timer.phase("instance_build"):
-                # The batch is solved over the *up* machines only; a broken
-                # machine keeps its busy-until track but gets no new work.
-                park = [self.machines[int(i)] for i in up_indices]
-                etc = execution_times_matrix(pending, park)
-                ready = np.maximum(0.0, self._busy_until[up_indices] - now)
-                instance = SchedulingInstance(
-                    etc=etc,
-                    ready_times=ready,
-                    name=f"live@t={now:.2f}",
-                    metadata={
-                        "job_ids": np.array(
-                            [job.job_id for job in pending], dtype=np.int64
-                        ),
-                        "machine_ids": up_indices.astype(np.int64),
-                    },
-                )
+            # The batch is solved over the *up* machines only; a broken
+            # machine keeps its busy-until track but gets no new work.
+            activation = self._activator.build(
+                now,
+                pending,
+                [self.machines[int(i)] for i in up_indices],
+                self._busy_until[up_indices],
+                execution_times_matrix,
+            )
 
         self._m_queue_depth.set(0)
-        if self.trace_log is not None:
-            # Every batched job is followed by a job_assigned line from this
-            # same activation (a stalled batch never reaches this point), so
-            # the per-job lifecycle stays a legal DAG.
-            self.trace_log.emit_many(
-                "job_batched",
-                [
-                    {
-                        "source": "service",
-                        "time": now,
-                        "job_id": submission.job.job_id,
-                        "seq": seq,
-                        "attempt": 1,
-                    }
-                    for submission in batch
-                ],
-            )
         if transition is not None:
             self._m_transitions[transition].inc()
             if self.trace_log is not None:
@@ -612,7 +564,7 @@ class SchedulerCore:
                 "activation",
                 source="service",
                 time=now,
-                seq=seq,
+                seq=activation.seq,
                 backlog=len(batch),
                 batch_size=len(batch),
                 mode=mode,
@@ -621,80 +573,36 @@ class SchedulerCore:
             else None
         )
 
-        stopwatch = Stopwatch()
         degraded = mode == "degraded" and hasattr(self.scheduler, "degraded_schedule")
-        if degraded:
-            assignment = self.scheduler.degraded_schedule(instance, self.rng)
-        else:
-            assignment = self.scheduler.schedule(instance, self.rng)
-        assignment = np.asarray(assignment, dtype=np.int64)
-        scheduler_seconds = stopwatch.elapsed
-        timer.add("solve", scheduler_seconds)
-        if assignment.shape != (len(pending),):
-            raise ValueError(
-                f"scheduler returned an assignment of shape {assignment.shape}, "
-                f"expected ({len(pending)},)"
-            )
-        if assignment.size and (
-            assignment.min() < 0 or assignment.max() >= len(park)
-        ):
-            raise ValueError("scheduler returned machine indices outside the park")
-
-        durations = etc[np.arange(len(pending)), assignment]
-        # Map batch-local machine columns back to park indices before the
-        # busy-track commit (the scheduler only ever saw the up machines).
-        park_assignment = up_indices[assignment]
-        with timer.phase("commit"):
+        try:
+            activation.solve(self.scheduler, self.rng, degraded)
+        except BaseException:
+            # A failed solve loses nothing either: the batch goes back to
+            # the front of the queue, ahead of what arrived meanwhile.
             with self._lock:
-                done = self._now()
-                load = np.bincount(
-                    park_assignment, weights=durations, minlength=len(self.machines)
-                )
-                base = np.maximum(self._busy_until, done)
-                self._busy_until = np.where(load > 0, base + load, self._busy_until)
-                self._busy_time += load
-                self.scheduled += len(pending)
-                latencies = [done - submission.submitted_at for submission in batch]
-                self._latencies.extend(latencies)
-                overflow = len(self._latencies) - self.config.latency_window
-                if overflow > 0:
-                    del self._latencies[:overflow]
-
-        # The warm scheduler reports its internal split (warm remap,
-        # evaluation loop) for the activation it just solved; merged here it
-        # nests under the core's instance_build / solve / commit envelope.
-        scheduler_phases = getattr(self.scheduler, "last_phases", None)
-        if scheduler_phases:
-            timer.merge(scheduler_phases)
+                self._queue = batch + self._queue
+                depth = len(self._queue)
+                self.peak_backlog = max(self.peak_backlog, depth)
+            self._m_queue_depth.set(depth)
+            raise
+        with self._lock:
+            # Planned work starts no earlier than its plan exists: the queue
+            # bases are the post-solve instant and the busy tracks as of now.
+            done = self._now()
+            plan = activation.plan(self._busy_until[up_indices], done)
+            planned = plan.jobs > 0
+            self._busy_until[up_indices[planned]] = plan.ends[planned]
+            self._busy_time[up_indices] += plan.busy
+            self.scheduled += len(pending)
+            latencies = [done - submission.submitted_at for submission in batch]
+            self._latencies.extend(latencies)
+            overflow = len(self._latencies) - self.config.latency_window
+            if overflow > 0:
+                del self._latencies[:overflow]
+        phases = activation.finish(plan)
         self._m_activations[mode].inc()
-        self._m_scheduler_seconds.observe(scheduler_seconds)
         for latency in latencies:
             self._m_job_latency.observe(latency)
-        for name, seconds in timer:
-            child = self._m_phase_children.get(name)
-            if child is None:
-                child = self._m_phase_children[name] = self._m_phases.labels(
-                    phase=name
-                )
-            child.observe(seconds, exemplar=seq)
-        if self.trace_log is not None:
-            machine_ids = [
-                self.machines[int(index)].machine_id for index in park_assignment
-            ]
-            self.trace_log.emit_many(
-                "job_assigned",
-                [
-                    {
-                        "source": "service",
-                        "time": done,
-                        "job_id": job.job_id,
-                        "seq": seq,
-                        "machine_id": machine_id,
-                        "attempt": 1,
-                    }
-                    for job, machine_id in zip(pending, machine_ids)
-                ],
-            )
         if span is not None:
             stats_after = (
                 (stats.carried_jobs, stats.filled_jobs, stats.evaluations)
@@ -702,12 +610,12 @@ class SchedulerCore:
                 else (0, 0, 0)
             )
             span.update(
-                scheduler_seconds=scheduler_seconds,
+                scheduler_seconds=activation.scheduler_seconds,
                 carried=stats_after[0] - stats_before[0],
                 filled=stats_after[1] - stats_before[1],
                 evaluations=stats_after[2] - stats_before[2],
                 scheduled=len(pending),
-                phases=timer.as_dict(),
+                phases=phases,
             )
             span.close()
         return ActivationOutcome(
@@ -715,7 +623,7 @@ class SchedulerCore:
             batch_size=len(pending),
             scheduled_ids=tuple(job.job_id for job in pending),
             mode=mode,
-            scheduler_seconds=scheduler_seconds,
+            scheduler_seconds=activation.scheduler_seconds,
         )
 
     # ------------------------------------------------------------------ #

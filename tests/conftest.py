@@ -8,6 +8,11 @@ and wall-clock budgets live.
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,48 @@ from repro.model.fitness import FitnessEvaluator
 from repro.model.generator import ETCGeneratorConfig, generate_instance
 from repro.model.instance import SchedulingInstance
 from repro.model.schedule import Schedule
+
+
+#: Hang bound for one ``smoke``-marked file, as wall-clock seconds.
+SMOKE_FILE_TIMEOUT = 300.0
+_REAL_STDERR = pytest.StashKey[int]()
+_SMOKE_DEADLINES = pytest.StashKey[dict]()
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    # Duplicated before any test output capture starts, so a hang report
+    # reaches the terminal instead of a discarded capture buffer.
+    config.stash[_REAL_STDERR] = os.dup(sys.stderr.fileno())
+    config.stash[_SMOKE_DEADLINES] = {}
+
+
+def pytest_unconfigure(config: pytest.Config) -> None:
+    os.close(config.stash[_REAL_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def smoke_hang_guard(request: pytest.FixtureRequest):
+    """Bound every ``smoke`` file at :data:`SMOKE_FILE_TIMEOUT` seconds.
+
+    The smoke files drive whole subsystems end to end (worker processes,
+    the live service on the wall clock), so a deadlock there would stall
+    the run.  Past the file's deadline faulthandler dumps every thread's
+    stack and exits the process.  The timer is re-armed for each test with
+    what is left of its file's budget.
+    """
+    if request.node.get_closest_marker("smoke") is None:
+        yield
+        return
+    deadline = request.config.stash[_SMOKE_DEADLINES].setdefault(
+        request.module.__name__, time.monotonic() + SMOKE_FILE_TIMEOUT
+    )
+    faulthandler.dump_traceback_later(
+        max(deadline - time.monotonic(), 0.001),
+        exit=True,
+        file=request.config.stash[_REAL_STDERR],
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

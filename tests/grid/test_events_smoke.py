@@ -1,16 +1,20 @@
 """Smoke test: the event-driven core end to end, periodic and adaptive.
 
-Mirrors the islands/arena/service smoke guards: this file is excluded from
-the CI tier-1 step and run in its own timeout-guarded step, because it
+Marked ``smoke`` like the islands/arena/service tests (CI runs it in the
+hang-guarded smoke step, not in tier-1), because it
 drives the complete event loop (arrivals, churn with revocations, both
 activation drivers, a warm metaheuristic policy) end to end rather than one
 unit at a time.  Locally it is just part of the normal suite.
 """
 
+import pytest
+
 from repro.core.config import ActivationPolicy, CMAConfig, TraceConfig
 from repro.grid import GridSimulator, SimulationConfig, WarmCMAPolicy
 from repro.grid.scheduler import HeuristicBatchPolicy
 from repro.traces import generate_trace
+
+pytestmark = pytest.mark.smoke
 
 
 def _trace():

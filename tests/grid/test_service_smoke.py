@@ -1,11 +1,13 @@
 """Smoke test: the warm service drives a full rolling-horizon simulation.
 
-Mirrors the islands worker-smoke guard: this file is excluded from the CI
-tier-1 step and run in its own timeout-guarded step, because it exercises
+Marked ``smoke`` like the islands worker test (CI runs it in the
+hang-guarded smoke step, not in tier-1), because it exercises
 the complete dynamic-scheduling stack (bursty arrivals, churning resources,
 rolling commit horizon, warm-started cMA activations) end to end rather
 than one unit at a time.  Locally it is just part of the normal suite.
 """
+
+import pytest
 
 from repro.core.config import CMAConfig
 from repro.grid import (
@@ -15,6 +17,8 @@ from repro.grid import (
     SimulationConfig,
     WarmCMAPolicy,
 )
+
+pytestmark = pytest.mark.smoke
 
 
 def test_warm_service_survives_bursts_and_churn():

@@ -1,8 +1,9 @@
 """Smoke tests that actually spawn island worker processes.
 
-These are the tests CI runs under a hard timeout: if the queue/shared-memory
+Marked ``smoke``, so a hard timeout guards them: if the queue/shared-memory
 protocol ever deadlocks, the parent's ``worker_timeout`` (and ultimately the
-CI step timeout) turns the hang into a failure instead of a stuck job.
+smoke hang guard in ``tests/conftest.py``) turns the hang into a failure
+instead of a stuck job.
 """
 
 import math
@@ -17,6 +18,8 @@ from repro.experiments.runner import cma_spec
 from repro.islands import IslandModel, MigrationBoard
 from repro.islands.migration import EmigrantParcel
 from repro.model.benchmark import generate_braun_like_instance
+
+pytestmark = pytest.mark.smoke
 
 
 @pytest.fixture(scope="module")

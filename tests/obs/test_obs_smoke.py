@@ -1,7 +1,7 @@
 """Smoke test: scrape ``GET /metrics`` off the live server under real load.
 
-Mirrors the service soak guard: this file is excluded from the CI tier-1
-step and run in its own timeout-guarded step, because it runs the live
+Marked ``smoke`` like the service soak test (CI runs it in the
+hang-guarded smoke step, not in tier-1), because it runs the live
 asyncio service on the wall clock.  One short open-loop overload run with
 the full observability layer on — metrics registry behind the HTTP
 exposition listener, activation spans in a trace file — then the two
@@ -13,6 +13,8 @@ own counters tell.
 
 import asyncio
 import json
+
+import pytest
 
 from repro.core.config import (
     ActivationPolicy,
@@ -31,6 +33,8 @@ from repro.obs import (
 )
 from repro.service import LoadGenerator, SchedulerCore, SchedulerServer
 from repro.traces import generate_trace, rescale_trace
+
+pytestmark = pytest.mark.smoke
 
 CAPACITY = 48
 

@@ -1,7 +1,7 @@
 """Smoke test: per-job lifecycle tracing on the live service, end to end.
 
-Like the scrape and chaos smokes, this file is excluded from the CI tier-1
-step and runs in its own timeout-guarded step, because it drives the live
+Marked ``smoke`` like the scrape and chaos tests (CI runs it in the
+hang-guarded smoke step, not in tier-1), because it drives the live
 asyncio service on the wall clock.  One short open-loop run with job
 tracing on, then the acceptance checks of the timeline layer: the trace
 folds into a legal lifecycle DAG whose job count reconciles with the load
@@ -11,6 +11,8 @@ latency (the "shares sum to 100%" guarantee), and the ``obs timeline`` /
 """
 
 import asyncio
+
+import pytest
 
 from repro.cli import main
 from repro.core.config import (
@@ -30,6 +32,8 @@ from repro.obs import (
 )
 from repro.service import LoadGenerator, SchedulerCore, SchedulerServer
 from repro.traces import generate_trace, rescale_trace
+
+pytestmark = pytest.mark.smoke
 
 
 def burst_trace():

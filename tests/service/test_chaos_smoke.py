@@ -1,7 +1,7 @@
 """Chaos smoke test: the live service absorbs injected machine faults.
 
-One short wall-clock run (a few seconds, CI-guarded by its own timeout
-step) drives the real stack — warm
+One short wall-clock run (a few seconds, marked ``smoke`` so the smoke
+hang guard bounds it) drives the real stack — warm
 :class:`~repro.grid.service.DynamicSchedulerService` behind the asyncio
 :class:`~repro.service.server.SchedulerServer` — with the open-loop
 :class:`~repro.service.loadgen.LoadGenerator` while a seeded
@@ -16,6 +16,8 @@ no accepted job was lost or double-scheduled.
 """
 
 import asyncio
+
+import pytest
 
 from repro.core.config import (
     ActivationPolicy,
@@ -32,6 +34,8 @@ from repro.service import (
     SchedulerServer,
 )
 from repro.traces import generate_trace
+
+pytestmark = pytest.mark.smoke
 
 CAPACITY = 256
 MACHINES = 4

@@ -9,6 +9,7 @@ the JSON line protocol round-trips submissions, metrics and errors.
 
 import asyncio
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ class TestServerLifecycle:
             await server.stop(drain=False)
 
         asyncio.run(run())
+
+    def test_stop_closes_open_client_connections(self, caplog):
+        async def run():
+            server = SchedulerServer(make_core(), port=0)
+            await server.start()
+            clients = [await ServiceClient.connect(*server.address) for _ in range(16)]
+            for client in clients:
+                assert await client.ping()
+            await asyncio.wait_for(server.stop(), timeout=5.0)
+            for client in clients:
+                assert await asyncio.wait_for(client._reader.read(), timeout=5.0) == b""
+                await client.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(run())
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 class TestProtocol:

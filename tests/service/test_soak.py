@@ -1,7 +1,7 @@
 """Soak/overload integration test: the live service under open-loop flash load.
 
-One short wall-clock run (well under 30 s end to end, CI-guarded by its own
-timeout step) drives the *real* stack — warm
+One short wall-clock run (well under 30 s end to end, marked ``smoke`` so
+the smoke hang guard bounds it) drives the *real* stack — warm
 :class:`~repro.grid.service.DynamicSchedulerService` behind the asyncio
 :class:`~repro.service.server.SchedulerServer` — with the open-loop
 :class:`~repro.service.loadgen.LoadGenerator` replaying a flash-crowd
@@ -36,6 +36,8 @@ from repro.grid.service import DynamicSchedulerService
 from repro.grid.workload import StaticResourceModel
 from repro.service import LoadGenerator, SchedulerCore, SchedulerServer
 from repro.traces import generate_trace, rescale_trace
+
+pytestmark = pytest.mark.smoke
 
 CAPACITY = 64
 MIN_INTERVAL = 0.2

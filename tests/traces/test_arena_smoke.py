@@ -1,8 +1,8 @@
 """Smoke test: the replay arena's worker mode, and its parity contract.
 
-Mirrors the islands worker-smoke and warm-service guards: this file is
-excluded from the CI tier-1 step and run in its own timeout-guarded step,
-because it spawns one worker process per policy.  Locally it is just part
+Marked ``smoke`` like the islands worker and warm-service tests (CI runs
+it in the hang-guarded smoke step, not in tier-1), because it spawns one
+worker process per policy.  Locally it is just part
 of the normal suite.
 
 The contract it pins is the arena's acceptance criterion: ``workers=0``
@@ -10,6 +10,8 @@ and ``workers=N`` produce **identical** per-policy metrics, because every
 replay builds a fresh policy from its spec and derives its seed stream
 from (arena seed, policy name, repetition) — never from process state.
 """
+
+import pytest
 
 from repro.core.config import ArenaConfig, TraceConfig
 from repro.traces.generators import generate_trace
@@ -19,6 +21,8 @@ from repro.traces.replay import (
     heuristic_policy_spec,
     warm_cma_policy_spec,
 )
+
+pytestmark = pytest.mark.smoke
 
 #: Iteration-bound budget: wall-clock caps must never bind, or the two
 #: execution modes could diverge on a loaded machine.
