@@ -281,8 +281,11 @@ def test_engine_throughput(record_output, record_json):
 
     # --- full evaluation: POP schedules from scratch --------------------- #
     def scalar_evaluate():
+        # Both objectives, as the batch side computes them (a Schedule
+        # fills its flowtimes on first read).
         for row in batch.assignments:
-            Schedule(instance, row).makespan
+            schedule = Schedule(instance, row)
+            schedule.makespan, schedule.flowtime
 
     def batch_evaluate():
         batch.recompute()

@@ -15,16 +15,15 @@ event vocabulary covers everything that can change the state of the grid:
     exactly-once credit discipline as a leave) and marks it unavailable;
     repair makes it schedulable again.
 ``TASK_SUBMIT``
-    One job's arrival; popping it admits the job to the pending pool.  Also
-    used for the delayed re-admission of a revoked job when a
+    One job's admission to the pending pool.  First arrivals never enter
+    the heap: the simulator merges its arrival-sorted job list through a
+    cursor that pops exactly where these events would (see below).  The
+    heap carries only the delayed re-admissions of revoked jobs when a
     :class:`~repro.core.config.RetryPolicy` imposes a backoff.
 ``TASK_CANCEL``
     A user withdraws a job; popping it removes the job from wherever it
     currently sits (pending pool, retry backoff, or an in-flight machine
     queue) unless it already finished.
-``TASK_END``
-    A committed placement reaches its planned finish time; popping it
-    garbage-collects the machine's outstanding-work queue.
 ``SCHEDULER_TICK``
     A scheduler activation point.  The periodic driver chains these at
     ``activation_interval``; the adaptive driver schedules them on demand
@@ -37,15 +36,20 @@ ordered by ``(time, kind, seq)``:
 1. **time** — chronological, always;
 2. **kind** — at equal timestamps, capacity-adding membership events
    (joins, repairs) before capacity-removing ones (leaves, breakdowns)
-   before submissions before cancellations before task ends before
-   scheduler ticks (the :class:`EventType` integer values).  This
-   reproduces the classic periodic loop's within-tick order (membership
-   first, then arrivals, then the activation) and guarantees a tick at
-   time *t* observes every event at *t*.  The failure kinds slot into the
-   legacy order without permuting it, so traces that carry no failure
-   events drain exactly as they did before the failure model existed;
+   before submissions before cancellations before scheduler ticks (the
+   :class:`EventType` integer values).  This reproduces the classic
+   periodic loop's within-tick order (membership first, then arrivals,
+   then the activation) and guarantees a tick at time *t* observes every
+   event at *t*.  The failure kinds slot into the legacy order without
+   permuting it, so traces that carry no failure events drain exactly as
+   they did before the failure model existed;
 3. **seq** — a monotonically increasing insertion counter breaking the
    remaining ties FIFO, independent of heap internals and payload types.
+
+A first arrival at time *t* therefore sorts as ``(t, TASK_SUBMIT, -1)``:
+after the membership kinds at *t*, before everything else at *t* —
+including a retry ``TASK_SUBMIT`` for the same instant, which would always
+have been pushed later.  That is the simulator's cursor merge rule.
 """
 
 from __future__ import annotations
@@ -67,8 +71,7 @@ class EventType(IntEnum):
     MACHINE_BREAKDOWN = 3
     TASK_SUBMIT = 4
     TASK_CANCEL = 5
-    TASK_END = 6
-    SCHEDULER_TICK = 7
+    SCHEDULER_TICK = 6
 
 
 class Event(NamedTuple):

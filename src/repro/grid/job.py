@@ -3,14 +3,14 @@
 In the dynamic scenario the paper motivates (Sections 1 and 6), independent
 jobs are submitted to the grid over time by many users; the batch scheduler
 is activated periodically and plans every job that arrived since its last
-activation.  :class:`GridJob` is the unit of work of that simulation; its
-lifecycle is tracked by :class:`JobRecord`.
+activation.  :class:`GridJob` is the unit of work of that simulation;
+:class:`JobRecord` is a snapshot of where its lifecycle stands.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -72,7 +72,12 @@ class GridJob:
 
 @dataclass
 class JobRecord:
-    """Mutable execution record of a job kept by the simulator."""
+    """A job's execution record: state, placement and reschedule count.
+
+    The simulator keeps this state in per-job arrays and builds a fresh
+    record on each lookup of :attr:`~repro.grid.simulator.GridSimulator.
+    records`; the trace log holds the full lifecycle.
+    """
 
     job: GridJob
     state: JobState = JobState.PENDING
@@ -80,7 +85,6 @@ class JobRecord:
     start_time: float | None = None
     completion_time: float | None = None
     reschedules: int = 0
-    history: list[str] = field(default_factory=list)
 
     @property
     def response_time(self) -> float:
@@ -116,7 +120,3 @@ class JobRecord:
         if self.start_time is None:
             raise ValueError(f"job {self.job.job_id} has not started")
         return self.start_time - self.job.arrival_time
-
-    def note(self, message: str) -> None:
-        """Append a human-readable event to the job's history."""
-        self.history.append(message)

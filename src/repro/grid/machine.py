@@ -10,7 +10,7 @@ added/dropped from the Grid").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -189,7 +189,6 @@ class MachineState:
 
     machine: GridMachine
     busy_until: float = 0.0
-    queued_jobs: list[int] = field(default_factory=list)
     busy_time: float = 0.0  # accumulated processing time, for utilization
     completed_jobs: int = 0
 

@@ -8,10 +8,13 @@ the role ``ready_m`` plays in the static ETC model).
 
 Simulated time advances event to event over one typed
 :class:`~repro.grid.events.EventQueue` (see that module for the event
-vocabulary and the deterministic tie-breaking rules):
+vocabulary and the deterministic tie-breaking rules), merged with the
+arrival-sorted job list:
 
-* ``TASK_SUBMIT`` — one job's arrival admits it to the pending pool;
-  arrivals are popped exactly once, never rescanned.
+* **arrivals** — a cursor walks ``self.jobs`` and admits each job to the
+  pending pool exactly once, popping where its ``TASK_SUBMIT`` would: after
+  the membership events of its instant, before everything else there.  Only
+  a revoked job's delayed re-admission is a heap ``TASK_SUBMIT``.
 * ``MACHINE_JOIN`` / ``MACHINE_LEAVE`` — membership changes are popped
   exactly once at their own simulated times (the event log is timestamped
   accordingly).  A leave revokes the placements still outstanding on the
@@ -30,9 +33,6 @@ vocabulary and the deterministic tie-breaking rules):
   sits (pending pool, retry backoff, or an in-flight machine queue, with
   the machine credited only for the work it actually ran) unless it
   already finished.
-* ``TASK_END`` — a committed placement reaches its planned finish;
-  popping it garbage-collects the machine's outstanding-work queue, so
-  departure processing scans only genuinely in-flight placements.
 * ``SCHEDULER_TICK`` — one scheduler activation, through the steps the
   live service shares (:mod:`repro.grid.activation`): pending jobs that
   have arrived are assembled into a static
@@ -42,6 +42,13 @@ vocabulary and the deterministic tie-breaking rules):
   :class:`~repro.grid.scheduler.BatchSchedulingPolicy` produces an
   assignment, and the jobs are committed to their machines' queues in
   shortest-processing-time order.
+
+Per-job state lives in arrays indexed by arrival position (state code,
+machine, start, finish, reschedules), so a commit is a handful of fancy
+writes; :attr:`GridSimulator.records` builds :class:`~repro.grid.job.
+JobRecord` snapshots from them on lookup.  A machine's queue holds every
+placement still in flight on it; settled ones are dropped when the machine
+next receives a commit.
 
 Who places the ticks is the :class:`~repro.core.config.ActivationPolicy` of
 the :class:`SimulationConfig`.  The default **periodic** driver chains
@@ -63,7 +70,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,13 +141,52 @@ class SimulationConfig:
             raise TypeError("retry must be a RetryPolicy or None")
 
 
-@dataclass
-class _QueueEntry:
+class _QueueEntry(NamedTuple):
     """A job committed to a machine: its planned start and finish times."""
 
     job_id: int
     start: float
     finish: float
+
+
+# Job lifecycle codes of the per-position state array, in JobState order.
+_STATES = tuple(JobState)
+_COMPLETED = _STATES.index(JobState.COMPLETED)
+_RESUBMITTED = _STATES.index(JobState.RESUBMITTED)
+_CANCELLED = _STATES.index(JobState.CANCELLED)
+_FAILED = _STATES.index(JobState.FAILED)
+
+
+class _JobRecords(Mapping):
+    """Read-only ``job_id -> JobRecord`` view of a simulator's job arrays.
+
+    Each lookup builds a fresh snapshot in O(1); iteration follows arrival
+    order.
+    """
+
+    def __init__(self, simulator: "GridSimulator") -> None:
+        self._simulator = simulator
+
+    def __getitem__(self, job_id: int) -> JobRecord:
+        sim = self._simulator
+        position = sim._job_position[job_id]
+        machine = int(sim._machine[position])
+        start = float(sim._start[position])
+        finish = float(sim._finish[position])
+        return JobRecord(
+            job=sim.jobs[position],
+            state=_STATES[sim._state[position]],
+            machine_id=None if machine < 0 else machine,
+            start_time=None if math.isnan(start) else start,
+            completion_time=None if math.isnan(finish) else finish,
+            reschedules=int(sim._reschedules[position]),
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return (job.job_id for job in self._simulator.jobs)
+
+    def __len__(self) -> int:
+        return len(self._simulator.jobs)
 
 
 class GridSimulator:
@@ -168,32 +216,39 @@ class GridSimulator:
         # log) on exit, which is everything a replayable trace needs.
         self.recorder = recorder
 
-        self.records: dict[int, JobRecord] = {
-            job.job_id: JobRecord(job=job) for job in self.jobs
+        self._job_position: dict[int, int] = {
+            job.job_id: position for position, job in enumerate(self.jobs)
         }
-        if len(self.records) != len(self.jobs):
+        if len(self._job_position) != len(self.jobs):
             raise ValueError("job ids must be unique")
+        # Per-job state by arrival position: lifecycle code, machine id
+        # (-1: none), planned start and finish (NaN: none), reschedules.
+        nb_jobs = len(self.jobs)
+        self._arrivals = [float(job.arrival_time) for job in self.jobs]
+        self._state = np.zeros(nb_jobs, dtype=np.int8)
+        self._machine = np.full(nb_jobs, -1, dtype=np.int64)
+        self._start = np.full(nb_jobs, math.nan)
+        self._finish = np.full(nb_jobs, math.nan)
+        self._reschedules = np.zeros(nb_jobs, dtype=np.int64)
+        #: ``job_id -> JobRecord`` snapshots, built on each lookup.
+        self.records: Mapping[int, JobRecord] = _JobRecords(self)
         self.machine_states: dict[int, MachineState] = {
             machine.machine_id: MachineState(machine=machine) for machine in self.machines
         }
         if len(self.machine_states) != len(self.machines):
             raise ValueError("machine ids must be unique")
-        # Outstanding committed work per machine, in nondecreasing
-        # start/finish order (per-machine queue bases never move backwards
-        # except at departure, where the queue is rebuilt anyway), so
-        # TASK_END events garbage-collect from the front in O(1) and a
-        # departure scans only genuinely in-flight placements.
+        # Committed work per machine, in nondecreasing start/finish order
+        # (queue bases never move backwards except at revocation, where the
+        # queue is rebuilt anyway).  Every in-flight placement is here;
+        # settled ones leave from the front at the machine's next commit.
         self._queues: dict[int, deque[_QueueEntry]] = {
             machine.machine_id: deque() for machine in self.machines
         }
         self._departed: set[int] = set()
         self.activations: list[ActivationRecord] = []
-        # Pending-job index: TASK_SUBMIT events admit arrivals exactly once;
+        # Pending-job index: the arrival cursor admits each job exactly once;
         # the pending set is maintained incrementally (resubmissions re-add,
         # commits remove) — no rescan of the job stream, ever.
-        self._job_position: dict[int, int] = {
-            job.job_id: position for position, job in enumerate(self.jobs)
-        }
         self._pending_positions: set[int] = set()
         # Positions whose revoked job awaits a RetryPolicy backoff: their
         # delayed TASK_SUBMIT re-admission must not recount as an arrival.
@@ -340,10 +395,8 @@ class GridSimulator:
         """Run the simulation to completion and return its metrics."""
         queue = EventQueue()
         self._events = queue
-        for position, job in enumerate(self.jobs):
-            queue.push(job.arrival_time, EventType.TASK_SUBMIT, position)
-            if job.cancel_time is not None:
-                queue.push(job.cancel_time, EventType.TASK_CANCEL, position)
+        for position, cancel_time in self._pending_cancels.items():
+            queue.push(cancel_time, EventType.TASK_CANCEL, position)
         for position, machine in enumerate(self.machines):
             queue.push(machine.join_time, EventType.MACHINE_JOIN, position)
             if machine.leave_time is not None:
@@ -362,14 +415,25 @@ class GridSimulator:
             queue.push(0.0, EventType.SCHEDULER_TICK, 0)
 
         interval = self.config.activation_interval
-        while queue:
+        arrivals = self._arrivals
+        cursor = 0
+        while True:
+            # The next arrival pops where its TASK_SUBMIT would have, with a
+            # seq below every pushed event's: after the membership kinds of
+            # its instant, before everything else there (retries included).
+            if cursor < len(arrivals) and (
+                not queue or (arrivals[cursor], EventType.TASK_SUBMIT, -1) < queue.peek()
+            ):
+                self._handle_submit(cursor, arrivals[cursor], adaptive)
+                cursor += 1
+                continue
+            if not queue:
+                break
             event = queue.pop()
             now = event.time
             kind = event.kind
             self._m_events[kind].inc()
-            if kind is EventType.TASK_END:
-                self._handle_task_end(event.payload, now, adaptive)
-            elif kind is EventType.TASK_SUBMIT:
+            if kind is EventType.TASK_SUBMIT:
                 self._handle_submit(event.payload, now, adaptive)
             elif kind is EventType.MACHINE_JOIN:
                 self._handle_join(event.payload, now, adaptive)
@@ -402,6 +466,8 @@ class GridSimulator:
                 if self._ticks_fired >= self.config.max_activations:
                     break  # runaway guard
                 self._ensure_wakeup(now)
+        # First arrivals count once, in bulk; retries counted as they popped.
+        self._m_events[EventType.TASK_SUBMIT].inc(cursor)
 
         metrics = self._collect_metrics()
         if self.recorder is not None:
@@ -422,7 +488,7 @@ class GridSimulator:
         if position in self._retry_positions:
             self._retry_positions.discard(position)
             self._pending_positions.add(position)
-        elif self.records[self.jobs[position].job_id].state is JobState.CANCELLED:
+        elif self._state[position] == _CANCELLED:
             return
         else:
             self._pending_positions.add(position)
@@ -527,49 +593,48 @@ class GridSimulator:
     def _handle_cancel(self, position: int, now: float, adaptive: bool) -> None:
         """A user withdraws a job, wherever it currently sits."""
         self._pending_cancels.pop(position, None)
-        job = self.jobs[position]
-        record = self.records[job.job_id]
-        if record.state in (JobState.CANCELLED, JobState.FAILED):
+        code = self._state[position]
+        if code == _CANCELLED or code == _FAILED:
             return
-        if (
-            record.state is JobState.COMPLETED
-            and record.completion_time is not None
-            and record.completion_time <= now
-        ):
+        if code == _COMPLETED and self._finish[position] <= now:
             return  # finished before the user got to it
+        job_id = self.jobs[position].job_id
         if position in self._pending_positions:
             self._pending_positions.discard(position)
             self._unfinished -= 1
         elif position in self._retry_positions:
             self._retry_positions.discard(position)
             self._unfinished -= 1
-        elif record.state is JobState.COMPLETED and record.machine_id is not None:
+        elif code == _COMPLETED:
             # In flight: remove the committed placement and credit the
             # machine only for the work it actually ran (the commit already
             # settled the exactly-once `_unfinished` bookkeeping).  The
             # committed start/finish instants of the other placements stay
-            # immutable.
-            state = self.machine_states[record.machine_id]
-            queue = self._queues[record.machine_id]
+            # immutable; the machine is released from the new queue tail on.
+            machine_id = int(self._machine[position])
+            state = self.machine_states[machine_id]
+            queue = self._queues[machine_id]
             for entry in queue:
-                if entry.job_id == job.job_id:
+                if entry.job_id == job_id:
                     processed = max(0.0, min(entry.finish, now) - entry.start)
                     state.busy_time -= (entry.finish - entry.start) - processed
                     state.completed_jobs -= 1
                     queue.remove(entry)
+                    tail = queue[-1].finish if queue else now
+                    state.busy_until = min(state.busy_until, max(now, tail))
                     break
         else:
             return  # not admitted yet — nothing to withdraw
-        record.state = JobState.CANCELLED
-        record.machine_id = None
-        record.start_time = None
-        record.completion_time = None
-        record.note(f"cancelled at t={now:.2f}")
+        self._state[position] = _CANCELLED
+        self._drop_placement(position)
         self._m_cancelled.inc()
         if self._trace_log is not None:
-            self._trace_log.emit(
-                "task_cancel", source="simulator", time=now, job_id=job.job_id
-            )
+            self._trace_log.emit("task_cancel", source="simulator", time=now, job_id=job_id)
+
+    def _drop_placement(self, position: int) -> None:
+        """Forget a job's machine and planned start/finish."""
+        self._machine[position] = -1
+        self._start[position] = self._finish[position] = math.nan
 
     def _revoke_in_flight(self, machine_id: int, now: float, cause: str) -> None:
         """Revoke every placement still outstanding on *machine_id*.
@@ -585,17 +650,15 @@ class GridSimulator:
         state = self.machine_states[machine_id]
         queue = self._queues[machine_id]
         retry = self.config.retry
-        reason = "machine departed" if cause == "leave" else "machine broke down"
         surviving = [entry for entry in queue if entry.finish <= now]
         for entry in queue:
             if entry.finish <= now:
                 continue
             # The job did not finish before the machine dropped: revoke it.
-            record = self.records[entry.job_id]
-            record.machine_id = None
-            record.start_time = None
-            record.completion_time = None
-            record.reschedules += 1
+            position = self._job_position[entry.job_id]
+            self._drop_placement(position)
+            reschedules = int(self._reschedules[position]) + 1
+            self._reschedules[position] = reschedules
             self._m_revoked[cause].inc()
             if self._trace_log is not None:
                 # The revocation line supersedes the attempt's eagerly
@@ -606,13 +669,12 @@ class GridSimulator:
                     source="simulator",
                     time=now,
                     job_id=entry.job_id,
-                    attempt=record.reschedules,
+                    attempt=reschedules,
                     cause=cause,
                 )
             if retry is None:
-                record.state = JobState.RESUBMITTED
-                record.note(f"resubmitted at t={now:.2f} ({reason})")
-                self._pending_positions.add(self._job_position[entry.job_id])
+                self._state[position] = _RESUBMITTED
+                self._pending_positions.add(position)
                 self._unfinished += 1
                 if self._trace_log is not None:
                     self._trace_log.emit(
@@ -620,15 +682,11 @@ class GridSimulator:
                         source="simulator",
                         time=now,
                         job_id=entry.job_id,
-                        attempt=record.reschedules + 1,
+                        attempt=reschedules + 1,
                         retry_at=now,
                     )
-            elif record.reschedules > retry.max_attempts:
-                record.state = JobState.FAILED
-                record.note(
-                    f"dropped at t={now:.2f} ({reason}; "
-                    f"retry cap {retry.max_attempts} exhausted)"
-                )
+            elif reschedules > retry.max_attempts:
+                self._state[position] = _FAILED
                 self._m_retry_dropped.inc()
                 if self._trace_log is not None:
                     self._trace_log.emit(
@@ -636,22 +694,16 @@ class GridSimulator:
                         source="simulator",
                         time=now,
                         job_id=entry.job_id,
-                        attempts=record.reschedules,
+                        attempts=reschedules,
                     )
             else:
-                record.state = JobState.RESUBMITTED
+                self._state[position] = _RESUBMITTED
                 self._unfinished += 1
                 self._m_retry_requeued.inc()
-                delay = retry.delay(entry.job_id, record.reschedules)
-                position = self._job_position[entry.job_id]
+                delay = retry.delay(entry.job_id, reschedules)
                 if delay <= 0.0:
-                    record.note(f"resubmitted at t={now:.2f} ({reason})")
                     self._pending_positions.add(position)
                 else:
-                    record.note(
-                        f"resubmitted at t={now:.2f} ({reason}; "
-                        f"backoff until t={now + delay:.2f})"
-                    )
                     self._retry_positions.add(position)
                     self._events.push(now + delay, EventType.TASK_SUBMIT, position)
                 if self._trace_log is not None:
@@ -660,7 +712,7 @@ class GridSimulator:
                         source="simulator",
                         time=now,
                         job_id=entry.job_id,
-                        attempt=record.reschedules + 1,
+                        attempt=reschedules + 1,
                         retry_at=now + max(0.0, delay),
                     )
             processed = max(0.0, min(entry.finish, now) - entry.start)
@@ -669,14 +721,6 @@ class GridSimulator:
         queue.clear()
         queue.extend(surviving)
         state.busy_until = min(state.busy_until, now)
-
-    def _handle_task_end(self, machine_id: int, now: float, adaptive: bool) -> None:
-        """A planned finish time passed: drop settled work from the queue."""
-        queue = self._queues[machine_id]
-        while queue and queue[0].finish <= now:
-            queue.popleft()
-        if adaptive:
-            self._ensure_wakeup(now)
 
     def _ensure_wakeup(self, now: float) -> None:
         """Adaptive driver: keep one live tick scheduled while work pends.
@@ -708,7 +752,8 @@ class GridSimulator:
         The batch is the pending jobs in arrival order, on the machines in
         the park in park order.
         """
-        pending = [self.jobs[position] for position in sorted(self._pending_positions)]
+        positions = sorted(self._pending_positions)
+        pending = [self.jobs[position] for position in positions]
         available = (
             [machine for machine, active in zip(self.machines, self._active) if active]
             if pending
@@ -722,8 +767,9 @@ class GridSimulator:
         busy_until = np.array(
             [self.machine_states[machine.machine_id].busy_until for machine in available]
         )
+        positions = np.array(positions, dtype=np.int64)
         attempts = (
-            [self.records[job.job_id].reschedules + 1 for job in pending]
+            (self._reschedules[positions] + 1).tolist()
             if self._trace_log is not None
             else None
         )
@@ -732,7 +778,7 @@ class GridSimulator:
         )
         activation.solve(self.policy, self.rng)
         plan = activation.plan(busy_until, now, self.config.commit_horizon)
-        batch_makespan = self._commit(activation, plan)
+        batch_makespan = self._commit(activation, plan, positions[plan.rows])
         phases = activation.finish(plan)
         # The plan is committed at this instant, so the lifecycle lines go
         # out eagerly with the *planned* timestamps; a later job_revoked line
@@ -767,45 +813,46 @@ class GridSimulator:
                 phases=phases,
             )
 
-    def _commit(self, activation: Activation, plan: CommitPlan) -> float:
-        """Apply a commit plan: job records, machine queues, ``TASK_END`` events.
+    def _commit(self, activation: Activation, plan: CommitPlan, placed: np.ndarray) -> float:
+        """Apply a commit plan: job state arrays and machine queues.
 
-        Returns the batch makespan of the committed work.
+        *placed* holds the job position of each placement.  Returns the
+        batch makespan of the committed work.
         """
         now = activation.now
-        pending = activation.jobs
-        available = activation.machines
-        for row, column, start, finish in zip(
-            plan.rows.tolist(),
-            plan.columns.tolist(),
-            plan.starts.tolist(),
-            plan.finishes.tolist(),
-        ):
-            job = pending[row]
-            machine_id = available[column].machine_id
-            record = self.records[job.job_id]
-            record.state = JobState.COMPLETED
-            record.machine_id = machine_id
-            record.start_time = start
-            record.completion_time = finish
-            record.note(
-                f"scheduled at t={now:.2f} on machine {machine_id} "
-                f"(start={start:.2f}, finish={finish:.2f})"
+        machines = activation.machines
+        ids = activation.instance.metadata
+        self._state[placed] = _COMPLETED
+        self._machine[placed] = ids["machine_ids"][plan.columns]
+        self._start[placed] = plan.starts
+        self._finish[placed] = plan.finishes
+        self._pending_positions.difference_update(placed.tolist())
+        self._unfinished -= placed.size
+        # Placements come grouped by column, each group in queue order.
+        entries = list(
+            map(
+                _QueueEntry,
+                ids["job_ids"][plan.rows].tolist(),
+                plan.starts.tolist(),
+                plan.finishes.tolist(),
             )
-            self._queues[machine_id].append(
-                _QueueEntry(job_id=job.job_id, start=start, finish=finish)
-            )
-            self._pending_positions.discard(self._job_position[job.job_id])
-            self._unfinished -= 1
-            self._has_commits.add(machine_id)
-            self._events.push(finish, EventType.TASK_END, machine_id)
+        )
+        counts, busy, ends = plan.jobs.tolist(), plan.busy.tolist(), plan.ends.tolist()
+        end = 0
         batch_finish = now
         for column in np.flatnonzero(plan.jobs).tolist():
-            state = self.machine_states[available[column].machine_id]
-            state.busy_time += float(plan.busy[column])
-            state.completed_jobs += int(plan.jobs[column])
-            state.busy_until = float(plan.ends[column])
-            batch_finish = max(batch_finish, state.busy_until)
+            machine_id = machines[column].machine_id
+            queue = self._queues[machine_id]
+            while queue and queue[0].finish <= now:
+                queue.popleft()  # settled
+            queue.extend(entries[end : end + counts[column]])
+            end += counts[column]
+            self._has_commits.add(machine_id)
+            state = self.machine_states[machine_id]
+            state.busy_time += busy[column]
+            state.completed_jobs += counts[column]
+            state.busy_until = ends[column]
+            batch_finish = max(batch_finish, ends[column])
         return batch_finish - now
 
     def _finished(self, now: float) -> bool:
@@ -829,9 +876,8 @@ class GridSimulator:
         # it: a job already settled (finished, failed or cancelled) by its
         # cancel instant makes the event moot.
         for position, cancel_time in self._pending_cancels.items():
-            record = self.records[self.jobs[position].job_id]
-            if record.state is JobState.COMPLETED and (
-                record.completion_time is None or record.completion_time > cancel_time
+            if self._state[position] == _COMPLETED and not (
+                self._finish[position] <= cancel_time
             ):
                 return False
         return True
@@ -840,61 +886,42 @@ class GridSimulator:
     # Metrics
     # ------------------------------------------------------------------ #
     def _collect_metrics(self) -> SimulationMetrics:
-        completed = [
-            record
-            for record in self.records.values()
-            if record.state is JobState.COMPLETED and record.completion_time is not None
-        ]
-        response_times = np.array([record.response_time for record in completed])
-        waiting_times = np.array([record.waiting_time for record in completed])
-        completion_times = np.array([record.completion_time for record in completed])
-        horizon = float(completion_times.max()) if completed else 0.0
+        arrivals = np.array(self._arrivals)
+        done = self._state == _COMPLETED
+        completion_times = self._finish[done]
+        response_times = completion_times - arrivals[done]
+        waiting_times = self._start[done] - arrivals[done]
+        horizon = float(completion_times.max()) if completion_times.size else 0.0
         utilizations = np.array(
             [state.utilization(horizon) for state in self.machine_states.values()]
         )
-        rescheduled = sum(1 for record in self.records.values() if record.reschedules > 0)
-        cancelled = sum(
-            1 for record in self.records.values() if record.state is JobState.CANCELLED
-        )
-        failed = sum(
-            1 for record in self.records.values() if record.state is JobState.FAILED
-        )
+        failed = self._state == _FAILED
         # SLA outcome over the jobs that carried a due date: a completion
         # past its deadline accrues tardiness; a failed job with a deadline
         # is a miss outright; a cancellation is the user's choice and is
         # neither.
-        jobs_with_deadlines = 0
-        missed = 0
-        total_tardiness = 0.0
-        max_tardiness = 0.0
-        for record in self.records.values():
-            if record.job.due_date is None:
-                continue
-            jobs_with_deadlines += 1
-            if record.state is JobState.FAILED:
-                missed += 1
-                if self._trace_log is not None:
-                    self._trace_log.emit(
-                        "job_deadline_missed",
-                        source="simulator",
-                        time=record.job.due_date,
-                        job_id=record.job.job_id,
-                        tardiness=0.0,
-                    )
-            elif record.state is JobState.COMPLETED and record.completion_time is not None:
-                late = record.completion_time - record.job.due_date
-                if late > 0.0:
-                    missed += 1
-                    total_tardiness += late
-                    max_tardiness = max(max_tardiness, late)
-                    if self._trace_log is not None:
-                        self._trace_log.emit(
-                            "job_deadline_missed",
-                            source="simulator",
-                            time=record.completion_time,
-                            job_id=record.job.job_id,
-                            tardiness=late,
-                        )
+        due = np.array(
+            [math.nan if job.due_date is None else job.due_date for job in self.jobs]
+        )
+        has_due = ~np.isnan(due)
+        lateness = self._finish - due
+        late = done & (lateness > 0.0)
+        missed_due = (has_due & failed) | late
+        missed = int(np.count_nonzero(missed_due))
+        # Summed sequentially in arrival order, not pairwise.
+        total_tardiness = float(np.cumsum(lateness[late])[-1]) if late.any() else 0.0
+        max_tardiness = float(lateness[late].max()) if late.any() else 0.0
+        if self._trace_log is not None:
+            for position in np.flatnonzero(missed_due).tolist():
+                job = self.jobs[position]
+                dropped = not late[position]
+                self._trace_log.emit(
+                    "job_deadline_missed",
+                    source="simulator",
+                    time=job.due_date if dropped else float(self._finish[position]),
+                    job_id=job.job_id,
+                    tardiness=0.0 if dropped else float(lateness[position]),
+                )
         if missed:
             self._m_deadline_misses.inc(missed)
         return SimulationMetrics.from_records(
@@ -905,15 +932,15 @@ class GridSimulator:
             utilizations=utilizations,
             nb_jobs=len(self.jobs),
             nb_machines=len(self.machines),
-            rescheduled_jobs=rescheduled,
+            rescheduled_jobs=int(np.count_nonzero(self._reschedules)),
             activations=self.activations,
             machine_events=self.machine_events,
             nb_idle_activations=self._nb_idle_activations,
-            cancelled_jobs=cancelled,
-            failed_jobs=failed,
+            cancelled_jobs=int(np.count_nonzero(self._state == _CANCELLED)),
+            failed_jobs=int(np.count_nonzero(failed)),
             missed_deadlines=missed,
             total_tardiness=total_tardiness,
             max_tardiness=max_tardiness,
-            jobs_with_deadlines=jobs_with_deadlines,
+            jobs_with_deadlines=int(np.count_nonzero(has_due)),
             phase_seconds=self._activator.phase_seconds,
         )

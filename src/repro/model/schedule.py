@@ -18,7 +18,10 @@ Both values are cached and maintained incrementally under the two elementary
 moves used by the mutation and local-search operators — moving one job to a
 different machine and swapping the machines of two jobs — so that the inner
 loops of the memetic algorithm never pay the full ``O(jobs × machines)``
-evaluation cost.
+evaluation cost.  Construction computes the completion times only; the
+per-machine flowtimes are filled on their first read, so a caller that only
+wants the assignment (a constructive heuristic feeding a dynamic scheduler)
+never pays for them.
 """
 
 from __future__ import annotations
@@ -80,9 +83,8 @@ class Schedule:
         else:
             self._assignment = self._validate_assignment(instance, assignment)
         self._completion = np.empty(instance.nb_machines, dtype=float)
-        self._machine_flowtime = np.empty(instance.nb_machines, dtype=float)
-        self._top3 = None
-        self.recompute()
+        self._machine_flowtime: np.ndarray | None = None  # filled on first read
+        self._recompute_completion()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -149,7 +151,8 @@ class Schedule:
         clone.instance = self.instance
         clone._assignment = self._assignment.copy()
         clone._completion = self._completion.copy()
-        clone._machine_flowtime = self._machine_flowtime.copy()
+        flowtime = self._machine_flowtime
+        clone._machine_flowtime = None if flowtime is None else flowtime.copy()
         clone._top3 = self._top3
         return clone
 
@@ -157,15 +160,36 @@ class Schedule:
     # Cached evaluation
     # ------------------------------------------------------------------ #
     def recompute(self) -> None:
-        """Recompute every cached quantity from scratch (vectorized)."""
+        """Recompute every cached quantity from scratch, flowtimes included.
+
+        Eager on purpose: a :meth:`view_over` schedule writes through to the
+        engine row it wraps, which must stay coherent.
+        """
+        self._recompute_completion()
+        self._fill_flowtimes()
+
+    def _recompute_completion(self) -> None:
+        """Machine completion times from scratch (vectorized)."""
         etc = self.instance.etc
         nb_machines = self.instance.nb_machines
         chosen = etc[np.arange(self.instance.nb_jobs), self._assignment]
         totals = np.bincount(self._assignment, weights=chosen, minlength=nb_machines)
         self._completion[:] = self.instance.ready_times + totals
         self._top3 = None
-        for machine in range(nb_machines):
+
+    def _fill_flowtimes(self) -> np.ndarray:
+        """Every machine's SPT flowtime from the current assignment."""
+        if self._machine_flowtime is None:
+            self._machine_flowtime = np.empty(self.instance.nb_machines, dtype=float)
+        for machine in range(self.instance.nb_machines):
             self._machine_flowtime[machine] = self._flowtime_of(machine)
+        return self._machine_flowtime
+
+    def _flowtimes(self) -> np.ndarray:
+        """The per-machine flowtime cache, filled on first read."""
+        if self._machine_flowtime is None:
+            return self._fill_flowtimes()
+        return self._machine_flowtime
 
     def _flowtime_of(self, machine: int) -> float:
         """Flowtime contribution of one machine (see :func:`spt_flowtime`)."""
@@ -191,7 +215,7 @@ class Schedule:
     @property
     def machine_flowtimes(self) -> np.ndarray:
         """Read-only view of the per-machine flowtime contributions."""
-        view = self._machine_flowtime.view()
+        view = self._flowtimes().view()
         view.setflags(write=False)
         return view
 
@@ -203,7 +227,7 @@ class Schedule:
     @property
     def flowtime(self) -> float:
         """The sum of job finishing times under per-machine SPT ordering."""
-        return float(self._machine_flowtime.sum())
+        return float(self._flowtimes().sum())
 
     @property
     def mean_flowtime(self) -> float:
@@ -250,8 +274,9 @@ class Schedule:
         self._completion[machine] += etc[job, machine]
         self._top3 = None
         self._assignment[job] = machine
-        self._machine_flowtime[old] = self._flowtime_of(old)
-        self._machine_flowtime[machine] = self._flowtime_of(machine)
+        if self._machine_flowtime is not None:
+            self._machine_flowtime[old] = self._flowtime_of(old)
+            self._machine_flowtime[machine] = self._flowtime_of(machine)
 
     def swap_jobs(self, job_a: int, job_b: int) -> None:
         """Exchange the machines of *job_a* and *job_b*, updating caches."""
@@ -267,8 +292,9 @@ class Schedule:
         self._top3 = None
         self._assignment[job_a] = machine_b
         self._assignment[job_b] = machine_a
-        self._machine_flowtime[machine_a] = self._flowtime_of(machine_a)
-        self._machine_flowtime[machine_b] = self._flowtime_of(machine_b)
+        if self._machine_flowtime is not None:
+            self._machine_flowtime[machine_a] = self._flowtime_of(machine_a)
+            self._machine_flowtime[machine_b] = self._flowtime_of(machine_b)
 
     def set_assignment(self, assignment: np.ndarray | Iterable[int]) -> None:
         """Replace the whole assignment (full cache recomputation).
@@ -353,7 +379,7 @@ class Schedule:
         reference = Schedule(self.instance, self._assignment)
         if not np.allclose(reference._completion, self._completion):
             raise AssertionError("cached completion times are stale")
-        if not np.allclose(reference._machine_flowtime, self._machine_flowtime):
+        if not np.allclose(reference._flowtimes(), self._flowtimes()):
             raise AssertionError("cached flowtime contributions are stale")
 
     def _check_job(self, job: int) -> None:

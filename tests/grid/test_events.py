@@ -20,13 +20,14 @@ from repro.grid.events import Event, EventQueue, EventType
 
 class TestEventType:
     def test_priority_order_is_the_within_tick_order(self):
-        # Joins before leaves before arrivals before task ends before the
-        # activation itself — the classic periodic loop's within-tick order.
+        # Joins before leaves before arrivals before cancellations before
+        # the activation itself — the classic periodic loop's within-tick
+        # order.
         assert (
             EventType.MACHINE_JOIN
             < EventType.MACHINE_LEAVE
             < EventType.TASK_SUBMIT
-            < EventType.TASK_END
+            < EventType.TASK_CANCEL
             < EventType.SCHEDULER_TICK
         )
 
@@ -45,9 +46,9 @@ class TestEventQueue:
         queue.push(2.0, EventType.TASK_SUBMIT, "submit")
         queue.push(2.0, EventType.MACHINE_LEAVE, "leave")
         queue.push(2.0, EventType.MACHINE_JOIN, "join")
-        queue.push(2.0, EventType.TASK_END, "end")
+        queue.push(2.0, EventType.TASK_CANCEL, "cancel")
         order = [queue.pop().payload for _ in range(5)]
-        assert order == ["join", "leave", "submit", "end", "tick"]
+        assert order == ["join", "leave", "submit", "cancel", "tick"]
 
     def test_equal_time_and_kind_pop_fifo(self):
         queue = EventQueue()
@@ -71,10 +72,10 @@ class TestEventQueue:
 
     def test_push_returns_the_stored_event(self):
         queue = EventQueue()
-        event = queue.push(4, EventType.TASK_END, "payload")
+        event = queue.push(4, EventType.TASK_CANCEL, "payload")
         assert isinstance(event, Event)
         assert event.time == 4.0 and isinstance(event.time, float)
-        assert event.kind is EventType.TASK_END
+        assert event.kind is EventType.TASK_CANCEL
         assert event.payload == "payload"
         assert queue.pop() == event
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ActivationPolicy
 from repro.grid.job import GridJob, JobState
 from repro.grid.machine import GridMachine
 from repro.grid.scheduler import CMABatchPolicy, HeuristicBatchPolicy
@@ -301,3 +302,51 @@ class TestEndToEndWithModels:
         assert {"policy", "makespan", "mean_response", "utilization", "throughput"}.issubset(
             summary
         )
+
+
+class TestCancellation:
+    @pytest.mark.parametrize(
+        "activation",
+        [None, ActivationPolicy.adaptive()],
+        ids=["periodic", "adaptive"],
+    )
+    def test_cancelling_the_last_placement_releases_the_machine(self, activation):
+        # Job 0 (100 s) is placed at t=0 and withdrawn at t=10; job 1 (1 s)
+        # arrives at t=12 and is planned by the t=15 activation.  The
+        # machine is free from t=10 on, so job 1 starts at 15, not at 100.
+        jobs = [
+            GridJob(0, 100_000.0, 0.0, cancel_time=10.0),
+            GridJob(1, 1_000.0, 12.0),
+        ]
+        simulator = GridSimulator(
+            jobs,
+            [GridMachine(0, mips=1_000.0)],
+            HeuristicBatchPolicy("mct"),
+            SimulationConfig(activation_interval=15.0, activation=activation),
+            rng=1,
+        )
+        metrics = simulator.run()
+        assert metrics.cancelled_jobs == 1
+        assert simulator.records[1].start_time == 15.0
+        assert simulator.machine_states[0].busy_until == 16.0
+        assert metrics.mean_utilization == pytest.approx(11.0 / 16.0)
+
+    def test_cancelling_mid_queue_keeps_later_placements(self):
+        # Jobs 0..2 (10 s each) queue on one machine at t=0; job 1 is
+        # withdrawn at t=5, before it starts.  Job 2 keeps its committed
+        # start at 20 and the machine stays reserved until 30.
+        jobs = [
+            GridJob(0, 10_000.0, 0.0),
+            GridJob(1, 10_000.0, 0.0, cancel_time=5.0),
+            GridJob(2, 10_000.0, 0.0),
+        ]
+        simulator = GridSimulator(
+            jobs,
+            [GridMachine(0, mips=1_000.0)],
+            HeuristicBatchPolicy("mct"),
+            SimulationConfig(activation_interval=50.0),
+            rng=1,
+        )
+        simulator.run()
+        assert simulator.records[2].start_time == 20.0
+        assert simulator.machine_states[0].busy_until == 30.0

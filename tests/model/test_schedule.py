@@ -219,3 +219,44 @@ class TestViewsAndHelpers:
         assert hash(a) == hash(b)
         assert a != c
         assert a != "something else"
+
+
+class TestLazyFlowtime:
+    """Construction fills completion times only; flowtimes on first read."""
+
+    @pytest.mark.parametrize("heuristic", ["mct", "min_min", "ljfr_sjfr"])
+    def test_moves_before_the_first_read_stay_bit_identical(self, small_instance, heuristic):
+        from repro.heuristics import build_schedule
+
+        lazy = build_schedule(heuristic, small_instance)
+        eager = lazy.copy()
+        eager.machine_flowtimes  # fills the cache before any move
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            job = int(rng.integers(small_instance.nb_jobs))
+            if rng.random() < 0.5:
+                machine = int(rng.integers(small_instance.nb_machines))
+                lazy.move_job(job, machine)
+                eager.move_job(job, machine)
+            else:
+                other = int(rng.integers(small_instance.nb_jobs))
+                lazy.swap_jobs(job, other)
+                eager.swap_jobs(job, other)
+        reference = Schedule(small_instance, lazy.assignment)
+        assert np.array_equal(lazy.machine_flowtimes, reference.machine_flowtimes)
+        assert np.array_equal(eager.machine_flowtimes, reference.machine_flowtimes)
+        assert lazy.flowtime == reference.flowtime
+
+    def test_view_set_assignment_keeps_the_engine_row_coherent(self, small_instance):
+        from repro.engine import BatchEvaluator
+
+        batch = BatchEvaluator.random(small_instance, 4, rng=2)
+        new = np.random.default_rng(9).integers(
+            0, small_instance.nb_machines, size=small_instance.nb_jobs
+        )
+        batch.view(1).set_assignment(new)
+        batch.validate()
+        assert np.array_equal(
+            batch.view(1).machine_flowtimes,
+            Schedule(small_instance, new).machine_flowtimes,
+        )
