@@ -19,7 +19,6 @@ from repro.experiments.reporting import format_table
 from repro.grid import (
     BurstyArrivalModel,
     ChurningResourceModel,
-    CMABatchPolicy,
     GridSimulator,
     HeuristicBatchPolicy,
     PoissonArrivalModel,
@@ -39,7 +38,7 @@ _CMA_BUDGET = dict(max_seconds=0.15, max_iterations=40, max_stagnant_iterations=
 
 def _policies():
     return [
-        CMABatchPolicy(**_CMA_BUDGET),
+        WarmCMAPolicy(warm=False, **_CMA_BUDGET),
         WarmCMAPolicy(**_CMA_BUDGET),
         HeuristicBatchPolicy("min_min"),
         HeuristicBatchPolicy("olb"),

@@ -23,13 +23,14 @@ this table instead of adding ad-hoc timers (see
   process-parallel scaling is physically impossible and asserting it would
   only test the CI container, not the code;
 * **dynamic scheduling** (PR 4) — a rolling-horizon grid simulation driven
-  once by the cold ``CMABatchPolicy`` (fresh engine + seeding + initial
-  local search per activation) and once by the warm
+  by the cold ``WarmCMAPolicy(warm=False)`` (fresh engine + seeding +
+  initial local search per activation) and by the warm
   ``DynamicSchedulerService`` (persistent engine-resident population,
-  plans carried between activations) at an identical per-activation budget:
-  mean/p95 scheduler seconds per activation and the stream makespan.  Warm
-  must be ≥ 1.3x faster per activation with the stream makespan tied within
-  1% (the PR-4 acceptance bar);
+  plans carried between activations) at an identical per-activation budget,
+  three times each, alternately: median mean/p95 scheduler seconds per
+  activation and the stream makespan.  Warm must be ≥ 1.3x faster per
+  activation with the stream makespan tied within 1% (the PR-4 acceptance
+  bar);
 * **event core at scale** (PR 6) — the same calm 10⁵-job trace simulated
   once under the periodic ``SCHEDULER_TICK`` driver and once under the
   adaptive :class:`~repro.core.config.ActivationPolicy` (backlog trigger +
@@ -64,7 +65,6 @@ from repro.core.termination import TerminationCriteria
 from repro.engine import BatchEvaluator
 from repro.experiments.runner import cma_spec
 from repro.grid import (
-    CMABatchPolicy,
     GridSimulator,
     PoissonArrivalModel,
     SimulationConfig,
@@ -97,6 +97,9 @@ DYNAMIC_MACHINES = 12
 DYNAMIC_INTERVAL = 15.0
 #: Identical per-activation budget for the cold policy and the warm service.
 DYNAMIC_BUDGET = dict(max_seconds=5.0, max_iterations=15, max_stagnant_iterations=4)
+#: Simulations per policy, run cold/warm alternately so host noise hits both
+#: alike; the gate compares the medians of their per-activation seconds.
+DYNAMIC_REPETITIONS = 3
 
 #: Event-core scenario: a calm 10^5-job stream (10^6 at paper scale) on a
 #: static 16-machine park, scheduled by MCT so the measurement isolates the
@@ -210,7 +213,9 @@ def _time_dynamic_scheduling() -> dict[str, dict[str, float]]:
     under the same rolling-horizon simulation and the same per-activation
     budget (iteration cap + stagnation stop); the only difference is the
     cold start.  The simulator reports per-activation wall seconds, so the
-    simulation itself is the measurement harness.
+    simulation itself is the measurement harness.  Each policy runs
+    ``DYNAMIC_REPETITIONS`` times, alternating with the other, and reports
+    the median of its runs' timings.
     """
     jobs = PoissonArrivalModel(rate=DYNAMIC_RATE, duration=DYNAMIC_DURATION).generate(
         rng=DYNAMIC_SEED
@@ -221,18 +226,29 @@ def _time_dynamic_scheduling() -> dict[str, dict[str, float]]:
     config = SimulationConfig(
         activation_interval=DYNAMIC_INTERVAL, commit_horizon=DYNAMIC_INTERVAL
     )
+    runs: dict[str, list] = {"cold": [], "warm": []}
+    for _ in range(DYNAMIC_REPETITIONS):
+        for name, warm in (("cold", False), ("warm", True)):
+            policy = WarmCMAPolicy(warm=warm, **DYNAMIC_BUDGET)
+            runs[name].append(
+                GridSimulator(jobs, machines, policy, config, rng=DYNAMIC_SEED).run()
+            )
     results: dict[str, dict[str, float]] = {}
-    for name, policy in (
-        ("cold", CMABatchPolicy(**DYNAMIC_BUDGET)),
-        ("warm", WarmCMAPolicy(**DYNAMIC_BUDGET)),
-    ):
-        metrics = GridSimulator(jobs, machines, policy, config, rng=DYNAMIC_SEED).run()
+    for name, repeats in runs.items():
+        # The iteration budget binds, not the wall clock: every repetition
+        # must plan the same stream, so only the timings may differ.
+        assert len({metrics.makespan for metrics in repeats}) == 1, name
+        assert len({metrics.completed_jobs for metrics in repeats}) == 1, name
         results[name] = {
-            "mean_scheduler_seconds": metrics.mean_scheduler_seconds,
-            "p95_scheduler_seconds": metrics.p95_scheduler_seconds,
-            "stream_makespan": metrics.makespan,
-            "activations": float(metrics.nb_activations),
-            "completed_jobs": float(metrics.completed_jobs),
+            "mean_scheduler_seconds": float(
+                np.median([metrics.mean_scheduler_seconds for metrics in repeats])
+            ),
+            "p95_scheduler_seconds": float(
+                np.median([metrics.p95_scheduler_seconds for metrics in repeats])
+            ),
+            "stream_makespan": repeats[0].makespan,
+            "activations": float(repeats[0].nb_activations),
+            "completed_jobs": float(repeats[0].completed_jobs),
         }
     return results
 
@@ -383,7 +399,7 @@ def test_engine_throughput(record_output, record_json):
         "",
         f"dynamic scheduling (Poisson rate {DYNAMIC_RATE}/s for {DYNAMIC_DURATION:.0f}s, "
         f"{DYNAMIC_MACHINES} machines, rolling horizon {DYNAMIC_INTERVAL:.0f}s, "
-        f"equal per-activation budget):",
+        f"equal per-activation budget, median of {DYNAMIC_REPETITIONS} runs):",
     ]
     for name in ("cold", "warm"):
         row = dynamic[name]
@@ -499,7 +515,8 @@ def test_engine_throughput(record_output, record_json):
         assert base_elapsed / k4_elapsed >= 1.5
     # Dynamic scheduling (PR-4 acceptance bar): at an equal per-activation
     # budget the warm service must be no slower per activation — >= 1.3x
-    # faster in fact — with the stream makespan tied within 1%.
+    # faster in fact, on the medians of the alternating runs — with the
+    # stream makespan tied within 1%.
     assert (
         dynamic["warm"]["mean_scheduler_seconds"]
         <= dynamic["cold"]["mean_scheduler_seconds"]

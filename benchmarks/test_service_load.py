@@ -86,15 +86,12 @@ def _make_server(seed, registry=None, trace_log=None):
         activation=ActivationPolicy.adaptive(
             backlog_threshold=16, min_interval=_MIN_INTERVAL, max_interval=0.25
         ),
-        max_seconds=0.03,
-        max_iterations=10,
-        max_stagnant_iterations=3,
     )
     machines = StaticResourceModel(nb_machines=8).generate(rng=seed)
     scheduler = DynamicSchedulerService(
-        max_seconds=config.max_seconds,
-        max_iterations=config.max_iterations,
-        max_stagnant_iterations=config.max_stagnant_iterations,
+        max_seconds=0.03,
+        max_iterations=10,
+        max_stagnant_iterations=3,
         registry=registry,
     )
     core = SchedulerCore(

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from repro.experiments.reporting import format_table
 from repro.grid import (
-    CMABatchPolicy,
     ChurningResourceModel,
     GridSimulator,
     HeuristicBatchPolicy,
     PoissonArrivalModel,
     SimulationConfig,
+    WarmCMAPolicy,
 )
 
 
@@ -42,7 +42,7 @@ def main() -> None:
     print()
 
     policies = [
-        CMABatchPolicy(max_seconds=0.2, max_iterations=60),
+        WarmCMAPolicy(warm=False, max_seconds=0.2, max_iterations=60),
         HeuristicBatchPolicy("min_min"),
         HeuristicBatchPolicy("olb"),
     ]

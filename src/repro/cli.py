@@ -100,13 +100,10 @@ from repro.experiments.tables import (
 )
 from repro.experiments.tuning import ALL_SWEEPS, TuningSettings
 from repro.grid import (
-    CMABatchPolicy,
     GridSimulator,
-    HeuristicBatchPolicy,
     PoissonArrivalModel,
     SimulationConfig,
     StaticResourceModel,
-    WarmCMAPolicy,
 )
 from repro.grid.service import DynamicSchedulerService
 from repro.heuristics import build_schedule, list_heuristics
@@ -136,6 +133,7 @@ from repro.traces import (
     policy_spec_from_name,
     rescale_trace,
 )
+from repro.utils.validation import check_positive
 
 __all__ = ["build_parser", "main"]
 
@@ -763,7 +761,9 @@ def _activation_policy(args: argparse.Namespace) -> ActivationPolicy | None:
 def _command_simulate(args: argparse.Namespace) -> int:
     jobs = PoissonArrivalModel(rate=args.rate, duration=args.duration).generate(rng=args.seed)
     machines = StaticResourceModel(nb_machines=args.machines).generate(rng=args.seed)
-    policy = _simulation_policy(args.policy, args.budget, args.stagnation)
+    policy = policy_spec_from_name(
+        args.policy, max_seconds=args.budget, max_stagnant_iterations=args.stagnation
+    ).build()
     simulator = GridSimulator(
         jobs,
         machines,
@@ -781,15 +781,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _simulation_policy(name: str, budget: float, stagnation: int | None = None):
-    """The policy used by ``simulate`` and ``trace record`` (shared parsing)."""
-    if name == "cma":
-        return CMABatchPolicy(max_seconds=budget, max_stagnant_iterations=stagnation)
-    if name in ("warm-cma", "warm_cma"):
-        return WarmCMAPolicy(max_seconds=budget, max_stagnant_iterations=stagnation)
-    return HeuristicBatchPolicy(name)
 
 
 def _command_trace_generate(args: argparse.Namespace) -> int:
@@ -818,7 +809,7 @@ def _command_trace_record(args: argparse.Namespace) -> int:
     GridSimulator(
         jobs,
         machines,
-        _simulation_policy(args.policy, args.budget),
+        policy_spec_from_name(args.policy, max_seconds=args.budget).build(),
         SimulationConfig(activation_interval=args.interval),
         rng=args.seed,
         recorder=recorder,
@@ -901,6 +892,7 @@ def _service_core(args: argparse.Namespace) -> SchedulerCore:
                 f"--latency-buckets must be comma-separated numbers, "
                 f"got {args.latency_buckets!r}"
             ) from None
+    check_positive("--budget", args.budget)
     config = ServiceConfig(
         queue_capacity=args.capacity,
         degrade_threshold=args.degrade,
@@ -911,7 +903,6 @@ def _service_core(args: argparse.Namespace) -> SchedulerCore:
             min_interval=0.02,
             max_interval=args.interval,
         ),
-        max_seconds=args.budget,
         latency_buckets=buckets,
     )
     observed = args.metrics_port is not None or args.trace_out
@@ -919,9 +910,9 @@ def _service_core(args: argparse.Namespace) -> SchedulerCore:
     trace_log = TraceLog(args.trace_out) if args.trace_out else None
     machines = StaticResourceModel(nb_machines=args.machines).generate(rng=args.seed)
     scheduler = DynamicSchedulerService(
-        max_seconds=config.max_seconds,
-        max_iterations=config.max_iterations,
-        max_stagnant_iterations=config.max_stagnant_iterations,
+        max_seconds=args.budget,
+        max_iterations=25,
+        max_stagnant_iterations=5,
         registry=registry,
     )
     return SchedulerCore(

@@ -10,7 +10,7 @@ Figures 2-5 and the ablation benchmarks are plain data-driven loops.
 """
 
 from repro.core.cma import CellularMemeticAlgorithm, SchedulingResult
-from repro.core.config import ActivationPolicy, CMAConfig, IslandConfig, WarmStartConfig
+from repro.core.config import ActivationPolicy, CMAConfig, IslandConfig
 from repro.core.mo_cma import MOCMAConfig, MultiObjectiveCellularMA, MultiObjectiveResult
 from repro.core.pareto import ParetoArchive, ParetoPoint, dominates, hypervolume_2d
 from repro.core.crossover import (
@@ -86,7 +86,6 @@ __all__ = [
     "SchedulingResult",
     "CMAConfig",
     "IslandConfig",
-    "WarmStartConfig",
     "ActivationPolicy",
     "MultiObjectiveCellularMA",
     "MOCMAConfig",

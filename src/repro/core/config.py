@@ -35,7 +35,6 @@ from repro.utils.validation import (
 __all__ = [
     "CMAConfig",
     "IslandConfig",
-    "WarmStartConfig",
     "TraceConfig",
     "ArenaConfig",
     "ActivationPolicy",
@@ -45,7 +44,6 @@ __all__ = [
     "ISLAND_TOPOLOGIES",
     "MIGRATION_INTERVAL_UNITS",
     "EMIGRANT_SELECTIONS",
-    "WARM_START_MODES",
     "TRACE_FAMILIES",
     "ACTIVATION_MODES",
     "LOAD_PROFILE_SHAPES",
@@ -62,9 +60,6 @@ MIGRATION_INTERVAL_UNITS = ("evaluations", "seconds")
 
 #: Emigrant-selection strategies of :mod:`repro.islands.migration`.
 EMIGRANT_SELECTIONS = ("best_k", "random_k")
-
-#: How :class:`WarmStartConfig` seeds each scheduler activation.
-WARM_START_MODES = ("previous_plan", "off")
 
 #: Scenario families understood by :mod:`repro.traces.generators`.  Like the
 #: island topologies above, the registry lives up in the traces layer; the
@@ -432,88 +427,6 @@ class CMAConfig:
 
 
 @dataclass(frozen=True)
-class WarmStartConfig:
-    """Configuration of the warm-started dynamic scheduling service.
-
-    The dynamic grid scheduler (:mod:`repro.grid.service`) keeps one
-    engine-resident cMA alive across the simulation and re-primes its
-    population at every activation from the previous activation's plan.
-    This config describes that re-priming.
-
-    Attributes
-    ----------
-    mode:
-        ``"previous_plan"`` (default) carries the last plan into the next
-        activation's population; ``"off"`` disables warm starting entirely,
-        making the service trajectory-identical to the cold
-        :class:`~repro.grid.scheduler.CMABatchPolicy` under the same seed.
-    fill_heuristic:
-        Constructive heuristic (any name accepted by
-        :func:`repro.heuristics.get_heuristic`) used to place jobs with no
-        carried assignment — new arrivals, and jobs whose previous machine
-        has left the grid.
-    warm_fraction:
-        Fraction of the population rows seeded from the warm plan (row 0 is
-        the plan verbatim, the others are perturbed copies); the remainder
-        is seeded uniformly at random to preserve exploration.
-    perturbation_rate:
-        Fraction of jobs reassigned to random machines in the perturbed
-        warm rows.
-    initial_local_search:
-        Whether the adopted population still receives Algorithm 1's initial
-        whole-population local-search pass.  Defaults to ``False``: the
-        carried rows descend from an already-improved plan, and the cMA's
-        per-offspring local search resumes immediately.
-    capacity_slack:
-        Multiplicative headroom applied to the job dimension whenever the
-        service's resident buffers must grow (grow-only, high-water-mark
-        capacity) so that a slowly growing backlog does not reallocate at
-        every activation.
-    """
-
-    mode: str = "previous_plan"
-    fill_heuristic: str = "mct"
-    warm_fraction: float = 0.5
-    perturbation_rate: float = 0.25
-    initial_local_search: bool = False
-    capacity_slack: float = 1.25
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", _check_choice("mode", self.mode, WARM_START_MODES))
-        object.__setattr__(
-            self,
-            "fill_heuristic",
-            _check_choice("fill_heuristic", self.fill_heuristic, list_heuristics()),
-        )
-        check_probability("warm_fraction", self.warm_fraction)
-        check_probability("perturbation_rate", self.perturbation_rate)
-        if self.capacity_slack < 1.0:
-            raise ValueError(
-                f"capacity_slack must be >= 1, got {self.capacity_slack}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether warm starting is active at all."""
-        return self.mode != "off"
-
-    def evolve(self, **changes: Any) -> "WarmStartConfig":
-        """Return a copy of the configuration with the given fields replaced."""
-        return replace(self, **changes)
-
-    def describe(self) -> dict[str, Any]:
-        """A flat, JSON-friendly description of the warm-start layer."""
-        return {
-            "mode": self.mode,
-            "fill heuristic": self.fill_heuristic,
-            "warm fraction": self.warm_fraction,
-            "perturbation rate": self.perturbation_rate,
-            "initial local search": self.initial_local_search,
-            "capacity slack": self.capacity_slack,
-        }
-
-
-@dataclass(frozen=True)
 class IslandConfig:
     """Configuration of the process-parallel island model.
 
@@ -847,11 +760,12 @@ class ActivationPolicy:
 class ServiceConfig:
     """Configuration of the live scheduler service (:mod:`repro.service`).
 
-    The live service runs the warm :class:`~repro.grid.service.
-    DynamicSchedulerService` on **wall-clock** time behind a bounded
-    submission queue.  This config describes the queue, the overload state
-    machine and the per-activation budget; the activation cadence itself is
-    an ordinary :class:`ActivationPolicy` re-read on wall-clock seconds.
+    The live service runs a batch scheduler — normally the warm
+    :class:`~repro.grid.service.DynamicSchedulerService`, which carries its
+    own per-activation budget — on **wall-clock** time behind a bounded
+    submission queue.  This config describes the queue and the overload
+    state machine; the activation cadence itself is an ordinary
+    :class:`ActivationPolicy` re-read on wall-clock seconds.
 
     Attributes
     ----------
@@ -880,9 +794,6 @@ class ServiceConfig:
         time; ``None`` means an adaptive policy with a 32-job backlog
         trigger, a 20 ms minimum gap and ``activation_interval`` as the
         fallback.
-    max_seconds, max_iterations, max_stagnant_iterations:
-        Per-activation cMA budget, mirroring
-        :class:`~repro.grid.scheduler.CMABatchPolicy`.
     latency_window:
         How many of the most recent per-job scheduling latencies the
         metrics snapshot aggregates (a rolling window, so a long-running
@@ -903,9 +814,6 @@ class ServiceConfig:
     recover_threshold: int | None = None
     activation_interval: float = 0.5
     activation: ActivationPolicy | None = None
-    max_seconds: float = 0.1
-    max_iterations: int | None = 25
-    max_stagnant_iterations: int | None = 5
     latency_window: int = 65536
     latency_buckets: tuple[float, ...] | None = None
     drain_timeout: float = 30.0
@@ -928,13 +836,6 @@ class ServiceConfig:
             self.activation, ActivationPolicy
         ):
             raise TypeError("activation must be an ActivationPolicy or None")
-        check_positive("max_seconds", self.max_seconds)
-        if self.max_iterations is not None:
-            check_integer("max_iterations", self.max_iterations, minimum=1)
-        if self.max_stagnant_iterations is not None:
-            check_integer(
-                "max_stagnant_iterations", self.max_stagnant_iterations, minimum=1
-            )
         check_integer("latency_window", self.latency_window, minimum=1)
         if self.latency_buckets is not None:
             buckets = tuple(float(bound) for bound in self.latency_buckets)
@@ -984,9 +885,6 @@ class ServiceConfig:
             "recover threshold": self.effective_recover_threshold,
             "activation interval": self.activation_interval,
             "activation mode": self.effective_activation.mode,
-            "max seconds": self.max_seconds,
-            "max iterations": self.max_iterations,
-            "max stagnant iterations": self.max_stagnant_iterations,
             "latency window": self.latency_window,
             "latency buckets": (
                 "default"

@@ -441,26 +441,18 @@ def dynamic_policy_specs(
     per-activation budget, so arena gaps are attributable to the policies
     rather than their budgets.
     """
-    from repro.traces.replay import (
-        cold_cma_policy_spec,
-        heuristic_policy_spec as policy_heuristic_spec,
-        warm_cma_policy_spec,
-    )
+    from repro.traces.replay import policy_spec_from_name
 
-    budget = dict(
-        max_seconds=max_seconds,
-        max_iterations=max_iterations,
-        max_stagnant_iterations=max_stagnant_iterations,
-    )
-    specs = (
-        policy_heuristic_spec("min_min"),
-        cold_cma_policy_spec(**budget),
-        warm_cma_policy_spec(**budget),
-        warm_cma_policy_spec(
-            name="warm-cma-rolling", commit_horizon=horizon, **budget
-        ),
-    )
-    return {spec.name: spec for spec in specs}
+    return {
+        name: policy_spec_from_name(
+            name,
+            horizon=horizon,
+            max_seconds=max_seconds,
+            max_iterations=max_iterations,
+            max_stagnant_iterations=max_stagnant_iterations,
+        )
+        for name in ("min_min", "cma", "warm-cma", "warm-cma-rolling")
+    }
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,6 @@ from repro.grid.machine import GridMachine, MachineState, execution_times_matrix
 from repro.grid.metrics import ActivationRecord, MachineEvent, SimulationMetrics
 from repro.grid.scheduler import (
     BatchSchedulingPolicy,
-    CMABatchPolicy,
     HeuristicBatchPolicy,
     degenerate_assignment,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "SimulationMetrics",
     "BatchSchedulingPolicy",
     "HeuristicBatchPolicy",
-    "CMABatchPolicy",
     "degenerate_assignment",
     "DynamicSchedulerService",
     "ServiceStats",

@@ -12,19 +12,19 @@ returns an assignment.  A policy never sees *when* or *why* it was
 activated, only the batch; the same policy object works unchanged under
 either activation driver.
 
-Three families of policies are provided:
+Two families of policies are provided:
 
 * :class:`HeuristicBatchPolicy` — wraps any constructive heuristic from
   :mod:`repro.heuristics` (Min-Min, MCT, ...), the conventional choice of
   existing grid schedulers;
-* :class:`CMABatchPolicy` — runs the paper's cellular memetic algorithm with
-  a small per-activation budget, cold-starting a fresh engine and population
-  at every activation (the paper's literal "run in batch mode" reading);
 * :class:`~repro.grid.service.WarmCMAPolicy` (in :mod:`repro.grid.service`)
-  — the warm variant: one engine-resident cMA stays alive across the whole
+  — the paper's cellular memetic algorithm with a small per-activation
+  budget.  By default one engine-resident cMA stays alive across the whole
   simulation and each activation's population is warm-started from the
   previous plan, which is what makes the paper's "very short time" budget
-  cheap to meet in steady state.
+  cheap to meet in steady state; ``warm=False`` cold-starts a fresh engine
+  and population at every activation (the literal "run in batch mode"
+  reading).
 
 Degenerate batches are handled uniformly through
 :func:`degenerate_assignment`: one machine needs no decision at all, and a
@@ -38,17 +38,14 @@ import abc
 
 import numpy as np
 
-from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.config import CMAConfig
-from repro.core.termination import TerminationCriteria
 from repro.heuristics.base import build_schedule
 from repro.model.instance import SchedulingInstance
-from repro.utils.rng import RNGLike, as_generator
+from repro.utils.rng import RNGLike
 
 __all__ = [
     "BatchSchedulingPolicy",
     "HeuristicBatchPolicy",
-    "CMABatchPolicy",
     "degenerate_assignment",
 ]
 
@@ -97,52 +94,3 @@ class HeuristicBatchPolicy(BatchSchedulingPolicy):
     def schedule(self, instance: SchedulingInstance, rng: RNGLike = None) -> np.ndarray:
         schedule = build_schedule(self.heuristic, instance, rng)
         return np.array(schedule.assignment, dtype=np.int64)
-
-
-class CMABatchPolicy(BatchSchedulingPolicy):
-    """Run the cellular memetic algorithm for a short budget at every activation.
-
-    Parameters
-    ----------
-    config:
-        Base cMA configuration; its termination criterion is replaced by the
-        per-activation budget below.
-    max_seconds:
-        Wall-clock budget per activation (the paper's "very short time").
-    max_iterations:
-        Optional iteration cap, useful to keep simulations deterministic in
-        tests regardless of machine speed.
-    max_stagnant_iterations:
-        Optional early stop after this many iterations without improvement —
-        the budget under which warm-started populations pay off most.
-    """
-
-    name = "cma"
-
-    def __init__(
-        self,
-        config: CMAConfig | None = None,
-        *,
-        max_seconds: float = 0.25,
-        max_iterations: int | None = 50,
-        max_stagnant_iterations: int | None = None,
-    ) -> None:
-        base = config if config is not None else CMAConfig.paper_defaults()
-        self.config = base.evolve(
-            termination=TerminationCriteria(
-                max_seconds=max_seconds,
-                max_iterations=max_iterations,
-                max_stagnant_iterations=max_stagnant_iterations,
-            )
-        )
-
-    def schedule(self, instance: SchedulingInstance, rng: RNGLike = None) -> np.ndarray:
-        # Degenerate batches (a single machine, or fewer jobs than parents)
-        # do not need a metaheuristic.
-        fallback = degenerate_assignment(instance, self.config, rng)
-        if fallback is not None:
-            return fallback
-        gen = as_generator(rng)
-        algorithm = CellularMemeticAlgorithm(instance, self.config, rng=gen)
-        result = algorithm.run()
-        return np.array(result.best_schedule.assignment, dtype=np.int64)

@@ -1,46 +1,49 @@
-"""The warm dynamic scheduling service: a persistent, engine-resident cMA.
+"""The dynamic cMA scheduler: one persistent, engine-resident cMA.
 
-:class:`~repro.grid.scheduler.CMABatchPolicy` pays a full cold start at every
-scheduler activation — a fresh engine, a fresh heuristic seed, a fresh
-initial local-search pass over the whole mesh.  The paper's deployment claim
-(Sections 1 and 6) is that the cMA runs "in batch mode for a very short
-time" whenever the simulator's activation driver fires a ``SCHEDULER_TICK``
-(periodically or adaptively — see
-:class:`~repro.core.config.ActivationPolicy`); consecutive activations of a
-real grid overlap heavily (most pending jobs were pending one activation
-ago), so almost all of that cold-start work re-derives information the
-previous activation already had.  Sparser adaptive activations only
-strengthen the case for keeping the engine warm: each activation's batch is
-larger, so the reseat high-water mark is hit sooner and amortized longer.
+The paper's deployment claim (Sections 1 and 6) is that the cMA runs "in
+batch mode for a very short time" whenever the simulator's activation
+driver fires a ``SCHEDULER_TICK`` (periodically or adaptively — see
+:class:`~repro.core.config.ActivationPolicy`).  Read literally, every
+activation pays a full cold start — a fresh engine, a fresh heuristic seed,
+a fresh initial local-search pass over the whole mesh.  Consecutive
+activations of a real grid overlap heavily (most pending jobs were pending
+one activation ago), so almost all of that cold-start work re-derives
+information the previous activation already had.  Sparser adaptive
+activations only strengthen the case for keeping the engine warm: each
+activation's batch is larger, so the reseat high-water mark is hit sooner
+and amortized longer.
 
-:class:`DynamicSchedulerService` keeps exactly one cMA's worth of state
-alive across the whole simulation:
+:class:`DynamicSchedulerService` is that one cMA batch scheduler.  Warm (the
+default), it keeps exactly one cMA's worth of state alive across the whole
+simulation:
 
 * **capacity** — one :class:`~repro.engine.batch.BatchEvaluator` whose
   backing stores are grow-only (:meth:`~repro.engine.batch.BatchEvaluator.
   reseat`): an activation whose batch fits under the high-water mark reuses
   the resident rows, only a larger batch reallocates (padded by
-  :attr:`~repro.core.config.WarmStartConfig.capacity_slack`);
+  :data:`CAPACITY_SLACK`);
 * **knowledge** — the previous activation's plan, remembered as a
   ``job_id → machine_id`` mapping.  At the next activation, jobs still
   pending keep their last assignment (remapped through the stable ids the
   simulator publishes in ``instance.metadata``, which drops machines that
   left the grid), unassigned jobs (new arrivals, orphans of departed
-  machines) are placed by a constructive heuristic on top of the carried
+  machines) are placed by :data:`FILL_HEURISTIC` on top of the carried
   load, and only the remaining population rows are randomly seeded;
 * **lifecycle** — each activation re-primes a
   :class:`~repro.core.population.ResidentGrid` over the resident batch and
   drives the standard ``start/step/should_continue/finish`` cMA lifecycle
   under the per-activation budget, skipping the initial whole-population
-  local-search pass by default (the carried rows descend from an
-  already-improved plan).
+  local-search pass (the carried rows descend from an already-improved
+  plan).
+
+Cold (``warm=False``), it runs the literal reading instead: a fresh
+:class:`~repro.core.cma.CellularMemeticAlgorithm` per activation, under the
+same budget.
 
 :class:`WarmCMAPolicy` exposes the service through the ordinary
 :class:`~repro.grid.scheduler.BatchSchedulingPolicy` interface, so the
-simulator, the CLI (``repro-scheduler simulate --policy warm-cma``) and the
-benchmarks treat it like any other policy.  With
-``WarmStartConfig(mode="off")`` the policy is trajectory-identical to the
-cold :class:`~repro.grid.scheduler.CMABatchPolicy` under the same seed.
+simulator, the CLI (``repro-scheduler simulate --policy cma|warm-cma``) and
+the benchmarks treat both modes like any other policy.
 """
 
 from __future__ import annotations
@@ -51,15 +54,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cma import CellularMemeticAlgorithm
-from repro.core.config import CMAConfig, WarmStartConfig
+from repro.core.config import CMAConfig
 from repro.core.population import ResidentGrid
+from repro.core.termination import TerminationCriteria
 from repro.engine.batch import BatchEvaluator, perturbed_copies
 from repro.engine.service import EvaluationEngine
-from repro.grid.scheduler import (
-    BatchSchedulingPolicy,
-    CMABatchPolicy,
-    degenerate_assignment,
-)
+from repro.grid.scheduler import BatchSchedulingPolicy, degenerate_assignment
 from repro.heuristics.base import build_schedule
 from repro.model.fitness import FitnessEvaluator
 from repro.model.instance import SchedulingInstance
@@ -68,6 +68,17 @@ from repro.obs.phases import PhaseTimer
 from repro.utils.rng import RNGLike, as_generator
 
 __all__ = ["ServiceStats", "DynamicSchedulerService", "WarmCMAPolicy"]
+
+#: Heuristic placing jobs with no carried machine (arrivals, churn orphans).
+FILL_HEURISTIC = "mct"
+#: Share of the population seeded from the warm plan; the rest is random.
+WARM_FRACTION = 0.5
+#: Share of jobs moved at random in the perturbed copies of the warm plan.
+PERTURBATION_RATE = 0.25
+#: Job-dimension headroom whenever the resident buffers must grow.
+CAPACITY_SLACK = 1.25
+#: Algorithm 1's initial local-search pass: the carried rows do not need it.
+INITIAL_LOCAL_SEARCH = False
 
 
 @dataclass
@@ -101,20 +112,21 @@ class ServiceStats:
 
 
 class DynamicSchedulerService:
-    """Keeps one warm, engine-resident cMA alive across scheduler activations.
+    """Runs the cMA at every scheduler activation, warm or cold.
 
     Parameters
     ----------
     config:
         Base cMA configuration; its termination criterion is replaced by the
         per-activation budget below.
-    warm_start:
-        The warm-start policy (:class:`~repro.core.config.WarmStartConfig`);
-        defaults to carrying the previous plan.
+    warm:
+        ``True`` (default) keeps one engine-resident cMA alive and
+        warm-starts each activation from the previous plan; ``False``
+        cold-starts a fresh cMA per activation.
     max_seconds, max_iterations, max_stagnant_iterations:
-        Per-activation budget, mirroring
-        :class:`~repro.grid.scheduler.CMABatchPolicy` so cold and warm runs
-        compare at equal budgets.
+        Per-activation budget: wall-clock seconds (the paper's "very short
+        time"), an optional iteration cap (deterministic runs) and an
+        optional stop after that many iterations without improvement.
     registry:
         A :class:`~repro.obs.metrics.MetricsRegistry` charged with the
         warm-start reuse counters (carried/filled/degenerate/degraded jobs,
@@ -124,25 +136,22 @@ class DynamicSchedulerService:
     def __init__(
         self,
         config: CMAConfig | None = None,
-        warm_start: WarmStartConfig | None = None,
         *,
+        warm: bool = True,
         max_seconds: float = 0.25,
         max_iterations: int | None = 50,
         max_stagnant_iterations: int | None = None,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
-        # The cold twin used when warm starting is off: sharing its exact
-        # configuration *and* schedule() implementation keeps "off"
-        # trajectory-identical to CMABatchPolicy under the same seed, by
-        # construction.
-        self._cold = CMABatchPolicy(
-            config=config,
-            max_seconds=max_seconds,
-            max_iterations=max_iterations,
-            max_stagnant_iterations=max_stagnant_iterations,
+        base = config if config is not None else CMAConfig.paper_defaults()
+        self.config = base.evolve(
+            termination=TerminationCriteria(
+                max_seconds=max_seconds,
+                max_iterations=max_iterations,
+                max_stagnant_iterations=max_stagnant_iterations,
+            )
         )
-        self.config = self._cold.config
-        self.warm_start = warm_start if warm_start is not None else WarmStartConfig()
+        self.warm = warm
         self.stats = ServiceStats()
         self._evaluator = FitnessEvaluator(self.config.fitness_weight)
         self._batch: BatchEvaluator | None = None
@@ -191,7 +200,7 @@ class DynamicSchedulerService:
         return dict(self._plan)
 
     def reset(self) -> None:
-        """Forget all cross-simulation state (plan, resident buffers, stats).
+        """Forget all cross-simulation state (plan, buffers, evaluations, stats).
 
         A service carries knowledge *across activations of one simulation*;
         reusing the same service object for a second, unrelated simulation
@@ -202,6 +211,7 @@ class DynamicSchedulerService:
         """
         self._plan = {}
         self._batch = None
+        self._evaluator = FitnessEvaluator(self.config.fitness_weight)
         self.stats = ServiceStats()
         self.last_phases = {}
 
@@ -246,7 +256,7 @@ class DynamicSchedulerService:
                 ready_times=instance.ready_times + load,
                 name=f"{instance.name}/warm-fill",
             )
-            fill = build_schedule(self.warm_start.fill_heuristic, sub_instance, rng)
+            fill = build_schedule(FILL_HEURISTIC, sub_instance, rng)
             plan[missing] = np.asarray(fill.assignment, dtype=np.int64)
         return plan, carried
 
@@ -283,20 +293,19 @@ class DynamicSchedulerService:
     ) -> np.ndarray:
         """The activation's initial population plus offspring scratch rows.
 
-        Row 0 is the warm plan verbatim; a ``warm_fraction`` share of the
-        mesh holds perturbed copies of it; the rest is uniform random (the
-        exploration share).  Scratch rows are placeholders (they are staged
-        over before ever being read).
+        Row 0 is the warm plan verbatim; a :data:`WARM_FRACTION` share of
+        the mesh holds perturbed copies of it; the rest is uniform random
+        (the exploration share).  Scratch rows are placeholders (they are
+        staged over before ever being read).
         """
         cfg = self.config
-        warm = self.warm_start
         population = cfg.population_size
         scratch = max(cfg.nb_recombinations, cfg.nb_mutations)
         rows = np.tile(plan, (population + scratch, 1))
-        warm_rows = max(1, int(round(warm.warm_fraction * population)))
+        warm_rows = max(1, int(round(WARM_FRACTION * population)))
         if warm_rows > 1:
             rows[1:warm_rows] = perturbed_copies(
-                plan, warm_rows - 1, instance.nb_machines, warm.perturbation_rate, gen
+                plan, warm_rows - 1, instance.nb_machines, PERTURBATION_RATE, gen
             )
         if warm_rows < population:
             rows[warm_rows:population] = gen.integers(
@@ -317,7 +326,7 @@ class DynamicSchedulerService:
         reused = self._batch.reseat(
             instance,
             rows,
-            min_jobs=int(math.ceil(instance.nb_jobs * self.warm_start.capacity_slack)),
+            min_jobs=int(math.ceil(instance.nb_jobs * CAPACITY_SLACK)),
         )
         if not reused:
             self.stats.capacity_reallocations += 1
@@ -328,15 +337,23 @@ class DynamicSchedulerService:
     # One activation
     # ------------------------------------------------------------------ #
     def schedule(self, instance: SchedulingInstance, rng: RNGLike = None) -> np.ndarray:
-        """Schedule one activation's batch, warm-starting from the last plan."""
+        """Schedule one activation's batch, warm-starting from the last plan.
+
+        Cold, the batch is solved by a fresh cMA (or the degenerate
+        fallback) and nothing is remembered.
+        """
         self.stats.activations += 1
         gen = as_generator(rng)
         timer = PhaseTimer()
         self.last_phases = timer.durations
-        if not self.warm_start.enabled:
+        if not self.warm:
             self._m_batches["cold"].inc()
             with timer.phase("evaluate"):
-                return self._cold.schedule(instance, gen)
+                fallback = degenerate_assignment(instance, self.config, gen)
+                if fallback is not None:
+                    return fallback
+                result = CellularMemeticAlgorithm(instance, self.config, rng=gen).run()
+            return np.array(result.best_schedule.assignment, dtype=np.int64)
 
         fallback = degenerate_assignment(instance, self.config, gen)
         if fallback is not None:
@@ -376,9 +393,7 @@ class DynamicSchedulerService:
                 registry=self._registry,
             )
             algorithm = CellularMemeticAlgorithm(instance, cfg, rng=gen, engine=engine)
-            algorithm.start(
-                grid=grid, initial_local_search=self.warm_start.initial_local_search
-            )
+            algorithm.start(grid=grid, initial_local_search=INITIAL_LOCAL_SEARCH)
             while algorithm.should_continue():
                 algorithm.step()
             result = algorithm.finish()
@@ -438,50 +453,30 @@ class DynamicSchedulerService:
         }
 
 
-#: Sentinel distinguishing "argument omitted" from an explicit value.
-_UNSET = object()
-
-
 class WarmCMAPolicy(BatchSchedulingPolicy):
     """The :class:`DynamicSchedulerService` as a batch scheduling policy.
 
-    Mirrors :class:`~repro.grid.scheduler.CMABatchPolicy`'s constructor so
-    cold and warm policies are interchangeable in simulations; pass
-    ``service=`` to share one warm state between several callers instead
-    (exclusively — an existing service keeps its own configuration and
-    budget, so combining it with any other argument is rejected).
+    Named ``"warm-cma"``, or ``"cma"`` when cold (``warm=False``); the
+    arguments are the service's.
     """
-
-    name = "warm-cma"
 
     def __init__(
         self,
         config: CMAConfig | None = None,
-        warm_start: WarmStartConfig | None = None,
         *,
-        service: DynamicSchedulerService | None = None,
-        max_seconds: float = _UNSET,  # type: ignore[assignment]
-        max_iterations: int | None = _UNSET,  # type: ignore[assignment]
-        max_stagnant_iterations: int | None = _UNSET,  # type: ignore[assignment]
+        warm: bool = True,
+        max_seconds: float = 0.25,
+        max_iterations: int | None = 50,
+        max_stagnant_iterations: int | None = None,
     ) -> None:
-        budget = {
-            name: value
-            for name, value in (
-                ("max_seconds", max_seconds),
-                ("max_iterations", max_iterations),
-                ("max_stagnant_iterations", max_stagnant_iterations),
-            )
-            if value is not _UNSET
-        }
-        if service is not None:
-            if config is not None or warm_start is not None or budget:
-                raise ValueError(
-                    "pass either an existing service or the configuration and "
-                    "budget to build one, not both"
-                )
-            self.service = service
-        else:
-            self.service = DynamicSchedulerService(config, warm_start, **budget)
+        self.name = "warm-cma" if warm else "cma"
+        self.service = DynamicSchedulerService(
+            config,
+            warm=warm,
+            max_seconds=max_seconds,
+            max_iterations=max_iterations,
+            max_stagnant_iterations=max_stagnant_iterations,
+        )
 
     def schedule(self, instance: SchedulingInstance, rng: RNGLike = None) -> np.ndarray:
         return self.service.schedule(instance, rng)

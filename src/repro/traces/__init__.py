@@ -31,10 +31,9 @@ from repro.traces.replay import (
     ArenaResult,
     PolicySpec,
     ReplayArena,
-    cold_cma_policy_spec,
+    cma_policy_spec,
     heuristic_policy_spec,
     policy_spec_from_name,
-    warm_cma_policy_spec,
 )
 from repro.traces.report import PolicyReport, arena_rows, arena_table, summarize_arena
 
@@ -53,10 +52,9 @@ __all__ = [
     "ArenaResult",
     "PolicySpec",
     "ReplayArena",
-    "cold_cma_policy_spec",
+    "cma_policy_spec",
     "heuristic_policy_spec",
     "policy_spec_from_name",
-    "warm_cma_policy_spec",
     "PolicyReport",
     "arena_rows",
     "arena_table",

@@ -35,12 +35,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.config import ActivationPolicy, ArenaConfig, CMAConfig, WarmStartConfig
-from repro.grid.scheduler import (
-    BatchSchedulingPolicy,
-    CMABatchPolicy,
-    HeuristicBatchPolicy,
-)
+from repro.core.config import ActivationPolicy, ArenaConfig, CMAConfig
+from repro.grid.scheduler import BatchSchedulingPolicy, HeuristicBatchPolicy
 from repro.grid.service import WarmCMAPolicy
 from repro.grid.simulator import GridSimulator, SimulationConfig
 from repro.grid.metrics import SimulationMetrics
@@ -56,8 +52,7 @@ __all__ = [
     "ReplayArena",
     "ArenaResult",
     "heuristic_policy_spec",
-    "cold_cma_policy_spec",
-    "warm_cma_policy_spec",
+    "cma_policy_spec",
     "policy_spec_from_name",
 ]
 
@@ -80,25 +75,9 @@ class _HeuristicPolicyFactory:
 
 
 @dataclass(frozen=True)
-class _ColdCMAPolicyFactory:
+class _CMAPolicyFactory:
     config: CMAConfig | None
-    max_seconds: float
-    max_iterations: int | None
-    max_stagnant_iterations: int | None
-
-    def __call__(self) -> BatchSchedulingPolicy:
-        return CMABatchPolicy(
-            config=self.config,
-            max_seconds=self.max_seconds,
-            max_iterations=self.max_iterations,
-            max_stagnant_iterations=self.max_stagnant_iterations,
-        )
-
-
-@dataclass(frozen=True)
-class _WarmCMAPolicyFactory:
-    config: CMAConfig | None
-    warm_start: WarmStartConfig | None
+    warm: bool
     max_seconds: float
     max_iterations: int | None
     max_stagnant_iterations: int | None
@@ -106,7 +85,7 @@ class _WarmCMAPolicyFactory:
     def __call__(self) -> BatchSchedulingPolicy:
         return WarmCMAPolicy(
             self.config,
-            self.warm_start,
+            warm=self.warm,
             max_seconds=self.max_seconds,
             max_iterations=self.max_iterations,
             max_stagnant_iterations=self.max_stagnant_iterations,
@@ -201,50 +180,37 @@ def heuristic_policy_spec(
     )
 
 
-def cold_cma_policy_spec(
+def cma_policy_spec(
     config: CMAConfig | None = None,
     *,
-    name: str = "cma",
-    activation: ActivationPolicy | None | str = INHERIT_ACTIVATION,
-    max_seconds: float = 0.25,
-    max_iterations: int | None = 50,
-    max_stagnant_iterations: int | None = None,
-) -> PolicySpec:
-    """The cold-start cMA batch policy as an arena contestant."""
-    return PolicySpec(
-        name=name,
-        factory=_ColdCMAPolicyFactory(
-            config, max_seconds, max_iterations, max_stagnant_iterations
-        ),
-        activation=activation,
-        description="Cold cMA (fresh engine and population per activation)",
-    )
-
-
-def warm_cma_policy_spec(
-    config: CMAConfig | None = None,
-    warm_start: WarmStartConfig | None = None,
-    *,
-    name: str = "warm-cma",
+    warm: bool = True,
+    name: str | None = None,
     commit_horizon: float | None | str = INHERIT_HORIZON,
     activation: ActivationPolicy | None | str = INHERIT_ACTIVATION,
     max_seconds: float = 0.25,
     max_iterations: int | None = 50,
     max_stagnant_iterations: int | None = None,
 ) -> PolicySpec:
-    """The warm engine-resident scheduling service as an arena contestant.
+    """The cMA batch policy, warm (default) or cold, as an arena contestant.
 
-    Pass ``commit_horizon`` to make this entry a rolling-horizon variant
-    regardless of the arena-wide setting.
+    The entry is named ``"warm-cma"`` or ``"cma"`` unless *name* is given.
+    Pass ``commit_horizon`` to make it a rolling-horizon variant regardless
+    of the arena-wide setting.
     """
+    if name is None:
+        name = "warm-cma" if warm else "cma"
     return PolicySpec(
         name=name,
-        factory=_WarmCMAPolicyFactory(
-            config, warm_start, max_seconds, max_iterations, max_stagnant_iterations
+        factory=_CMAPolicyFactory(
+            config, warm, max_seconds, max_iterations, max_stagnant_iterations
         ),
         commit_horizon=commit_horizon,
         activation=activation,
-        description="Warm engine-resident cMA service",
+        description=(
+            "Warm engine-resident cMA service"
+            if warm
+            else "Cold cMA (fresh engine and population per activation)"
+        ),
     )
 
 
@@ -258,10 +224,10 @@ def policy_spec_from_name(
 ) -> PolicySpec:
     """Resolve a CLI-style policy name into a spec.
 
-    ``"cma"`` is the cold policy, ``"warm-cma"`` the warm service,
-    ``"warm-cma-rolling"`` the warm service with a per-policy rolling
-    commit horizon (*horizon*, required), and any constructive heuristic
-    name is wrapped directly.
+    The one place a policy name becomes a policy: ``"cma"`` is the cold
+    cMA, ``"warm-cma"`` the warm service, ``"warm-cma-rolling"`` the warm
+    service with a per-policy rolling commit horizon (*horizon*, required),
+    and any constructive heuristic name is wrapped directly.
     """
     budget = dict(
         max_seconds=max_seconds,
@@ -270,16 +236,16 @@ def policy_spec_from_name(
     )
     key = name.strip().lower().replace("_", "-")
     if key == "cma":
-        return cold_cma_policy_spec(**budget)
+        return cma_policy_spec(warm=False, **budget)
     if key == "warm-cma":
-        return warm_cma_policy_spec(**budget)
+        return cma_policy_spec(**budget)
     if key == "warm-cma-rolling":
         if horizon is None:
             raise ValueError(
                 "the warm-cma-rolling policy needs a commit horizon "
                 "(pass horizon=... / --horizon)"
             )
-        return warm_cma_policy_spec(
+        return cma_policy_spec(
             name="warm-cma-rolling", commit_horizon=horizon, **budget
         )
     heuristic = name.strip().lower()

@@ -53,6 +53,26 @@ def test_checker_catches_failing_examples(check_docs, tmp_path):
     assert len(problems) == 1
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted((REPO_ROOT / "examples").glob("*.py")),
+    ids=lambda path: path.stem,
+)
+def test_example_imports(path, monkeypatch):
+    """Every example module loads (its imports resolve) without running main()."""
+    from repro.core import local_search
+    from repro.heuristics import base as heuristics_base
+
+    # Examples may register operators at import; keep the registries as
+    # they were for the rest of the session.
+    monkeypatch.setattr(heuristics_base, "_REGISTRY", dict(heuristics_base._REGISTRY))
+    monkeypatch.setattr(local_search, "_REGISTRY", dict(local_search._REGISTRY))
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
+
+
 def test_anchor_slugs_match_github_rules(check_docs):
     assert check_docs.github_slug("Engine throughput trajectory") == (
         "engine-throughput-trajectory"

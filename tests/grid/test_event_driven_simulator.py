@@ -21,7 +21,8 @@ import pytest
 
 from repro.core.config import ActivationPolicy, TraceConfig
 from repro.grid.machine import GridMachine
-from repro.grid.scheduler import CMABatchPolicy, HeuristicBatchPolicy
+from repro.grid.scheduler import HeuristicBatchPolicy
+from repro.grid.service import WarmCMAPolicy
 from repro.grid.simulator import GridSimulator, SimulationConfig
 from repro.traces import generate_trace
 
@@ -89,7 +90,7 @@ class TestPeriodicBitExactness:
     def test_calm_trace_cma_rolling_horizon(self):
         metrics = GridSimulator.from_trace(
             _calm_trace(),
-            CMABatchPolicy(max_seconds=1e9, max_iterations=3),
+            WarmCMAPolicy(warm=False, max_seconds=1e9, max_iterations=3),
             SimulationConfig(activation_interval=7.0, commit_horizon=7.0),
             rng=42,
         ).run()

@@ -6,7 +6,8 @@ import pytest
 from repro.core.config import ActivationPolicy
 from repro.grid.job import GridJob, JobState
 from repro.grid.machine import GridMachine
-from repro.grid.scheduler import CMABatchPolicy, HeuristicBatchPolicy
+from repro.grid.scheduler import HeuristicBatchPolicy
+from repro.grid.service import WarmCMAPolicy
 from repro.grid.simulator import GridSimulator, SimulationConfig
 from repro.grid.workload import PoissonArrivalModel, StaticResourceModel
 from repro.model.instance import SchedulingInstance
@@ -29,14 +30,14 @@ class TestBatchPolicies:
         assert assignment.max() < tiny_instance.nb_machines
 
     def test_cma_policy_returns_valid_assignment(self, tiny_instance):
-        policy = CMABatchPolicy(max_seconds=0.05, max_iterations=5)
+        policy = WarmCMAPolicy(warm=False, max_seconds=0.05, max_iterations=5)
         assignment = policy.schedule(tiny_instance, rng=1)
         assert assignment.shape == (tiny_instance.nb_jobs,)
         assert assignment.min() >= 0
 
     def test_cma_policy_single_machine_shortcut(self):
         instance = SchedulingInstance(etc=np.arange(1.0, 6.0).reshape(5, 1))
-        assignment = CMABatchPolicy().schedule(instance, rng=1)
+        assignment = WarmCMAPolicy(warm=False).schedule(instance, rng=1)
         assert assignment.tolist() == [0] * 5
 
     def test_cma_policy_tiny_batch_falls_back_to_min_min(self):
@@ -49,13 +50,13 @@ class TestBatchPolicies:
             instance = SchedulingInstance(
                 etc=np.random.default_rng(8).uniform(1.0, 9.0, size=(nb_jobs, 3))
             )
-            assignment = CMABatchPolicy().schedule(instance, rng=1)
+            assignment = WarmCMAPolicy(warm=False).schedule(instance, rng=1)
             reference = build_schedule("min_min", instance)
             assert assignment.tolist() == list(reference.assignment)
 
     def test_policy_name_reported(self):
         assert HeuristicBatchPolicy("mct").name == "mct"
-        assert CMABatchPolicy().name == "cma"
+        assert WarmCMAPolicy(warm=False).name == "cma"
 
 
 class TestSimulatorBasics:
@@ -286,7 +287,7 @@ class TestEndToEndWithModels:
     def test_generated_workload_completes_with_cma_policy(self):
         jobs = PoissonArrivalModel(rate=0.8, duration=30.0, heterogeneity="lo").generate(rng=6)
         machines = StaticResourceModel(nb_machines=3, heterogeneity="lo").generate(rng=6)
-        policy = CMABatchPolicy(max_seconds=0.05, max_iterations=5)
+        policy = WarmCMAPolicy(warm=False, max_seconds=0.05, max_iterations=5)
         metrics = GridSimulator(
             jobs, machines, policy, SimulationConfig(activation_interval=10.0), rng=6
         ).run()

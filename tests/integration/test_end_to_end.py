@@ -27,12 +27,12 @@ from repro.experiments import (
     heuristic_spec,
 )
 from repro.grid import (
-    CMABatchPolicy,
     GridSimulator,
     HeuristicBatchPolicy,
     PoissonArrivalModel,
     SimulationConfig,
     StaticResourceModel,
+    WarmCMAPolicy,
 )
 from repro.model.io import load_instance, save_instance
 
@@ -92,7 +92,7 @@ class TestDynamicPipeline:
         cma_metrics = GridSimulator(
             jobs,
             machines,
-            CMABatchPolicy(max_seconds=0.05, max_iterations=8),
+            WarmCMAPolicy(warm=False, max_seconds=0.05, max_iterations=8),
             SimulationConfig(activation_interval=10.0),
             rng=4,
         ).run()
@@ -115,7 +115,7 @@ class TestDynamicPipeline:
         metrics = GridSimulator(
             jobs,
             machines,
-            CMABatchPolicy(max_seconds=0.02, max_iterations=3),
+            WarmCMAPolicy(warm=False, max_seconds=0.02, max_iterations=3),
             SimulationConfig(activation_interval=10.0),
             rng=5,
         ).run()

@@ -63,15 +63,12 @@ def make_server(registry, trace_log):
         activation=ActivationPolicy.adaptive(
             backlog_threshold=12, min_interval=0.15, max_interval=0.25
         ),
-        max_seconds=0.05,
-        max_iterations=10,
-        max_stagnant_iterations=3,
     )
     machines = StaticResourceModel(nb_machines=8).generate(rng=11)
     scheduler = DynamicSchedulerService(
-        max_seconds=config.max_seconds,
-        max_iterations=config.max_iterations,
-        max_stagnant_iterations=config.max_stagnant_iterations,
+        max_seconds=0.05,
+        max_iterations=10,
+        max_stagnant_iterations=3,
         registry=registry,
     )
     core = SchedulerCore(

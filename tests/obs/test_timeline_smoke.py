@@ -57,15 +57,12 @@ def make_server(trace_log):
         activation=ActivationPolicy.adaptive(
             backlog_threshold=12, min_interval=0.1, max_interval=0.25
         ),
-        max_seconds=0.03,
-        max_iterations=10,
-        max_stagnant_iterations=3,
     )
     machines = StaticResourceModel(nb_machines=4).generate(rng=5)
     scheduler = DynamicSchedulerService(
-        max_seconds=config.max_seconds,
-        max_iterations=config.max_iterations,
-        max_stagnant_iterations=config.max_stagnant_iterations,
+        max_seconds=0.03,
+        max_iterations=10,
+        max_stagnant_iterations=3,
     )
     core = SchedulerCore(machines, scheduler, config, rng=5, trace_log=trace_log)
     return SchedulerServer(core)

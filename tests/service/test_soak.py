@@ -73,15 +73,12 @@ def make_server():
         activation=ActivationPolicy.adaptive(
             backlog_threshold=16, min_interval=MIN_INTERVAL, max_interval=0.25
         ),
-        max_seconds=0.05,
-        max_iterations=10,
-        max_stagnant_iterations=3,
     )
     machines = StaticResourceModel(nb_machines=8).generate(rng=11)
     scheduler = DynamicSchedulerService(
-        max_seconds=config.max_seconds,
-        max_iterations=config.max_iterations,
-        max_stagnant_iterations=config.max_stagnant_iterations,
+        max_seconds=0.05,
+        max_iterations=10,
+        max_stagnant_iterations=3,
     )
     return SchedulerServer(SchedulerCore(machines, scheduler, config, rng=11))
 

@@ -430,6 +430,11 @@ class TestServiceParsers:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadgen", "--family", "tsunami"])
 
+    def test_serve_rejects_a_non_positive_budget(self, capsys):
+        code = main(["serve", "--budget", "0"])
+        assert code == 2
+        assert "--budget must be a positive finite number" in capsys.readouterr().err
+
 
 class TestLoadgenCommand:
     def test_in_process_run_prints_report_and_snapshot(self, capsys):

@@ -17,9 +17,8 @@ from repro.core.config import ArenaConfig, TraceConfig
 from repro.traces.generators import generate_trace
 from repro.traces.replay import (
     ReplayArena,
-    cold_cma_policy_spec,
+    cma_policy_spec,
     heuristic_policy_spec,
-    warm_cma_policy_spec,
 )
 
 pytestmark = pytest.mark.smoke
@@ -39,8 +38,8 @@ def test_worker_mode_matches_in_process_mode():
     )
     specs = [
         heuristic_policy_spec("min_min"),
-        cold_cma_policy_spec(**BUDGET),
-        warm_cma_policy_spec(**BUDGET),
+        cma_policy_spec(warm=False, **BUDGET),
+        cma_policy_spec(**BUDGET),
     ]
     config = ArenaConfig(
         activation_interval=5.0, repetitions=2, seed=23, worker_timeout=120.0

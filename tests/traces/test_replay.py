@@ -12,10 +12,9 @@ from repro.traces.replay import (
     INHERIT_HORIZON,
     PolicySpec,
     ReplayArena,
-    cold_cma_policy_spec,
+    cma_policy_spec,
     heuristic_policy_spec,
     policy_spec_from_name,
-    warm_cma_policy_spec,
 )
 from repro.traces.report import arena_table, summarize_arena
 
@@ -33,7 +32,7 @@ BUDGET = dict(max_seconds=60.0, max_iterations=3)
 
 class TestPolicySpecs:
     def test_spec_builds_fresh_policies(self):
-        spec = warm_cma_policy_spec(**BUDGET)
+        spec = cma_policy_spec(**BUDGET)
         first, second = spec.build(), spec.build()
         assert first is not second
         assert first.service is not second.service
@@ -41,8 +40,8 @@ class TestPolicySpecs:
     def test_specs_are_picklable(self):
         for spec in (
             heuristic_policy_spec("min_min"),
-            cold_cma_policy_spec(**BUDGET),
-            warm_cma_policy_spec(commit_horizon=5.0, **BUDGET),
+            cma_policy_spec(warm=False, **BUDGET),
+            cma_policy_spec(commit_horizon=5.0, **BUDGET),
         ):
             clone = pickle.loads(pickle.dumps(spec))
             assert clone.name == spec.name
@@ -52,7 +51,7 @@ class TestPolicySpecs:
         arena = ArenaConfig(activation_interval=4.0, commit_horizon=8.0)
         inherited = heuristic_policy_spec("mct").simulation_config(arena)
         assert inherited.commit_horizon == 8.0
-        overridden = warm_cma_policy_spec(
+        overridden = cma_policy_spec(
             commit_horizon=2.0, **BUDGET
         ).simulation_config(arena)
         assert overridden.commit_horizon == 2.0
@@ -101,8 +100,8 @@ class TestArenaRuns:
     def test_every_policy_replays_every_repetition(self, trace):
         specs = [
             heuristic_policy_spec("min_min"),
-            cold_cma_policy_spec(**BUDGET),
-            warm_cma_policy_spec(**BUDGET),
+            cma_policy_spec(warm=False, **BUDGET),
+            cma_policy_spec(**BUDGET),
         ]
         config = ArenaConfig(activation_interval=5.0, repetitions=2, seed=9)
         result = ReplayArena(trace, specs, config).run()
@@ -114,7 +113,7 @@ class TestArenaRuns:
                 assert metrics.completed_jobs == trace.nb_jobs
 
     def test_arena_is_deterministic(self, trace):
-        specs = [heuristic_policy_spec("min_min"), cold_cma_policy_spec(**BUDGET)]
+        specs = [heuristic_policy_spec("min_min"), cma_policy_spec(warm=False, **BUDGET)]
         config = ArenaConfig(activation_interval=5.0, repetitions=2, seed=9)
         first = ReplayArena(trace, specs, config).run()
         second = ReplayArena(trace, specs, config).run()
@@ -126,10 +125,10 @@ class TestArenaRuns:
     def test_adding_a_policy_never_perturbs_the_others(self, trace):
         """Seed streams are keyed by policy name, not roster position."""
         config = ArenaConfig(activation_interval=5.0, seed=9)
-        small = ReplayArena(trace, [cold_cma_policy_spec(**BUDGET)], config).run()
+        small = ReplayArena(trace, [cma_policy_spec(warm=False, **BUDGET)], config).run()
         big = ReplayArena(
             trace,
-            [heuristic_policy_spec("min_min"), cold_cma_policy_spec(**BUDGET)],
+            [heuristic_policy_spec("min_min"), cma_policy_spec(warm=False, **BUDGET)],
             config,
         ).run()
         assert (
@@ -154,8 +153,8 @@ class TestArenaRuns:
     def test_per_policy_horizon_changes_the_replay(self, trace):
         """A rolling-horizon twin really runs under its own commit horizon."""
         specs = [
-            warm_cma_policy_spec(name="warm-full", **BUDGET),
-            warm_cma_policy_spec(
+            cma_policy_spec(name="warm-full", **BUDGET),
+            cma_policy_spec(
                 name="warm-rolling", commit_horizon=5.0, **BUDGET
             ),
         ]
@@ -174,7 +173,7 @@ class TestReport:
         specs = [
             heuristic_policy_spec("min_min"),
             heuristic_policy_spec("mct"),
-            cold_cma_policy_spec(**BUDGET),
+            cma_policy_spec(warm=False, **BUDGET),
         ]
         config = ArenaConfig(activation_interval=5.0, repetitions=2, seed=9)
         result = ReplayArena(trace, specs, config).run()
