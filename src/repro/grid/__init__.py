@@ -11,8 +11,9 @@ in for the external grid-simulator packages the paper defers to future work
 from repro.core.config import ActivationPolicy
 from repro.grid.events import Event, EventQueue, EventType
 from repro.grid.job import GridJob, JobRecord, JobState
-from repro.grid.machine import GridMachine, MachineState, execution_times_matrix
+from repro.grid.machine import GridMachine, execution_times_matrix
 from repro.grid.metrics import ActivationRecord, MachineEvent, SimulationMetrics
+from repro.grid.park import Park
 from repro.grid.scheduler import (
     BatchSchedulingPolicy,
     HeuristicBatchPolicy,
@@ -38,11 +39,11 @@ __all__ = [
     "JobRecord",
     "JobState",
     "GridMachine",
-    "MachineState",
     "execution_times_matrix",
     "ActivationRecord",
     "MachineEvent",
     "SimulationMetrics",
+    "Park",
     "BatchSchedulingPolicy",
     "HeuristicBatchPolicy",
     "degenerate_assignment",

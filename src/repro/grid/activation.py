@@ -6,10 +6,12 @@ SchedulerCore` (wall time) run every activation through the same steps:
 for warm remapping), **solve** it (``job_batched`` lines, a timed scheduler
 call, the assignment check), **plan** the shortest-processing-time commit,
 and **finish** (``job_assigned`` lines, scheduler-seconds and phase
-histograms).  Each driver keeps arrival sourcing, time, locking, the live
-shed/degrade/stall modes, and applying the :class:`CommitPlan` to its own
-state.  Plans are made from the busy track as it stands at commit time, so
-the live core can solve outside its lock and commit under it.
+histograms).  Both apply the :class:`CommitPlan` to a
+:class:`~repro.grid.park.Park` and trace revocations with
+:meth:`Activator.trace_revocation`; each keeps its own arrival sourcing,
+time, locking and (the live core) shed/degrade/stall modes.  Plans are
+made from the busy track as it stands at commit time, so the live core can
+solve outside its lock and commit under it.
 """
 
 from __future__ import annotations
@@ -109,6 +111,32 @@ class Activator:
         self.seq += 1
         attempts = [1] * len(jobs) if attempts is None else attempts
         return Activation(self, self.seq, now, jobs, machines, instance, timer, attempts)
+
+    def trace_revocation(
+        self, time: float, job_id: int, attempt: int, cause: str, retry_at: float | None
+    ) -> None:
+        """Trace a revoked *attempt*: retried at *retry_at*, dropped if ``None``.
+
+        The revocation line supersedes the attempt's planned lines; timeline
+        readers process events in file (causal) order.
+        """
+        log, source = self.trace_log, self.source
+        if log is None:
+            return
+        log.emit(
+            "job_revoked", source=source, time=time, job_id=job_id, attempt=attempt, cause=cause
+        )
+        if retry_at is None:
+            log.emit("job_dropped", source=source, time=time, job_id=job_id, attempts=attempt)
+        else:
+            log.emit(
+                "job_retried",
+                source=source,
+                time=time,
+                job_id=job_id,
+                attempt=attempt + 1,
+                retry_at=retry_at,
+            )
 
     def observe(self, seq: int, timer: PhaseTimer, scheduler_seconds: float) -> None:
         """Charge one activation's phase split and solve time."""

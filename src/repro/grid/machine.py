@@ -19,7 +19,7 @@ from repro.grid.job import GridJob
 from repro.utils.rng import RNGLike
 from repro.utils.validation import check_non_negative, check_positive
 
-__all__ = ["GridMachine", "MachineState", "execution_times_matrix", "affinity_factors"]
+__all__ = ["GridMachine", "execution_times_matrix", "affinity_factors"]
 
 
 # --------------------------------------------------------------------------- #
@@ -181,23 +181,3 @@ class GridMachine:
             if down <= time < up:
                 return False
         return True
-
-
-@dataclass
-class MachineState:
-    """Mutable per-machine bookkeeping kept by the simulator."""
-
-    machine: GridMachine
-    busy_until: float = 0.0
-    busy_time: float = 0.0  # accumulated processing time, for utilization
-    completed_jobs: int = 0
-
-    def ready_time(self, now: float) -> float:
-        """Time from *now* until the machine finishes its committed work."""
-        return max(0.0, self.busy_until - now)
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of the simulated horizon spent processing jobs."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)

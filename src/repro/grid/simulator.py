@@ -46,9 +46,10 @@ arrival-sorted job list:
 Per-job state lives in arrays indexed by arrival position (state code,
 machine, start, finish, reschedules), so a commit is a handful of fancy
 writes; :attr:`GridSimulator.records` builds :class:`~repro.grid.job.
-JobRecord` snapshots from them on lookup.  A machine's queue holds every
-placement still in flight on it; settled ones are dropped when the machine
-next receives a commit.
+JobRecord` snapshots from them on lookup.  Per-machine state — membership,
+busy tracks, credit and the queues of in-flight placements — lives in
+:attr:`GridSimulator.park`, the :class:`~repro.grid.park.Park` the live
+service commits to as well.
 
 Who places the ticks is the :class:`~repro.core.config.ActivationPolicy` of
 the :class:`SimulationConfig`.  The default **periodic** driver chains
@@ -69,10 +70,8 @@ metrics (the paper's argument is precisely that a 90-second — here sub-second
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +79,9 @@ from repro.core.config import ActivationPolicy, RetryPolicy
 from repro.grid.activation import Activation, Activator, CommitPlan
 from repro.grid.events import EventQueue, EventType
 from repro.grid.job import GridJob, JobRecord, JobState
-from repro.grid.machine import GridMachine, MachineState, execution_times_matrix
+from repro.grid.machine import GridMachine, execution_times_matrix
 from repro.grid.metrics import ActivationRecord, MachineEvent, SimulationMetrics
+from repro.grid.park import Park
 from repro.grid.scheduler import BatchSchedulingPolicy
 from repro.obs.metrics import NULL_REGISTRY
 from repro.utils.rng import RNGLike, as_generator
@@ -141,20 +141,20 @@ class SimulationConfig:
             raise TypeError("retry must be a RetryPolicy or None")
 
 
-class _QueueEntry(NamedTuple):
-    """A job committed to a machine: its planned start and finish times."""
-
-    job_id: int
-    start: float
-    finish: float
-
-
 # Job lifecycle codes of the per-position state array, in JobState order.
 _STATES = tuple(JobState)
 _COMPLETED = _STATES.index(JobState.COMPLETED)
 _RESUBMITTED = _STATES.index(JobState.RESUBMITTED)
 _CANCELLED = _STATES.index(JobState.CANCELLED)
 _FAILED = _STATES.index(JobState.FAILED)
+
+# Machine membership events, by the name their log and trace lines carry.
+_MEMBERSHIP = {
+    EventType.MACHINE_JOIN: "join",
+    EventType.MACHINE_REPAIR: "repair",
+    EventType.MACHINE_LEAVE: "leave",
+    EventType.MACHINE_BREAKDOWN: "breakdown",
+}
 
 
 class _JobRecords(Mapping):
@@ -232,18 +232,14 @@ class GridSimulator:
         self._reschedules = np.zeros(nb_jobs, dtype=np.int64)
         #: ``job_id -> JobRecord`` snapshots, built on each lookup.
         self.records: Mapping[int, JobRecord] = _JobRecords(self)
-        self.machine_states: dict[int, MachineState] = {
-            machine.machine_id: MachineState(machine=machine) for machine in self.machines
+        self._machine_position: dict[int, int] = {
+            machine.machine_id: position for position, machine in enumerate(self.machines)
         }
-        if len(self.machine_states) != len(self.machines):
+        if len(self._machine_position) != len(self.machines):
             raise ValueError("machine ids must be unique")
-        # Committed work per machine, in nondecreasing start/finish order
-        # (queue bases never move backwards except at revocation, where the
-        # queue is rebuilt anyway).  Every in-flight placement is here;
-        # settled ones leave from the front at the machine's next commit.
-        self._queues: dict[int, deque[_QueueEntry]] = {
-            machine.machine_id: deque() for machine in self.machines
-        }
+        #: Committed work by park position; a machine is up from its join
+        #: to its leave, except while broken down.
+        self.park = Park(len(self.machines), up=False)
         self._departed: set[int] = set()
         self.activations: list[ActivationRecord] = []
         # Pending-job index: the arrival cursor admits each job exactly once;
@@ -254,24 +250,24 @@ class GridSimulator:
         # delayed TASK_SUBMIT re-admission must not recount as an arrival.
         self._retry_positions: set[int] = set()
         self._submitted = 0
-        # Incremental stopping-rule state: jobs not yet COMPLETED, machines
-        # that ever received a commit (the departed-machine log must stay
-        # faithful: a leave on a machine that did work is always processed,
-        # one that never did may fall after the stream drains), and the
-        # not-yet-departed machines with a finite leave time.
+        # Incremental stopping-rule state: jobs not yet COMPLETED, and the
+        # park positions of not-yet-departed machines with a finite leave
+        # time (``park.committed`` says which machines ever received a
+        # commit: the departed-machine log must stay faithful, so a leave on
+        # a machine that did work is always processed, one that never did
+        # may fall after the stream drains).
         self._unfinished = len(self.jobs)
-        self._has_commits: set[int] = set()
         self._pending_leaves: set[int] = {
-            machine.machine_id
-            for machine in self.machines
+            position
+            for position, machine in enumerate(self.machines)
             if machine.leave_time is not None
         }
-        # Unprocessed breakdown events per machine: like a pending leave,
-        # a future breakdown on a machine holding commits can still revoke
-        # them, so the stream is not done until those events drain.
+        # Unprocessed breakdown events per park position: like a pending
+        # leave, a future breakdown on a machine holding commits can still
+        # revoke them, so the stream is not done until those events drain.
         self._pending_breakdowns: dict[int, int] = {
-            machine.machine_id: len(machine.breakdowns)
-            for machine in self.machines
+            position: len(machine.breakdowns)
+            for position, machine in enumerate(self.machines)
             if machine.breakdowns
         }
         # Unprocessed cancel events by job position: a cancel landing
@@ -282,9 +278,6 @@ class GridSimulator:
             for position, job in enumerate(self.jobs)
             if job.cancel_time is not None
         }
-        # Park-position availability flags (joined and not departed),
-        # preserving the park order of ``self.machines`` in every batch.
-        self._active = [False] * len(self.machines)
         # Explicit machine join/leave event log (chronological in the final
         # metrics): each membership event is popped — and logged — exactly
         # once, at its own simulated time.
@@ -435,16 +428,10 @@ class GridSimulator:
             self._m_events[kind].inc()
             if kind is EventType.TASK_SUBMIT:
                 self._handle_submit(event.payload, now, adaptive)
-            elif kind is EventType.MACHINE_JOIN:
-                self._handle_join(event.payload, now, adaptive)
-            elif kind is EventType.MACHINE_LEAVE:
-                self._handle_leave(event.payload, now, adaptive)
-            elif kind is EventType.MACHINE_BREAKDOWN:
-                self._handle_breakdown(event.payload, now, adaptive)
-            elif kind is EventType.MACHINE_REPAIR:
-                self._handle_repair(event.payload, now, adaptive)
             elif kind is EventType.TASK_CANCEL:
                 self._handle_cancel(event.payload, now, adaptive)
+            elif kind in _MEMBERSHIP:
+                self._handle_membership(event.payload, now, adaptive, kind)
             elif not adaptive:
                 tick = event.payload
                 self._fire_scheduler(now)
@@ -504,87 +491,40 @@ class GridSimulator:
         if adaptive:
             self._ensure_wakeup(now)
 
-    def _handle_join(self, position: int, now: float, adaptive: bool) -> None:
-        """One machine's join: activate it and log the event, exactly once."""
-        machine = self.machines[position]
-        self._active[position] = True
-        self.machine_events.append(
-            MachineEvent(time=now, machine_id=machine.machine_id, event="join")
-        )
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "machine_join",
-                source="simulator",
-                time=now,
-                machine_id=machine.machine_id,
-            )
-        if adaptive:
-            if self._pending_positions:
-                self._membership_dirty = True
-            self._ensure_wakeup(now)
+    def _handle_membership(
+        self, position: int, now: float, adaptive: bool, event: EventType
+    ) -> None:
+        """One machine's join, leave, breakdown or repair, exactly once.
 
-    def _handle_leave(self, position: int, now: float, adaptive: bool) -> None:
-        """One machine's departure: revoke its in-flight work, exactly once."""
-        machine = self.machines[position]
-        machine_id = machine.machine_id
-        self._active[position] = False
-        self._departed.add(machine_id)
-        self._pending_leaves.discard(machine_id)
-        # Breakdown windows after departure are moot; don't hold the
-        # stopping rule open for them.
-        self._pending_breakdowns.pop(machine_id, None)
-        self.machine_events.append(
-            MachineEvent(time=now, machine_id=machine_id, event="leave")
-        )
+        A leave or breakdown revokes the machine's in-flight work; a broken
+        machine stays in the park until its repair.  Breakdowns and repairs
+        of a machine that already left are moot.
+        """
+        kind = _MEMBERSHIP[event]
+        if event is EventType.MACHINE_BREAKDOWN:
+            remaining = self._pending_breakdowns.get(position, 0) - 1
+            if remaining > 0:
+                self._pending_breakdowns[position] = remaining
+            else:
+                self._pending_breakdowns.pop(position, None)
+        if position in self._departed:
+            return
+        if event is EventType.MACHINE_LEAVE:
+            self._departed.add(position)
+            self._pending_leaves.discard(position)
+            # Breakdown windows after departure are moot; don't hold the
+            # stopping rule open for them.
+            self._pending_breakdowns.pop(position, None)
+        up = event is EventType.MACHINE_JOIN or event is EventType.MACHINE_REPAIR
+        self.park.up[position] = up
+        machine_id = self.machines[position].machine_id
+        self.machine_events.append(MachineEvent(time=now, machine_id=machine_id, event=kind))
         if self._trace_log is not None:
             self._trace_log.emit(
-                "machine_leave", source="simulator", time=now, machine_id=machine_id
+                f"machine_{kind}", source="simulator", time=now, machine_id=machine_id
             )
-        self._revoke_in_flight(machine_id, now, cause="leave")
-        if adaptive:
-            if self._pending_positions:
-                self._membership_dirty = True
-            self._ensure_wakeup(now)
-
-    def _handle_breakdown(self, position: int, now: float, adaptive: bool) -> None:
-        """One machine's breakdown: revoke its in-flight work; it stays parked."""
-        machine = self.machines[position]
-        machine_id = machine.machine_id
-        remaining = self._pending_breakdowns.get(machine_id, 0) - 1
-        if remaining > 0:
-            self._pending_breakdowns[machine_id] = remaining
-        else:
-            self._pending_breakdowns.pop(machine_id, None)
-        if machine_id in self._departed:
-            return  # left the grid before this window started
-        self._active[position] = False
-        self.machine_events.append(
-            MachineEvent(time=now, machine_id=machine_id, event="breakdown")
-        )
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "machine_breakdown", source="simulator", time=now, machine_id=machine_id
-            )
-        self._revoke_in_flight(machine_id, now, cause="breakdown")
-        if adaptive:
-            if self._pending_positions:
-                self._membership_dirty = True
-            self._ensure_wakeup(now)
-
-    def _handle_repair(self, position: int, now: float, adaptive: bool) -> None:
-        """One machine's repair: make it schedulable again."""
-        machine = self.machines[position]
-        machine_id = machine.machine_id
-        if machine_id in self._departed:
-            return  # departed mid-breakdown; the repair is moot
-        self._active[position] = True
-        self.machine_events.append(
-            MachineEvent(time=now, machine_id=machine_id, event="repair")
-        )
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "machine_repair", source="simulator", time=now, machine_id=machine_id
-            )
+        if not up:
+            self._revoke_in_flight(position, now, cause=kind)
         if adaptive:
             if self._pending_positions:
                 self._membership_dirty = True
@@ -606,23 +546,11 @@ class GridSimulator:
             self._retry_positions.discard(position)
             self._unfinished -= 1
         elif code == _COMPLETED:
-            # In flight: remove the committed placement and credit the
+            # In flight: the park takes the placement back and credits the
             # machine only for the work it actually ran (the commit already
-            # settled the exactly-once `_unfinished` bookkeeping).  The
-            # committed start/finish instants of the other placements stay
-            # immutable; the machine is released from the new queue tail on.
-            machine_id = int(self._machine[position])
-            state = self.machine_states[machine_id]
-            queue = self._queues[machine_id]
-            for entry in queue:
-                if entry.job_id == job_id:
-                    processed = max(0.0, min(entry.finish, now) - entry.start)
-                    state.busy_time -= (entry.finish - entry.start) - processed
-                    state.completed_jobs -= 1
-                    queue.remove(entry)
-                    tail = queue[-1].finish if queue else now
-                    state.busy_until = min(state.busy_until, max(now, tail))
-                    break
+            # settled the exactly-once `_unfinished` bookkeeping).
+            machine = self._machine_position[int(self._machine[position])]
+            self.park.release(machine, job_id, now)
         else:
             return  # not admitted yet — nothing to withdraw
         self._state[position] = _CANCELLED
@@ -636,91 +564,44 @@ class GridSimulator:
         self._machine[position] = -1
         self._start[position] = self._finish[position] = math.nan
 
-    def _revoke_in_flight(self, machine_id: int, now: float, cause: str) -> None:
-        """Revoke every placement still outstanding on *machine_id*.
+    def _revoke_in_flight(self, machine: int, now: float, cause: str) -> None:
+        """Revoke every placement park position *machine* has not finished.
 
-        The exactly-once credit discipline shared by leaves and breakdowns:
-        the commit credited the full duration and one completion; the
-        machine only processed each job up to *now* (if it started at all),
-        so give back the un-run remainder and the completion credit — once
-        per revocation, never twice.  Re-admission goes through the
-        configured :class:`~repro.core.config.RetryPolicy` when there is
-        one; the legacy default resubmits immediately, forever.
+        The park takes back the un-run remainder and the completion credit
+        of each (see :meth:`~repro.grid.park.Park.revoke`); here each job
+        counts the reschedule and is re-admitted through the configured
+        :class:`~repro.core.config.RetryPolicy` when there is one — the
+        legacy default resubmits immediately, forever.
         """
-        state = self.machine_states[machine_id]
-        queue = self._queues[machine_id]
         retry = self.config.retry
-        surviving = [entry for entry in queue if entry.finish <= now]
-        for entry in queue:
-            if entry.finish <= now:
-                continue
-            # The job did not finish before the machine dropped: revoke it.
-            position = self._job_position[entry.job_id]
+        for placement in self.park.revoke(machine, now):
+            job_id = placement.job.job_id
+            position = self._job_position[job_id]
             self._drop_placement(position)
             reschedules = int(self._reschedules[position]) + 1
             self._reschedules[position] = reschedules
             self._m_revoked[cause].inc()
-            if self._trace_log is not None:
-                # The revocation line supersedes the attempt's eagerly
-                # emitted planned job_started/job_completed lines: timeline
-                # readers process events in file (causal) order.
-                self._trace_log.emit(
-                    "job_revoked",
-                    source="simulator",
-                    time=now,
-                    job_id=entry.job_id,
-                    attempt=reschedules,
-                    cause=cause,
-                )
             if retry is None:
                 self._state[position] = _RESUBMITTED
                 self._pending_positions.add(position)
                 self._unfinished += 1
-                if self._trace_log is not None:
-                    self._trace_log.emit(
-                        "job_retried",
-                        source="simulator",
-                        time=now,
-                        job_id=entry.job_id,
-                        attempt=reschedules + 1,
-                        retry_at=now,
-                    )
+                retry_at = now
             elif reschedules > retry.max_attempts:
                 self._state[position] = _FAILED
                 self._m_retry_dropped.inc()
-                if self._trace_log is not None:
-                    self._trace_log.emit(
-                        "job_dropped",
-                        source="simulator",
-                        time=now,
-                        job_id=entry.job_id,
-                        attempts=reschedules,
-                    )
+                retry_at = None
             else:
                 self._state[position] = _RESUBMITTED
                 self._unfinished += 1
                 self._m_retry_requeued.inc()
-                delay = retry.delay(entry.job_id, reschedules)
+                delay = retry.delay(job_id, reschedules)
                 if delay <= 0.0:
                     self._pending_positions.add(position)
                 else:
                     self._retry_positions.add(position)
                     self._events.push(now + delay, EventType.TASK_SUBMIT, position)
-                if self._trace_log is not None:
-                    self._trace_log.emit(
-                        "job_retried",
-                        source="simulator",
-                        time=now,
-                        job_id=entry.job_id,
-                        attempt=reschedules + 1,
-                        retry_at=now + max(0.0, delay),
-                    )
-            processed = max(0.0, min(entry.finish, now) - entry.start)
-            state.busy_time -= (entry.finish - entry.start) - processed
-            state.completed_jobs -= 1
-        queue.clear()
-        queue.extend(surviving)
-        state.busy_until = min(state.busy_until, now)
+                retry_at = now + max(0.0, delay)
+            self._activator.trace_revocation(now, job_id, reschedules, cause, retry_at)
 
     def _ensure_wakeup(self, now: float) -> None:
         """Adaptive driver: keep one live tick scheduled while work pends.
@@ -754,19 +635,14 @@ class GridSimulator:
         """
         positions = sorted(self._pending_positions)
         pending = [self.jobs[position] for position in positions]
-        available = (
-            [machine for machine, active in zip(self.machines, self._active) if active]
-            if pending
-            else []
-        )
-        if not pending or not available:
+        up = np.flatnonzero(self.park.up)
+        if not pending or not up.size:
             self._nb_idle_activations += 1
             self._m_activation_idle.inc()
             return
 
-        busy_until = np.array(
-            [self.machine_states[machine.machine_id].busy_until for machine in available]
-        )
+        available = [self.machines[machine] for machine in up.tolist()]
+        busy_until = self.park.busy_until[up]
         positions = np.array(positions, dtype=np.int64)
         attempts = (
             (self._reschedules[positions] + 1).tolist()
@@ -778,7 +654,7 @@ class GridSimulator:
         )
         activation.solve(self.policy, self.rng)
         plan = activation.plan(busy_until, now, self.config.commit_horizon)
-        batch_makespan = self._commit(activation, plan, positions[plan.rows])
+        batch_makespan = self._commit(activation, plan, positions[plan.rows], up)
         phases = activation.finish(plan)
         # The plan is committed at this instant, so the lifecycle lines go
         # out eagerly with the *planned* timestamps; a later job_revoked line
@@ -813,47 +689,24 @@ class GridSimulator:
                 phases=phases,
             )
 
-    def _commit(self, activation: Activation, plan: CommitPlan, placed: np.ndarray) -> float:
-        """Apply a commit plan: job state arrays and machine queues.
+    def _commit(
+        self, activation: Activation, plan: CommitPlan, placed: np.ndarray, up: np.ndarray
+    ) -> float:
+        """Apply a commit plan: job state arrays, then the park.
 
-        *placed* holds the job position of each placement.  Returns the
-        batch makespan of the committed work.
+        *placed* holds the job position of each placement and *up* the park
+        position of each column.  Returns the batch makespan of the
+        committed work.
         """
         now = activation.now
-        machines = activation.machines
-        ids = activation.instance.metadata
         self._state[placed] = _COMPLETED
-        self._machine[placed] = ids["machine_ids"][plan.columns]
+        self._machine[placed] = activation.instance.metadata["machine_ids"][plan.columns]
         self._start[placed] = plan.starts
         self._finish[placed] = plan.finishes
         self._pending_positions.difference_update(placed.tolist())
         self._unfinished -= placed.size
-        # Placements come grouped by column, each group in queue order.
-        entries = list(
-            map(
-                _QueueEntry,
-                ids["job_ids"][plan.rows].tolist(),
-                plan.starts.tolist(),
-                plan.finishes.tolist(),
-            )
-        )
-        counts, busy, ends = plan.jobs.tolist(), plan.busy.tolist(), plan.ends.tolist()
-        end = 0
-        batch_finish = now
-        for column in np.flatnonzero(plan.jobs).tolist():
-            machine_id = machines[column].machine_id
-            queue = self._queues[machine_id]
-            while queue and queue[0].finish <= now:
-                queue.popleft()  # settled
-            queue.extend(entries[end : end + counts[column]])
-            end += counts[column]
-            self._has_commits.add(machine_id)
-            state = self.machine_states[machine_id]
-            state.busy_time += busy[column]
-            state.completed_jobs += counts[column]
-            state.busy_until = ends[column]
-            batch_finish = max(batch_finish, ends[column])
-        return batch_finish - now
+        self.park.apply(up, plan, activation.jobs)
+        return float(plan.ends[plan.jobs > 0].max(initial=now)) - now
 
     def _finished(self, now: float) -> bool:
         """All jobs settled, no arrivals pending, no revocations to come.
@@ -867,9 +720,10 @@ class GridSimulator:
             return False
         if self._submitted < len(self.jobs):
             return False
+        committed = self.park.committed
         if any(
-            machine_id in self._has_commits
-            for machine_id in (*self._pending_leaves, *self._pending_breakdowns)
+            committed[machine]
+            for machine in (*self._pending_leaves, *self._pending_breakdowns)
         ):
             return False
         # A pending cancel matters only if its job would otherwise outlive
@@ -892,9 +746,7 @@ class GridSimulator:
         response_times = completion_times - arrivals[done]
         waiting_times = self._start[done] - arrivals[done]
         horizon = float(completion_times.max()) if completion_times.size else 0.0
-        utilizations = np.array(
-            [state.utilization(horizon) for state in self.machine_states.values()]
-        )
+        utilizations = self.park.utilization(horizon)
         failed = self._state == _FAILED
         # SLA outcome over the jobs that carried a due date: a completion
         # past its deadline accrues tardiness; a failed job with a deadline

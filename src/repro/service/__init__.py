@@ -31,12 +31,7 @@ from repro.service.clock import Clock, FakeClock, WallClock
 from repro.service.loadgen import LoadGenerator, LoadReport
 from repro.service.protocol import ServiceClient, serve_protocol
 from repro.service.server import SchedulerServer
-from repro.service.state import (
-    ActivationOutcome,
-    SchedulerCore,
-    ServiceSnapshot,
-    Submission,
-)
+from repro.service.state import ActivationOutcome, SchedulerCore, ServiceSnapshot
 
 __all__ = [
     "ChaosReport",
@@ -53,5 +48,4 @@ __all__ = [
     "ActivationOutcome",
     "SchedulerCore",
     "ServiceSnapshot",
-    "Submission",
 ]

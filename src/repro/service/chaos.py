@@ -21,7 +21,7 @@ Two properties make it a test tool rather than a fuzzer:
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.utils.rng import as_generator
@@ -51,12 +51,7 @@ class ChaosReport:
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly form (what the CLI prints)."""
-        return {
-            "planned_events": self.planned_events,
-            "breakdowns": self.breakdowns,
-            "repairs": self.repairs,
-            "restored": self.restored,
-        }
+        return asdict(self)
 
 
 class FaultInjector:

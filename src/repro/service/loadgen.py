@@ -21,7 +21,7 @@ rate over the run (constant / step / ramp).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Awaitable, Callable
 
 import numpy as np
@@ -53,13 +53,7 @@ class LoadReport:
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly form (reported by the CLI next to the snapshot)."""
-        return {
-            "planned": self.planned,
-            "accepted": self.accepted,
-            "shed": self.shed,
-            "duration_seconds": self.duration_seconds,
-            "max_lag_seconds": self.max_lag_seconds,
-        }
+        return asdict(self)
 
 
 class LoadGenerator:

@@ -6,9 +6,9 @@ turns the backlog into batch :class:`~repro.model.instance.
 SchedulingInstance`\\ s against a static machine park, runs the configured
 batch scheduler (normally the warm
 :class:`~repro.grid.service.DynamicSchedulerService`), commits the plan to
-per-machine busy-until tracks, and keeps the operational counters the
-metrics snapshot reports; build, solve, check and the SPT commit plan are
-the activation steps the simulator runs too (:mod:`repro.grid.activation`).
+its machine park, and keeps the operational counters the metrics snapshot
+reports; build, solve, check and the SPT commit plan are the activation
+steps the simulator runs too (:mod:`repro.grid.activation`).
 Keeping it synchronous and clock-injected is what makes the overload
 behaviour *testable*: the unit tests drive every interleaving of
 submissions and activations with a :class:`~repro.service.clock.
@@ -30,10 +30,12 @@ queueing systems degrade:
    only when a batch falls to ``recover_threshold`` (hysteresis, so one
    borderline batch cannot flap the mode).
 
-Every accepted submission is **exactly-once** accounted: it either appears
-in exactly one activation's ``scheduled_ids``, is withdrawn through
-:meth:`SchedulerCore.cancel`, or is returned by :meth:`SchedulerCore.abort`
-as shed — the property test in ``tests/service/test_exactly_once.py`` pins
+Every accepted submission is **exactly-once** accounted by its *last*
+fate: it was last planned by an activation (it is in that activation's
+``scheduled_ids``), withdrawn through :meth:`SchedulerCore.cancel`, or
+returned by :meth:`SchedulerCore.abort` as shed — exactly one of the three.
+A job id appears in two activations only if a breakdown revoked the job in
+between.  The property test in ``tests/service/test_exactly_once.py`` pins
 this under arbitrary interleavings.  A failed solve (the scheduler raises,
 or returns a malformed assignment) puts its batch back at the front of the
 queue before the error propagates, so it loses no job either.
@@ -43,16 +45,19 @@ The failure model reaches the live service through two additions: the
 at-most-once, a job already handed to the scheduler cannot be recalled),
 and per-machine availability (:meth:`SchedulerCore.break_machine` /
 :meth:`SchedulerCore.repair_machine`, driven by the
-:class:`~repro.service.chaos.FaultInjector`): a broken machine stays in the
-park but receives no new work, and an activation that finds *no* machine up
-re-queues its batch untouched instead of losing it.
+:class:`~repro.service.chaos.FaultInjector`).  Committed work lives in a
+:class:`~repro.grid.park.Park`, the simulator's too, so a breakdown means
+the same in both clock domains: the park revokes the machine's unfinished
+placements and their jobs go back to the front of the queue.  A broken
+machine stays in the park but receives no new work, and an activation that
+finds *no* machine up re-queues its batch untouched instead of losing it.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -62,19 +67,11 @@ from repro.grid.activation import Activator
 from repro.grid.job import GridJob
 from repro.grid.machine import GridMachine, execution_times_matrix
 from repro.grid.metrics import latency_percentiles
+from repro.grid.park import Park
 from repro.obs.metrics import NULL_REGISTRY
 from repro.utils.rng import RNGLike, as_generator
 
-__all__ = ["Submission", "ActivationOutcome", "ServiceSnapshot", "SchedulerCore"]
-
-
-@dataclass(frozen=True)
-class Submission:
-    """One accepted job waiting in the submission queue."""
-
-    job: GridJob
-    #: Wall-clock instant (the core's clock) the submission was accepted.
-    submitted_at: float
+__all__ = ["ActivationOutcome", "ServiceSnapshot", "SchedulerCore"]
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ class ActivationOutcome:
 
     time: float
     batch_size: int
-    #: Stable job ids scheduled by this activation (empty when idle).
+    #: Stable job ids planned by this activation (empty when idle).
     scheduled_ids: tuple[int, ...]
     #: Overload mode the batch was solved under (``"normal"``/``"degraded"``).
     mode: str
@@ -91,7 +88,7 @@ class ActivationOutcome:
 
     @property
     def idle(self) -> bool:
-        """Whether the activation found an empty queue."""
+        """Whether the activation planned nothing (empty queue or dark park)."""
         return self.batch_size == 0
 
 
@@ -129,6 +126,8 @@ class ServiceSnapshot:
     breakdowns: int = 0
     repairs: int = 0
     stalled_activations: int = 0
+    #: Planned jobs a breakdown took back and re-queued.
+    revoked: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly form (what the TCP ``metrics`` op returns).
@@ -138,34 +137,9 @@ class ServiceSnapshot:
         here: ``NaN`` is not valid strict JSON, and ``null`` is what the
         table renderers print as ``n/a``.
         """
-
-        def _json(value: float) -> float | None:
-            return None if value != value else value
-
         return {
-            "uptime_seconds": self.uptime_seconds,
-            "backlog": self.backlog,
-            "queue_capacity": self.queue_capacity,
-            "mode": self.mode,
-            "accepted": self.accepted,
-            "shed": self.shed,
-            "scheduled": self.scheduled,
-            "activations": self.activations,
-            "idle_activations": self.idle_activations,
-            "degraded_batches": self.degraded_batches,
-            "degraded_jobs": self.degraded_jobs,
-            "peak_backlog": self.peak_backlog,
-            "throughput_per_min": self.throughput_per_min,
-            "utilization": self.utilization,
-            "p50_latency": _json(self.p50_latency),
-            "p95_latency": _json(self.p95_latency),
-            "p99_latency": _json(self.p99_latency),
-            "cancelled": self.cancelled,
-            "machines_up": self.machines_up,
-            "machines_total": self.machines_total,
-            "breakdowns": self.breakdowns,
-            "repairs": self.repairs,
-            "stalled_activations": self.stalled_activations,
+            name: None if value != value else value
+            for name, value in asdict(self).items()
         }
 
 
@@ -175,9 +149,9 @@ class SchedulerCore:
     Parameters
     ----------
     machines:
-        The static machine park the service schedules onto (the live
-        service's analogue of the simulator's available set; churn stays a
-        simulator concern for now).
+        The static machine park the service schedules onto (joins and
+        leaves stay a simulator concern; breakdowns reach it through
+        :meth:`break_machine`).
     scheduler:
         Any object with ``schedule(instance, rng)``; if it also exposes
         ``degraded_schedule(instance, rng)`` (the warm
@@ -229,10 +203,13 @@ class SchedulerCore:
 
         self._lock = threading.Lock()
         self._epoch = self.clock.now()
-        self._queue: list[Submission] = []
+        self._queue: list[GridJob] = []
         self._ids = itertools.count()
-        self._busy_until = np.zeros(len(self.machines))
-        self._busy_time = np.zeros(len(self.machines))
+        #: Committed work and availability, by park position.
+        self.park = Park(len(self.machines))
+        #: Attempt number of each job revoked at least once, kept only
+        #: while tracing: the trace lines are its one reader.
+        self._attempts: dict[int, int] = {}
         self._latencies: list[float] = []
         self._last_activation = -float("inf")
 
@@ -249,8 +226,8 @@ class SchedulerCore:
         self.peak_backlog = 0
         self.breakdowns = 0
         self.repairs = 0
-        #: Per-machine availability, park order; flipped by the chaos hook.
-        self._machine_up = [True] * len(self.machines)
+        #: Planned jobs a breakdown took back and re-queued.
+        self.revoked = 0
 
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.trace_log = trace_log
@@ -314,7 +291,7 @@ class SchedulerCore:
         )
 
     # ------------------------------------------------------------------ #
-    # Submission side
+    # Queue side: submit and cancel
     # ------------------------------------------------------------------ #
     def _now(self) -> float:
         """Seconds since the core was built (so job arrival times are >= 0)."""
@@ -344,12 +321,7 @@ class SchedulerCore:
                 job_id = None
             else:
                 job_id = next(self._ids)
-                self._queue.append(
-                    Submission(
-                        job=GridJob(job_id=job_id, workload=workload, arrival_time=now),
-                        submitted_at=now,
-                    )
-                )
+                self._queue.append(GridJob(job_id=job_id, workload=workload, arrival_time=now))
                 self.accepted += 1
                 depth = len(self._queue)
                 self.peak_backlog = max(self.peak_backlog, depth)
@@ -387,8 +359,8 @@ class SchedulerCore:
         """
         now = self._now()
         with self._lock:
-            for index, submission in enumerate(self._queue):
-                if submission.job.job_id == job_id:
+            for index, job in enumerate(self._queue):
+                if job.job_id == job_id:
                     del self._queue[index]
                     self.cancelled += 1
                     depth = len(self._queue)
@@ -407,50 +379,75 @@ class SchedulerCore:
     # Chaos hook: per-machine availability
     # ------------------------------------------------------------------ #
     def break_machine(self, index: int) -> bool:
-        """Mark park machine *index* as down; no new work is placed on it.
+        """Mark park machine *index* as down and revoke its unfinished work.
 
-        Work already committed to its busy-until track is fire-and-forget
-        in the live model and is not revoked (the simulator owns revocation
-        semantics).  Returns ``False`` when the machine was already down.
+        As a simulated breakdown does: the park takes back every placement
+        the machine has not finished, and their jobs go back to the front
+        of the queue in job-id order, for immediate re-admission.  Returns
+        ``False`` when the machine was already down.
         """
-        return self._set_machine_up(index, False)
+        return self._set_availability(index, False)
 
     def repair_machine(self, index: int) -> bool:
         """Mark park machine *index* as up again (``False`` if already up)."""
-        return self._set_machine_up(index, True)
+        return self._set_availability(index, True)
 
-    def _set_machine_up(self, index: int, up: bool) -> bool:
+    def _set_availability(self, index: int, up: bool) -> bool:
         if not 0 <= index < len(self.machines):
             raise ValueError(
                 f"machine index must be in [0, {len(self.machines)}), got {index}"
             )
-        now = self._now()
+        kind = "repair" if up else "breakdown"
         with self._lock:
-            if self._machine_up[index] == up:
+            if self.park.up[index] == up:
                 return False
-            self._machine_up[index] = up
+            now = self._now()
+            self.park.up[index] = up
             if up:
                 self.repairs += 1
             else:
                 self.breakdowns += 1
-            up_count = sum(self._machine_up)
-        kind = "repair" if up else "breakdown"
+            if self.trace_log is not None:
+                self.trace_log.emit(
+                    f"machine_{kind}",
+                    source="service",
+                    time=now,
+                    machine_id=self.machines[index].machine_id,
+                )
+            if not up:
+                self._revoke([index], now)
+            up_count = int(self.park.up.sum())
+            depth = len(self._queue)
         self._m_faults[kind].inc()
         self._m_machines_up.set(up_count)
-        if self.trace_log is not None:
-            self.trace_log.emit(
-                f"machine_{kind}",
-                source="service",
-                time=now,
-                machine_id=self.machines[index].machine_id,
-            )
+        self._m_queue_depth.set(depth)
         return True
+
+    def _revoke(self, indices: Sequence[int], now: float) -> None:
+        """Revoke the unfinished work of park *indices*; re-queue its jobs.
+
+        Runs under the lock, trace lines included, so no activation can
+        batch a job again before its ``job_revoked`` line is written.
+        """
+        jobs = [
+            placement.job for index in indices for placement in self.park.revoke(index, now)
+        ]
+        self._queue[:0] = sorted(jobs, key=lambda job: job.job_id)
+        self.scheduled -= len(jobs)
+        self.revoked += len(jobs)
+        self.peak_backlog = max(self.peak_backlog, len(self._queue))
+        if self.trace_log is not None:
+            # Trace lines in revocation order, as the simulator writes them.
+            for job in jobs:
+                attempt = self._attempts.get(job.job_id, 1)
+                self._attempts[job.job_id] = attempt + 1
+                self._activator.trace_revocation(now, job.job_id, attempt, "breakdown", now)
 
     @property
     def machines_up(self) -> int:
         """How many park machines currently accept work."""
         with self._lock:
-            return sum(self._machine_up)
+            return int(self.park.up.sum())
 
     def seconds_until_due(self) -> float:
         """Wall-clock seconds until the next activation should fire.
@@ -495,8 +492,8 @@ class SchedulerCore:
                     mode=self.mode,
                     scheduler_seconds=0.0,
                 )
-            up_indices = np.flatnonzero(self._machine_up)
-            if up_indices.size == 0:
+            up = np.flatnonzero(self.park.up)
+            if up.size == 0:
                 # Every machine is down: stall, don't lose.  The batch goes
                 # back to the *front* of the queue (arrival order preserved
                 # for the next activation) and the activation reports idle,
@@ -526,15 +523,20 @@ class SchedulerCore:
                 self.mode = "normal"
                 transition = "recover"
             mode = self.mode
-            pending = [submission.job for submission in batch]
+            attempts = (
+                [self._attempts.get(job.job_id, 1) for job in batch]
+                if self.trace_log is not None
+                else None
+            )
             # The batch is solved over the *up* machines only; a broken
-            # machine keeps its busy-until track but gets no new work.
+            # machine gets no new work.
             activation = self._activator.build(
                 now,
-                pending,
-                [self.machines[int(i)] for i in up_indices],
-                self._busy_until[up_indices],
+                batch,
+                [self.machines[i] for i in up.tolist()],
+                self.park.busy_until[up],
                 execution_times_matrix,
+                attempts,
             )
 
         self._m_queue_depth.set(0)
@@ -589,17 +591,21 @@ class SchedulerCore:
             # Planned work starts no earlier than its plan exists: the queue
             # bases are the post-solve instant and the busy tracks as of now.
             done = self._now()
-            plan = activation.plan(self._busy_until[up_indices], done)
-            planned = plan.jobs > 0
-            self._busy_until[up_indices[planned]] = plan.ends[planned]
-            self._busy_time[up_indices] += plan.busy
-            self.scheduled += len(pending)
-            latencies = [done - submission.submitted_at for submission in batch]
+            plan = activation.plan(self.park.busy_until[up], done)
+            self.park.apply(up, plan, batch)
+            self.scheduled += len(batch)
+            latencies = [done - job.arrival_time for job in batch]
             self._latencies.extend(latencies)
             overflow = len(self._latencies) - self.config.latency_window
             if overflow > 0:
                 del self._latencies[:overflow]
-        phases = activation.finish(plan)
+            # The assignment is traced under the lock too, so a breakdown
+            # cannot revoke a placement before its job_assigned line.
+            phases = activation.finish(plan)
+            # A machine that broke during the solve takes its share back.
+            self._revoke(up[~self.park.up[up]].tolist(), done)
+            depth = len(self._queue)
+        self._m_queue_depth.set(depth)
         self._m_activations[mode].inc()
         for latency in latencies:
             self._m_job_latency.observe(latency)
@@ -614,14 +620,14 @@ class SchedulerCore:
                 carried=stats_after[0] - stats_before[0],
                 filled=stats_after[1] - stats_before[1],
                 evaluations=stats_after[2] - stats_before[2],
-                scheduled=len(pending),
+                scheduled=len(batch),
                 phases=phases,
             )
             span.close()
         return ActivationOutcome(
             time=now,
-            batch_size=len(pending),
-            scheduled_ids=tuple(job.job_id for job in pending),
+            batch_size=len(batch),
+            scheduled_ids=tuple(job.job_id for job in batch),
             mode=mode,
             scheduler_seconds=activation.scheduler_seconds,
         )
@@ -632,10 +638,10 @@ class SchedulerCore:
     def drain(self) -> list[ActivationOutcome]:
         """Graceful shutdown: schedule what is queued, bounded by the timeout.
 
-        Activates until the queue is empty or ``drain_timeout`` wall-clock
-        seconds have passed; whatever survives the timeout must be
-        :meth:`abort`\\ ed by the caller (the server does).  Returns the
-        activations performed.
+        Activates until the queue is empty, an activation stalls because no
+        machine is up, or ``drain_timeout`` wall-clock seconds have passed;
+        whatever survives must be :meth:`abort`\\ ed by the caller (the
+        server does).  Returns the activations performed.
         """
         started = self._now()
         outcomes: list[ActivationOutcome] = []
@@ -643,12 +649,14 @@ class SchedulerCore:
             if self._now() - started > self.config.drain_timeout:
                 break
             outcomes.append(self.activate())
+            if outcomes[-1].idle:
+                break  # a dark park plans nothing until a repair
         return outcomes
 
     def abort(self) -> tuple[int, ...]:
         """Hard shutdown: shed everything still queued, return the job ids."""
         with self._lock:
-            remainder = tuple(submission.job.job_id for submission in self._queue)
+            remainder = tuple(job.job_id for job in self._queue)
             self._queue = []
             self.shed += len(remainder)
         self._m_queue_depth.set(0)
@@ -669,8 +677,6 @@ class SchedulerCore:
             p50, p95, p99 = latency_percentiles(
                 np.array(self._latencies), gated=True
             )
-            horizon = uptime * len(self.machines)
-            busy = float(np.minimum(self._busy_time, uptime).sum())
             return ServiceSnapshot(
                 uptime_seconds=uptime,
                 backlog=len(self._queue),
@@ -687,14 +693,15 @@ class SchedulerCore:
                 throughput_per_min=(
                     60.0 * self.scheduled / uptime if uptime > 0 else 0.0
                 ),
-                utilization=min(1.0, busy / horizon) if horizon > 0 else 0.0,
+                utilization=float(self.park.utilization(uptime).mean()),
                 p50_latency=p50,
                 p95_latency=p95,
                 p99_latency=p99,
                 cancelled=self.cancelled,
-                machines_up=int(sum(self._machine_up)),
+                machines_up=int(self.park.up.sum()),
                 machines_total=len(self.machines),
                 breakdowns=self.breakdowns,
                 repairs=self.repairs,
                 stalled_activations=self.stalled_activations,
+                revoked=self.revoked,
             )

@@ -4,10 +4,15 @@ A differential oracle feeds one static-park trace to the simulator (periodic
 driver, simulated time) and to the live ``SchedulerCore`` (a ``FakeClock``
 paced by the same trace): at every activation both domains must hand the
 scheduler the same batch and bit-identical ready times, and get back the
-same assignment.  The failed-solve tests pin what both drivers do when the
-scheduler raises or returns a malformed assignment.
+same assignment.  With one machine broken down over a window, both domains
+must also revoke the same jobs at the breakdown.  The failed-solve tests pin
+what both domains do when the scheduler raises or returns a malformed
+assignment.
 """
 
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -20,11 +25,16 @@ from repro.grid import (
     SimulationConfig,
     WarmCMAPolicy,
 )
+from repro.obs import TraceLog
 from repro.service import FakeClock, SchedulerCore
 from repro.traces import generate_trace
 
 INTERVAL = 4.0
 SEED = 17
+#: Park position of the machine that breaks down, and its window: both
+#: ends fall on activation ticks.
+BROKEN = 1
+WINDOW = (3 * INTERVAL, 5 * INTERVAL)
 
 POLICIES = {
     "mct": lambda: HeuristicBatchPolicy("mct"),
@@ -75,20 +85,30 @@ def static_trace(affinity_spread):
     return trace
 
 
-def simulate(trace, policy):
+def simulate(trace, policy, window=None, trace_log=None):
+    """The simulator's activations; *window* breaks machine ``BROKEN`` down."""
     recording = Recording(policy)
-    GridSimulator.from_trace(
-        trace, recording, SimulationConfig(activation_interval=INTERVAL), rng=SEED
+    machines = trace.to_machines()
+    if window is not None:
+        machines[BROKEN] = dataclasses.replace(machines[BROKEN], breakdowns=(window,))
+    GridSimulator(
+        trace.to_jobs(),
+        machines,
+        recording,
+        SimulationConfig(activation_interval=INTERVAL),
+        rng=SEED,
+        trace_log=trace_log,
     ).run()
     return recording.calls
 
 
-def serve(trace, policy):
+def serve(trace, policy, window=None, trace_log=None):
     """Replay the trace into the live core, one activation per simulator tick.
 
     The clock steps in whole intervals, so the k-th activation happens at
     exactly ``k * INTERVAL`` as in the simulator; the jobs the simulator
     admits by then (arrival at or before the tick) are submitted first.
+    Machine ``BROKEN`` breaks and is repaired at the ends of *window*.
     """
     recording = Recording(policy)
     clock = FakeClock()
@@ -98,6 +118,7 @@ def serve(trace, policy):
         ServiceConfig(queue_capacity=10_000, degrade_threshold=10_000),
         clock=clock,
         rng=SEED,
+        trace_log=trace_log,
     )
     jobs = trace.to_jobs()
     position = 0
@@ -105,10 +126,24 @@ def serve(trace, policy):
         while position < len(jobs) and jobs[position].arrival_time <= clock.now():
             assert core.submit(jobs[position].workload) == jobs[position].job_id
             position += 1
+        if window is not None and clock.now() == window[0]:
+            assert core.break_machine(BROKEN)
+        if window is not None and clock.now() == window[1]:
+            assert core.repair_machine(BROKEN)
         core.activate()
         clock.advance(INTERVAL)
     assert core.mode == "normal"
     return recording.calls
+
+
+def revocations(log):
+    """``(time, job_id, attempt, cause)`` of each ``job_revoked`` line."""
+    events = [json.loads(line) for line in log.getvalue().splitlines()]
+    return [
+        (event["time"], event["job_id"], event["attempt"], event["cause"])
+        for event in events
+        if event["event"] == "job_revoked"
+    ]
 
 
 @pytest.mark.parametrize("affinity_spread", [0.0, 0.4])
@@ -128,6 +163,26 @@ def test_both_domains_run_the_same_activations(policy, affinity_spread):
         np.testing.assert_array_equal(sim_ready.view(np.int64), live_ready.view(np.int64))
     # The comparison has teeth: machines carry work across activations.
     assert sum(bool(ready.any()) for _, ready, _ in simulated) > len(simulated) // 2
+
+
+@pytest.mark.parametrize("affinity_spread", [0.0, 0.4])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_both_domains_revoke_the_same_jobs_at_a_breakdown(policy, affinity_spread):
+    trace = static_trace(affinity_spread)
+    sim_log, live_log = io.StringIO(), io.StringIO()
+    simulated = simulate(trace, POLICIES[policy](), WINDOW, TraceLog(sim_log))
+    live = serve(trace, POLICIES[policy](), WINDOW, TraceLog(live_log))
+
+    revoked = revocations(sim_log)
+    assert revoked and {time for time, _, _, _ in revoked} == {WINDOW[0]}
+    assert revocations(live_log) == revoked
+    assert len(simulated) == len(live)
+    for (sim_jobs, sim_ready, sim_machines), (live_jobs, live_ready, live_machines) in zip(
+        simulated, live
+    ):
+        np.testing.assert_array_equal(sim_jobs, live_jobs)
+        np.testing.assert_array_equal(sim_machines, live_machines)
+        np.testing.assert_array_equal(sim_ready.view(np.int64), live_ready.view(np.int64))
 
 
 class ShortAssignment:

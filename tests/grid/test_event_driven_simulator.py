@@ -20,6 +20,7 @@ import math
 import pytest
 
 from repro.core.config import ActivationPolicy, TraceConfig
+from repro.grid.events import EventType
 from repro.grid.machine import GridMachine
 from repro.grid.scheduler import HeuristicBatchPolicy
 from repro.grid.service import WarmCMAPolicy
@@ -109,15 +110,15 @@ class _CountingSimulator(GridSimulator):
         self.leave_counts: dict[int, int] = {}
         self.submit_counts: dict[int, int] = {}
 
-    def _handle_join(self, position, now, adaptive):
+    def _handle_membership(self, position, now, adaptive, event):
         machine_id = self.machines[position].machine_id
-        self.join_counts[machine_id] = self.join_counts.get(machine_id, 0) + 1
-        super()._handle_join(position, now, adaptive)
-
-    def _handle_leave(self, position, now, adaptive):
-        machine_id = self.machines[position].machine_id
-        self.leave_counts[machine_id] = self.leave_counts.get(machine_id, 0) + 1
-        super()._handle_leave(position, now, adaptive)
+        counts = {
+            EventType.MACHINE_JOIN: self.join_counts,
+            EventType.MACHINE_LEAVE: self.leave_counts,
+        }.get(event)
+        if counts is not None:
+            counts[machine_id] = counts.get(machine_id, 0) + 1
+        super()._handle_membership(position, now, adaptive, event)
 
     def _handle_submit(self, position, now, adaptive):
         job_id = self.jobs[position].job_id

@@ -179,9 +179,8 @@ class TestCancellation:
         simulator = _simulate(jobs, machines, interval=5.0)
         metrics = simulator.run()
         assert metrics.cancelled_jobs == 1
-        state = simulator.machine_states[0]
-        assert state.busy_time == pytest.approx(10.0)
-        assert state.completed_jobs == 0
+        assert simulator.park.busy_time[0] == pytest.approx(10.0)
+        assert simulator.park.completed[0] == 0
 
     def test_cancel_after_completion_is_too_late(self):
         jobs = [
@@ -249,12 +248,12 @@ class _CreditTrackingSimulator(GridSimulator):
         self.revoked_entries = 0
         self.processed_ledger = 0.0  # partial work actually run before revoke/cancel
 
-    def _revoke_in_flight(self, machine_id, now, cause):
-        for entry in self._queues[machine_id]:
+    def _revoke_in_flight(self, machine, now, cause):
+        for entry in self.park.queues[machine]:
             if entry.finish > now:
                 self.revoked_entries += 1
                 self.processed_ledger += max(0.0, min(entry.finish, now) - entry.start)
-        super()._revoke_in_flight(machine_id, now, cause)
+        super()._revoke_in_flight(machine, now, cause)
 
     def _handle_cancel(self, position, now, adaptive):
         job = self.jobs[position]
@@ -265,8 +264,8 @@ class _CreditTrackingSimulator(GridSimulator):
             and record.completion_time is not None
             and record.completion_time > now
         ):
-            for entry in self._queues[record.machine_id]:
-                if entry.job_id == job.job_id:
+            for entry in self.park.queues[record.machine_id]:
+                if entry.job.job_id == job.job_id:
                     self.processed_ledger += max(
                         0.0, min(entry.finish, now) - entry.start
                     )
@@ -381,9 +380,7 @@ class TestFailureModelProperties:
             if record.state is JobState.COMPLETED
             and record.completion_time is not None
         )
-        total_busy = sum(
-            state.busy_time for state in simulator.machine_states.values()
-        )
+        total_busy = sum(simulator.park.busy_time.tolist())
         assert math.isclose(
             total_busy,
             completed_work + simulator.processed_ledger,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.grid.job import GridJob, JobRecord, JobState
-from repro.grid.machine import GridMachine, MachineState
+from repro.grid.machine import GridMachine
 
 
 class TestGridJob:
@@ -70,18 +70,3 @@ class TestGridMachine:
     def test_nonpositive_mips_rejected(self):
         with pytest.raises(ValueError):
             GridMachine(machine_id=0, mips=0.0)
-
-
-class TestMachineState:
-    def test_ready_time_clamped_at_zero(self):
-        state = MachineState(machine=GridMachine(0, 1.0), busy_until=5.0)
-        assert state.ready_time(now=10.0) == 0.0
-        assert state.ready_time(now=2.0) == 3.0
-
-    def test_utilization(self):
-        state = MachineState(machine=GridMachine(0, 1.0), busy_time=25.0)
-        assert state.utilization(horizon=100.0) == pytest.approx(0.25)
-        assert state.utilization(horizon=0.0) == 0.0
-        # Utilization is capped at 1 even if accounting overshoots slightly.
-        state.busy_time = 150.0
-        assert state.utilization(horizon=100.0) == 1.0

@@ -110,7 +110,7 @@ class TestSimulatorBasics:
             rng=4,
         )
         simulator.run()
-        for machine_id, entries in simulator._queues.items():
+        for entries in simulator.park.queues:
             ordered = sorted(entries, key=lambda e: e.start)
             for earlier, later in zip(ordered, ordered[1:]):
                 assert later.start >= earlier.finish - 1e-9
@@ -329,7 +329,7 @@ class TestCancellation:
         metrics = simulator.run()
         assert metrics.cancelled_jobs == 1
         assert simulator.records[1].start_time == 15.0
-        assert simulator.machine_states[0].busy_until == 16.0
+        assert simulator.park.busy_until[0] == 16.0
         assert metrics.mean_utilization == pytest.approx(11.0 / 16.0)
 
     def test_cancelling_mid_queue_keeps_later_placements(self):
@@ -350,4 +350,4 @@ class TestCancellation:
         )
         simulator.run()
         assert simulator.records[2].start_time == 20.0
-        assert simulator.machine_states[0].busy_until == 30.0
+        assert simulator.park.busy_until[0] == 30.0

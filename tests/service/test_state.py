@@ -7,6 +7,13 @@ percentile bookkeeping, activation cadence, and the drain-vs-abort
 shutdown contract.
 """
 
+import dataclasses
+import io
+import json
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +21,8 @@ from repro.core.config import ActivationPolicy, ServiceConfig
 from repro.grid.machine import GridMachine
 from repro.grid.scheduler import HeuristicBatchPolicy
 from repro.grid.service import DynamicSchedulerService
-from repro.service import FakeClock, SchedulerCore
+from repro.obs import TraceLog, build_timelines, lifecycle_violations, read_trace
+from repro.service import ChaosReport, FakeClock, LoadReport, SchedulerCore
 
 
 def make_machines(count=4, mips=1000.0):
@@ -269,6 +277,179 @@ class TestShutdown:
         assert len(core.abort()) == 1
 
 
+    def test_drain_stops_on_a_dark_park(self):
+        core = make_core(machines=make_machines(1))
+        core.break_machine(0)
+        job_id = core.submit(100.0)
+        # Nothing can be planned until a repair: one stalled activation,
+        # then the caller's abort sheds the job.
+        outcomes = core.drain()
+        assert [outcome.idle for outcome in outcomes] == [True]
+        assert core.stalled_activations == 1
+        assert core.abort() == (job_id,)
+        assert core.shed == 1
+
+
+class TestBreakdown:
+    """A live breakdown revokes unfinished work, as a simulated one does."""
+
+    def spread(self, clock, trace_log=None):
+        """A core whose three 1-second jobs Min-Min puts on three machines."""
+        core = SchedulerCore(
+            make_machines(3),
+            HeuristicBatchPolicy("min_min"),
+            ServiceConfig(queue_capacity=16),
+            clock=clock,
+            rng=7,
+            trace_log=trace_log,
+        )
+        ids = [core.submit(1000.0) for _ in range(3)]
+        assert core.activate().scheduled_ids == tuple(ids)
+        return core
+
+    def test_breakdown_revokes_unfinished_work_and_requeues_it(self):
+        clock = FakeClock()
+        core = self.spread(clock)
+        assert [placement.job.job_id for placement in core.park.queues[1]] == [1]
+        clock.advance(0.25)
+        assert core.break_machine(1)
+        assert not core.break_machine(1)  # already down
+        assert (core.backlog, core.scheduled, core.revoked) == (1, 2, 1)
+        # The machine keeps credit for the quarter second it ran.
+        assert (core.park.busy_time[1], core.park.busy_until[1]) == (0.25, 0.25)
+        assert core.activate().scheduled_ids == (1,)
+        assert (core.backlog, core.scheduled, core.snapshot().revoked) == (0, 3, 1)
+
+    def test_finished_work_is_not_revoked(self):
+        clock = FakeClock()
+        core = self.spread(clock)
+        clock.advance(1.0)
+        assert core.break_machine(1)
+        assert (core.backlog, core.scheduled, core.revoked) == (0, 3, 0)
+
+    def test_a_machine_broken_mid_solve_takes_its_share_back(self):
+        class BreaksMachineOne:
+            def schedule(self, instance, rng=None):
+                core.break_machine(1)
+                return np.arange(instance.nb_jobs) % instance.nb_machines
+
+        core = SchedulerCore(
+            make_machines(3),
+            BreaksMachineOne(),
+            ServiceConfig(queue_capacity=16),
+            clock=FakeClock(),
+            rng=7,
+        )
+        ids = [core.submit(1000.0) for _ in range(3)]
+        assert core.activate().scheduled_ids == tuple(ids)
+        assert (core.backlog, core.scheduled, core.revoked) == (1, 2, 1)
+        assert not core.park.queues[1] and core.park.busy_time[1] == 0.0
+        core.scheduler = HeuristicBatchPolicy("min_min")
+        assert core.activate().scheduled_ids == (1,)
+        assert (core.backlog, core.scheduled) == (0, 3)
+
+    def test_revocation_traces_a_legal_lifecycle(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        clock = FakeClock()
+        with TraceLog(path) as log:
+            core = self.spread(clock, log)
+            clock.advance(0.25)
+            core.break_machine(1)
+            clock.advance(0.25)
+            core.activate()
+        events = read_trace(path)
+        assert lifecycle_violations(events) == []
+        timelines = build_timelines(events)
+        assert [timeline.attempts for timeline in timelines] == [1, 2, 1]
+        assert {timeline.terminal for timeline in timelines} == {"planned"}
+        lines = [
+            (event["event"], event.get("attempt"), event.get("cause"))
+            for event in events
+            if event.get("job_id") == 1
+        ]
+        assert lines == [
+            ("job_submitted", 1, None),
+            ("job_batched", 1, None),
+            ("job_assigned", 1, None),
+            ("job_revoked", 1, "breakdown"),
+            ("job_retried", 2, None),
+            ("job_batched", 2, None),
+            ("job_assigned", 2, None),
+        ]
+
+
+    def test_breakdowns_racing_activations_keep_every_job_once(self):
+        # Wall clock, four threads on a short switch interval: submitters,
+        # an activation loop and a chaos loop race on one core, so machines
+        # break mid-solve and between commit and trace.
+        log = io.StringIO()
+        core = SchedulerCore(
+            make_machines(3),
+            HeuristicBatchPolicy("mct"),
+            ServiceConfig(queue_capacity=64),
+            rng=7,
+            trace_log=TraceLog(log),
+        )
+        accepted, planned = [], []
+        stop = threading.Event()
+
+        def submitter():
+            for _ in range(100):
+                job_id = core.submit(1000.0)
+                if job_id is not None:
+                    accepted.append(job_id)
+
+        def activator():
+            while not stop.is_set():
+                planned.extend(core.activate().scheduled_ids)
+
+        def chaos():
+            while not stop.is_set():
+                for index in (1, 2):
+                    core.break_machine(index)
+                    core.repair_machine(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=submitter) for _ in range(2)]
+            loops = [threading.Thread(target=activator), threading.Thread(target=chaos)]
+            for thread in workers + loops:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=30.0)
+            # Planned jobs run for seconds: keep breaking and re-planning.
+            stop.wait(0.2)
+            stop.set()
+            for thread in loops:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers + loops)
+        for outcome in core.drain():
+            planned.extend(outcome.scheduled_ids)
+        shed = list(core.abort())
+
+        # Per job, plans and revocations alternate, starting with a plan.
+        # (Only these lines: submit writes job_submitted after releasing the
+        # lock, so it can land after the job's job_batched here.)
+        events = [json.loads(line) for line in log.getvalue().splitlines()]
+        steps: dict[int, list[str]] = {}
+        for event in events:
+            if event["event"] in ("job_assigned", "job_revoked"):
+                steps.setdefault(event["job_id"], []).append(event["event"])
+        for sequence in steps.values():
+            assert set(sequence[::2]) == {"job_assigned"}
+            assert set(sequence[1::2]) <= {"job_revoked"}
+        revoked = Counter(e["job_id"] for e in events if e["event"] == "job_revoked")
+        plans = Counter(planned)
+        assert core.revoked == sum(revoked.values()) > 0
+        assert all(0 <= plans[job] - revoked[job] <= 1 for job in plans | revoked)
+        last_planned = [job for job in plans if plans[job] > revoked[job]]
+        assert sorted(last_planned + shed) == sorted(accepted)
+        assert core.scheduled == len(last_planned)
+
+
 class TestSnapshot:
     def test_counters_and_rates(self):
         clock = FakeClock()
@@ -292,6 +473,17 @@ class TestSnapshot:
         assert payload["p50_latency"] >= 0.0
         assert payload["p95_latency"] is None
         assert payload["p99_latency"] is None
+
+    def test_payloads_list_every_field_in_order(self):
+        snapshot = make_core().snapshot()
+        load = LoadReport(
+            planned=2, accepted=1, shed=1, duration_seconds=0.5, max_lag_seconds=0.0
+        )
+        chaos = ChaosReport(planned_events=2, breakdowns=1, repairs=1, restored=0)
+        for report in (snapshot, load, chaos):
+            names = [field.name for field in dataclasses.fields(report)]
+            assert list(report.as_dict()) == names
+        assert snapshot.as_dict()["revoked"] == 0
 
     def test_requires_at_least_one_machine(self):
         with pytest.raises(ValueError):
