@@ -145,6 +145,7 @@ class CellularMemeticAlgorithm:
         self.history = self.engine.history
         self.state: SearchState | None = None
         self._deadline = None
+        self._neighbors: np.ndarray | None = None
         self._rec_order = None
         self._mut_order = None
 
@@ -193,6 +194,7 @@ class CellularMemeticAlgorithm:
         self.state.best_fitness = self.best.fitness
         self._record(self.state)
 
+        self._neighbors = self.neighborhood.table(self.grid.height, self.grid.width)
         self._rec_order = get_sweep(cfg.recombination_order, self.grid.size, self.rng)
         self._mut_order = get_sweep(cfg.mutation_order, self.grid.size, self.rng)
         return self.state
@@ -326,6 +328,23 @@ class CellularMemeticAlgorithm:
                 if self.engine.improve(grid.batch.view(row), self.local_search, self.rng):
                     grid.evaluate_rows([row])
 
+    def _breed(self, position: int) -> np.ndarray:
+        """A recombination child for the cell at *position*, bred from row indices.
+
+        Selection runs on the neighbor rows' entries of the grid's fitness
+        vector, and the crossover folds the selected parents' assignment
+        rows — no per-cell handles.
+        """
+        neighbors = self._neighbors[position]
+        picks = self.selection.select_indices(
+            self.grid.fitness_values()[neighbors],
+            self.config.nb_solutions_to_recombine,
+            self.rng,
+        )
+        return self.crossover.recombine(
+            self.grid.batch.assignments[neighbors[picks]], self.rng
+        )
+
     # -------------------------- batch cell updates --------------------- #
     def _recombination_phase(self, order) -> bool:
         """Breed, batch-improve, batch-evaluate and place one stream's offspring."""
@@ -333,15 +352,7 @@ class CellularMemeticAlgorithm:
         if cfg.nb_recombinations == 0:
             return False
         positions = [order.advance() for _ in range(cfg.nb_recombinations)]
-        children = np.empty((len(positions), self.instance.nb_jobs), dtype=np.int64)
-        for i, position in enumerate(positions):
-            neighbors = self.grid.neighborhood(position, self.neighborhood)
-            parents = self.selection.select(
-                neighbors, cfg.nb_solutions_to_recombine, self.rng
-            )
-            children[i] = self.crossover.recombine(
-                [parent.schedule.assignment for parent in parents], self.rng
-            )
+        children = np.stack([self._breed(position) for position in positions])
         return self._finalize_phase(positions, self.grid.stage(children))
 
     def _mutation_phase(self, order) -> bool:
@@ -351,8 +362,7 @@ class CellularMemeticAlgorithm:
             return False
         positions = [order.advance() for _ in range(cfg.nb_mutations)]
         rows = self.grid.stage_cells(positions)
-        for row in rows:
-            self.mutation.mutate(self.grid.batch.view(int(row)), self.rng)
+        self.mutation.mutate_rows(self.grid.batch, rows, self.rng)
         return self._finalize_phase(positions, rows)
 
     def _finalize_phase(self, positions: list[int], rows: np.ndarray) -> bool:
@@ -372,29 +382,25 @@ class CellularMemeticAlgorithm:
     # ------------------------ sequential cell updates ------------------ #
     def _recombination_stream(self, order) -> bool:
         """Run the ``nb_recombinations`` recombination updates of one iteration."""
-        cfg = self.config
         improved_best = False
-        for _ in range(cfg.nb_recombinations):
+        for _ in range(self.config.nb_recombinations):
             position = order.advance()
-            neighbors = self.grid.neighborhood(position, self.neighborhood)
-            parents = self.selection.select(
-                neighbors, cfg.nb_solutions_to_recombine, self.rng
-            )
-            child_assignment = self.crossover.recombine(
-                [parent.schedule.assignment for parent in parents], self.rng
-            )
-            offspring = Individual(Schedule(self.instance, child_assignment))
+            offspring = Individual(Schedule(self.instance, self._breed(position)))
             improved_best |= self._finalize_offspring(position, offspring)
         return improved_best
 
     def _mutation_stream(self, order) -> bool:
-        """Run the ``nb_mutations`` mutation updates of one iteration."""
-        cfg = self.config
+        """Run the ``nb_mutations`` mutation updates of one iteration.
+
+        Each update mutates a staged copy of its cell in a scratch row, as
+        the batch discipline does, and detaches it as the offspring.
+        """
         improved_best = False
-        for _ in range(cfg.nb_mutations):
+        for _ in range(self.config.nb_mutations):
             position = order.advance()
-            offspring = self.grid[position].copy()
-            self.mutation.mutate(offspring.schedule, self.rng)
+            rows = self.grid.stage_cells([position])
+            self.mutation.mutate_rows(self.grid.batch, rows, self.rng)
+            offspring = Individual(self.grid.batch.schedule(int(rows[0])))
             improved_best |= self._finalize_offspring(position, offspring)
         return improved_best
 

@@ -44,26 +44,26 @@ class CrossoverOperator(abc.ABC):
         """Recombine exactly two parents into one offspring."""
 
     def recombine(
-        self, parents: Sequence[np.ndarray], rng: RNGLike = None
+        self, parents: np.ndarray | Sequence[np.ndarray], rng: RNGLike = None
     ) -> np.ndarray:
         """Fold an arbitrary number of parents into a single offspring.
 
         Parameters
         ----------
         parents:
-            Assignment vectors of identical length.  A single parent is
-            returned as a copy (degenerate but well-defined).
+            A ``(parents, jobs)`` matrix — the cMA passes its selected grid
+            rows as they are — or a sequence of equally long assignment
+            vectors.  A single parent is returned as a copy (degenerate but
+            well-defined).
         """
-        if not parents:
-            raise ValueError("recombination requires at least one parent")
+        matrix = np.asarray(parents, dtype=np.int64)
+        if matrix.ndim != 2 or matrix.shape[0] == 0:
+            raise ValueError(
+                "recombination requires at least one parent, all of the same length"
+            )
         gen = as_generator(rng)
-        arrays = [np.asarray(p, dtype=np.int64) for p in parents]
-        length = arrays[0].shape[0]
-        for arr in arrays:
-            if arr.shape != (length,):
-                raise ValueError("all parents must have the same shape")
-        child = arrays[0].copy()
-        for other in arrays[1:]:
+        child = matrix[0].copy()
+        for other in matrix[1:]:
             child = self._combine_pair(child, other, gen)
         return child
 

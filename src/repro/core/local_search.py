@@ -361,24 +361,6 @@ class LocalMCTSwapSearch(LocalSearch):
         schedule.swap_jobs(job_a, job_b)  # revert
         return False
 
-    @staticmethod
-    def _source_jobs_padded(
-        assignments: np.ndarray, sources: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-row makespan-machine jobs as a padded matrix plus validity mask.
-
-        Rows hold different numbers of jobs on their makespan machine, so the
-        job sets are packed into one ``(rows, A)`` matrix (ascending job
-        order, like the scalar scan) with ``valid`` marking real entries.
-        """
-        on_source = assignments == sources[:, None]
-        counts = on_source.sum(axis=1)
-        width = max(int(counts.max()), 1)
-        order = np.argsort(~on_source, axis=1, kind="stable")
-        source_jobs = order[:, :width]
-        valid = np.arange(width)[None, :] < counts[:, None]
-        return source_jobs, valid, counts
-
     def step_batch(
         self,
         batch: BatchEvaluator,
@@ -386,38 +368,17 @@ class LocalMCTSwapSearch(LocalSearch):
         evaluator: FitnessEvaluator,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Hybrid batched LMCTS step: per-row pair scans, batched acceptance.
+        """Batched LMCTS step: one blocked pair scan, batched acceptance.
 
-        The swap neighborhood is a ragged ``source-jobs × other-jobs`` pair
-        set per row; padding it into one rectangular tensor for the whole
-        batch would multiply the scored candidates several-fold.  So the
-        scans stay per row (each one already a single vectorized
-        expression) while the expensive part — applying every row's chosen
-        swap, evaluating the whole batch and reverting non-improvements —
-        runs vectorized.
+        :func:`~repro.engine.scan.score_critical_swaps_batch` picks every
+        row's best swap in padded row blocks — the pair :meth:`step` would
+        pick, bit for bit — and the swaps are then applied, evaluated and
+        selectively reverted for all rows at once.
         """
         improved = np.zeros(rows.shape[0], dtype=bool)
-        etc = batch.instance.etc
-        assignments = batch.assignments
-        completions = batch.completion_times
-        jobs_a = np.zeros(rows.shape[0], dtype=np.int64)
-        jobs_b = np.zeros(rows.shape[0], dtype=np.int64)
-        active = np.zeros(rows.shape[0], dtype=bool)
-        for i, row in enumerate(rows):
-            assignment = assignments[int(row)]
-            completion = completions[int(row)]
-            source = int(completion.argmax())
-            source_jobs = np.nonzero(assignment == source)[0]
-            other_jobs = np.nonzero(assignment != source)[0]
-            if source_jobs.size == 0 or other_jobs.size == 0:
-                continue
-            metric = scan.score_critical_swaps(
-                etc, assignment, completion, source_jobs, other_jobs, source
-            )
-            a_index, b_index = np.unravel_index(int(metric.argmin()), metric.shape)
-            jobs_a[i] = source_jobs[a_index]
-            jobs_b[i] = other_jobs[b_index]
-            active[i] = True
+        jobs_a, jobs_b, active = scan.score_critical_swaps_batch(
+            batch.instance.etc, batch.assignments[rows], batch.completion_times[rows]
+        )
         if not active.any():
             return improved
         improved[active] = _accept_swaps(
@@ -471,9 +432,7 @@ class LocalMCTMoveSearch(LocalSearch):
         assignments = batch.assignments[rows]
         completions = batch.completion_times[rows]
         sources = completions.argmax(axis=1)
-        source_jobs, valid, counts = LocalMCTSwapSearch._source_jobs_padded(
-            assignments, sources
-        )
+        source_jobs, valid, counts = scan.machine_jobs_padded(assignments, sources)
         active = counts > 0
         if not active.any():
             return improved

@@ -209,10 +209,13 @@ class ResidentGrid:
     and all population statistics are vectorized reductions over the shared
     matrices.
 
-    Cells are exposed to operator code (selection, observers, the
-    multi-objective archive) as :class:`Individual` handles whose schedules
-    are zero-copy engine views.  Handles are created on demand and become
-    stale once their cell is written — hold on to row indices, not handles.
+    The cMA breeds from row indices: neighbor rows of the pattern's
+    :meth:`~repro.core.neighborhood.NeighborhoodPattern.table`, the
+    :meth:`fitness_values` vector and the assignment rows.  Cells are also
+    exposed (to observers, the multi-objective archive, tests) as
+    :class:`Individual` handles whose schedules are zero-copy engine views.
+    Handles are created on demand and become stale once their cell is
+    written — hold on to row indices, not handles.
 
     Parameters
     ----------
@@ -301,13 +304,6 @@ class ResidentGrid:
 
     def __iter__(self) -> Iterator[Individual]:
         return (self._individual(row) for row in range(self.size))
-
-    def neighborhood(
-        self, position: int, pattern: NeighborhoodPattern
-    ) -> list[Individual]:
-        """Individuals in the neighborhood of *position* (centre included)."""
-        indices = pattern.neighbors(position, self.height, self.width)
-        return [self._individual(int(i)) for i in indices]
 
     # ------------------------------------------------------------------ #
     # Evaluation bookkeeping

@@ -29,20 +29,33 @@ __all__ = [
 
 
 class SelectionOperator(abc.ABC):
-    """Select ``k`` parents from a pool of candidate individuals."""
+    """Select ``k`` parents from a pool of candidates.
+
+    Each operator implements :meth:`select_indices` once, over the pool's
+    fitness values; the cMA breeds from those indices (rows of its resident
+    grid) and :meth:`select` is a thin wrapper for pools of
+    :class:`Individual` objects.
+    """
 
     #: Registry key; subclasses must override it.
     name: str = ""
 
     @abc.abstractmethod
+    def select_indices(
+        self, fitness: np.ndarray, k: int, rng: RNGLike = None
+    ) -> np.ndarray:
+        """Pool positions of *k* (possibly repeated) picks, given each candidate's fitness."""
+
     def select(
         self, candidates: Sequence[Individual], k: int, rng: RNGLike = None
     ) -> list[Individual]:
         """Return *k* (possibly repeated) individuals chosen from *candidates*."""
+        fitness = np.array([individual.fitness for individual in candidates], dtype=float)
+        return [candidates[int(i)] for i in self.select_indices(fitness, k, rng)]
 
     @staticmethod
-    def _check(candidates: Sequence[Individual], k: int) -> None:
-        if not candidates:
+    def _check(fitness: np.ndarray, k: int) -> None:
+        if len(fitness) == 0:
             raise ValueError("cannot select from an empty candidate pool")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -56,7 +69,8 @@ class NTournamentSelection(SelectionOperator):
 
     ``tournament_size`` is the N of the paper; the tuning of Figure 4
     selected N = 3.  Sampling is done *with* replacement when the pool is
-    smaller than N (relevant for the small L5 neighborhood).
+    smaller than N (relevant for the small L5 neighborhood).  Ties go to the
+    entrant drawn first.
     """
 
     name = "n_tournament"
@@ -66,22 +80,18 @@ class NTournamentSelection(SelectionOperator):
             raise ValueError(f"tournament_size must be >= 1, got {tournament_size}")
         self.tournament_size = int(tournament_size)
 
-    def select(
-        self, candidates: Sequence[Individual], k: int, rng: RNGLike = None
-    ) -> list[Individual]:
-        self._check(candidates, k)
+    def select_indices(
+        self, fitness: np.ndarray, k: int, rng: RNGLike = None
+    ) -> np.ndarray:
+        self._check(fitness, k)
         gen = as_generator(rng)
-        pool_size = len(candidates)
+        pool_size = len(fitness)
         replace = pool_size < self.tournament_size
-        chosen: list[Individual] = []
-        for _ in range(k):
-            entrants = gen.choice(
-                pool_size, size=min(self.tournament_size, pool_size) if not replace else self.tournament_size,
-                replace=replace,
-            )
-            winner = min((candidates[int(i)] for i in entrants), key=lambda ind: ind.fitness)
-            chosen.append(winner)
-        return chosen
+        picks = np.empty(k, dtype=np.int64)
+        for i in range(k):
+            entrants = gen.choice(pool_size, size=self.tournament_size, replace=replace)
+            picks[i] = entrants[np.argmin(fitness[entrants])]
+        return picks
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NTournamentSelection(tournament_size={self.tournament_size})"
@@ -92,31 +102,30 @@ class RandomSelection(SelectionOperator):
 
     name = "random"
 
-    def select(
-        self, candidates: Sequence[Individual], k: int, rng: RNGLike = None
-    ) -> list[Individual]:
-        self._check(candidates, k)
-        gen = as_generator(rng)
-        indices = gen.integers(0, len(candidates), size=k)
-        return [candidates[int(i)] for i in indices]
+    def select_indices(
+        self, fitness: np.ndarray, k: int, rng: RNGLike = None
+    ) -> np.ndarray:
+        self._check(fitness, k)
+        return as_generator(rng).integers(0, len(fitness), size=k)
 
 
 class BestSelection(SelectionOperator):
     """Deterministically return the k best candidates (maximal pressure).
 
-    When k exceeds the pool size the best individual is repeated.
+    Equal fitness keeps pool order.  When k exceeds the pool size the best
+    candidate is repeated.
     """
 
     name = "best"
 
-    def select(
-        self, candidates: Sequence[Individual], k: int, rng: RNGLike = None
-    ) -> list[Individual]:
-        self._check(candidates, k)
-        ranked = sorted(candidates, key=lambda ind: ind.fitness)
-        if k <= len(ranked):
-            return list(ranked[:k])
-        return list(ranked) + [ranked[0]] * (k - len(ranked))
+    def select_indices(
+        self, fitness: np.ndarray, k: int, rng: RNGLike = None
+    ) -> np.ndarray:
+        self._check(fitness, k)
+        ranked = np.argsort(fitness, kind="stable")
+        if k <= ranked.size:
+            return ranked[:k]
+        return np.concatenate([ranked, np.full(k - ranked.size, ranked[0])])
 
 
 class LinearRankSelection(SelectionOperator):
@@ -129,24 +138,22 @@ class LinearRankSelection(SelectionOperator):
             raise ValueError(f"pressure must be in [1, 2], got {pressure}")
         self.pressure = float(pressure)
 
-    def select(
-        self, candidates: Sequence[Individual], k: int, rng: RNGLike = None
-    ) -> list[Individual]:
-        self._check(candidates, k)
+    def select_indices(
+        self, fitness: np.ndarray, k: int, rng: RNGLike = None
+    ) -> np.ndarray:
+        self._check(fitness, k)
         gen = as_generator(rng)
-        n = len(candidates)
-        order = sorted(range(n), key=lambda i: candidates[i].fitness)
-        # Rank 0 = best.  Expected offspring count per rank (Baker's formula).
+        n = len(fitness)
+        # Rank 0 = best (equal fitness keeps pool order).  Expected
+        # offspring count per rank (Baker's formula).
         ranks = np.empty(n, dtype=float)
-        for rank, index in enumerate(order):
-            ranks[index] = rank
+        ranks[np.argsort(fitness, kind="stable")] = np.arange(n)
         if n == 1:
             probs = np.ones(1)
         else:
             weights = self.pressure - (2.0 * self.pressure - 2.0) * ranks / (n - 1)
             probs = weights / weights.sum()
-        indices = gen.choice(n, size=k, p=probs)
-        return [candidates[int(i)] for i in indices]
+        return gen.choice(n, size=k, p=probs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LinearRankSelection(pressure={self.pressure})"

@@ -26,6 +26,7 @@ from repro.engine.scan import (
     score_critical_moves,
     score_critical_moves_batch,
     score_critical_swaps,
+    score_critical_swaps_batch,
     score_moves_for_job,
     score_moves_for_jobs_batch,
     top_completions,
@@ -43,6 +44,7 @@ __all__ = [
     "score_critical_moves",
     "score_critical_moves_batch",
     "score_critical_swaps",
+    "score_critical_swaps_batch",
     "score_moves_for_job",
     "score_moves_for_jobs_batch",
     "top_completions",

@@ -502,8 +502,13 @@ class BatchEvaluator:
         The batched :func:`~repro.model.schedule.spt_flowtime`: each row's
         jobs are read in the instance's precomputed SPT column order for its
         machine, masked to the jobs actually assigned there, and reduced
-        with one cumulative sum — no per-row python work, and bit-identical
-        to the scalar kernel (masked positions contribute exact zeros).
+        with one cumulative sum — no per-row python work.  It agrees with
+        the scalar kernel to rounding (within 1e-12 relative), not bit for
+        bit: the sum over the whole masked row groups its pairwise
+        additions differently from the sum over the machine's jobs alone.
+        Code that must land on :class:`~repro.model.schedule.Schedule`'s
+        bits (the rebalance mutation's ``mutate_rows``) calls
+        :func:`~repro.model.schedule.spt_flowtime` instead.
         """
         instance = self.instance
         order = instance.spt_order.T[machines]  # (R, J) SPT order per row's machine

@@ -6,9 +6,10 @@ those scores as single numpy expressions over the *current* assignment and
 completion arrays — no per-candidate ``np.delete``, no schedule copies.
 The kernels exist per row (one solution at a time, consumed by the scalar
 local-search steps and the :class:`~repro.model.schedule.Schedule` path)
-and, except the ragged critical-swap scan, as ``*_batch`` (a whole
-population of rows in one expression, consumed by the batched local-search
-steps that improve an entire resident offspring batch per iteration).
+and as ``*_batch`` (a whole population of rows at once, consumed by the
+batched local-search steps that improve an entire resident offspring batch
+per iteration).  The ragged critical-swap scan is padded to the widest row
+and scored in row blocks under a fixed cell budget.
 
 The central trick: moving one job touches at most two machine completion
 times, so the makespan after the move is the maximum of the two updated
@@ -33,7 +34,16 @@ __all__ = [
     "score_critical_moves",
     "score_critical_moves_batch",
     "score_critical_swaps",
+    "score_critical_swaps_batch",
+    "machine_jobs_padded",
 ]
+
+#: Cell budget of one block of :func:`score_critical_swaps_batch`.  Rows are
+#: scored ``max(1, SWAP_BLOCK_CELLS // (A * jobs))`` at a time, so each
+#: padded float tensor stays at most 128 KiB, from the warm service's
+#: ~20-job batches (every row in one block) to the paper's 512-job
+#: instances (one row per block).
+SWAP_BLOCK_CELLS = 1 << 14
 
 
 def top_completions_batch(
@@ -245,6 +255,89 @@ def score_critical_swaps(
         + etc[source_jobs[:, None], other_machines[None, :]]
     )  # (A, B)
     return np.maximum(new_source, new_target)
+
+
+def score_critical_swaps_batch(
+    etc: np.ndarray,
+    assignments: np.ndarray,
+    completions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's best LMCTS pair: :func:`score_critical_swaps` and its argmin.
+
+    Row *r*'s source jobs (on its makespan machine ``completions[r].argmax()``)
+    are padded to the widest row ``A`` and every job is a partner, so the
+    metric is one ``(rows, A, jobs)`` tensor in which padding slots and
+    partners on the source machine hold ``+inf``.  Real entries use the
+    per-row scan's arithmetic in its order, and the flat argmin keeps its
+    first-minimum order (source jobs ascending, then partners ascending):
+    each row gets the per-row scan's pair, bit for bit.  The per-row terms
+    are formed once; the tensor is then built ``max(1, SWAP_BLOCK_CELLS //
+    (A * jobs))`` rows at a time, ``A`` narrowed to the block's widest row.
+
+    Returns ``(jobs_a, jobs_b, active)``: each row's pair, and a mask of the
+    rows that have one (a makespan machine holding no job or every job has
+    none; such rows read ``0, 0``).
+    """
+    count, nb_jobs = assignments.shape
+    nb_machines = etc.shape[1]
+    jobs_a = np.zeros(count, dtype=np.int64)
+    jobs_b = np.zeros(count, dtype=np.int64)
+    sources = completions.argmax(axis=1)
+    on_source = assignments == sources[:, None]
+    counts = on_source.sum(axis=1)
+    active = (counts > 0) & (counts < nb_jobs)
+    live = np.flatnonzero(active)
+    if live.size == 0:
+        return jobs_a, jobs_b, active
+    sources, on_source = sources[live], on_source[live]
+    assignments, completions = assignments[live], completions[live]
+    source_jobs, valid, counts = machine_jobs_padded(assignments, sources)
+    width = source_jobs.shape[1]
+    rows = np.arange(live.size)
+    # Gathers go through flat indices (np.take flattens in C order).
+    # new_source = (C[s] - etc[a, s]) + etc[b, s]: the first term per source
+    # slot (+inf on padding), the second per partner (+inf on the source).
+    removed = completions[rows, sources][:, None] - np.take(
+        etc, source_jobs * nb_machines + sources[:, None]
+    )  # (L, A)
+    removed[~valid] = np.inf
+    inserted = etc[:, sources].T  # (L, J)
+    inserted[on_source] = np.inf
+    # new_target = (C[m] - etc[b, m]) + etc[a, m] with m the partner's machine.
+    vacated = np.take(completions, (rows * nb_machines)[:, None] + assignments) - np.take(
+        etc, np.arange(nb_jobs) * nb_machines + assignments
+    )  # (L, J)
+    source_offsets = (source_jobs * nb_machines)[:, :, None]  # (L, A, 1)
+    step = max(1, SWAP_BLOCK_CELLS // (width * nb_jobs))
+    for start in range(0, live.size, step):
+        block = slice(start, start + step)
+        narrow = int(counts[block].max())
+        metric = removed[block, :narrow, None] + inserted[block, None, :]
+        target = np.take(etc, source_offsets[block, :narrow] + assignments[block, None, :])
+        target += vacated[block, None, :]
+        np.maximum(metric, target, out=metric)
+        best = metric.reshape(metric.shape[0], -1).argmin(axis=1)
+        a_index, b_index = np.divmod(best, nb_jobs)
+        jobs_a[live[block]] = source_jobs[block][np.arange(best.size), a_index]
+        jobs_b[live[block]] = b_index
+    return jobs_a, jobs_b, active
+
+
+def machine_jobs_padded(
+    assignments: np.ndarray, machines: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row jobs on ``machines[r]``, packed into a padded matrix.
+
+    Rows hold different numbers of jobs on their machine, so the job sets
+    are packed into one ``(rows, A)`` matrix (ascending job order, like the
+    per-row scans; ``A`` the widest row, at least 1).  Returns ``(jobs,
+    valid, counts)``, ``valid`` marking the real entries.
+    """
+    on_machine = assignments == machines[:, None]
+    counts = on_machine.sum(axis=1)
+    width = max(int(counts.max()), 1)
+    order = np.argsort(~on_machine, axis=1, kind="stable")
+    return order[:, :width], np.arange(width)[None, :] < counts[:, None], counts
 
 
 def score_critical_moves_batch(

@@ -327,8 +327,18 @@ class SchedulerCore:
                 self.peak_backlog = max(self.peak_backlog, depth)
                 episode_start = False
                 self._shedding = False
-        # Instrumentation happens outside the lock: metric children have
-        # their own lock, and a trace write must never block submitters.
+                if self.trace_log is not None:
+                    # Under the lock, like plan and revocation lines: no
+                    # activation can batch the job before this line.
+                    self.trace_log.emit(
+                        "job_submitted",
+                        source="service",
+                        time=now,
+                        job_id=job_id,
+                        attempt=1,
+                    )
+        # Metrics happen outside the lock (metric children have their own
+        # lock), and so does the shed line, which no other line depends on.
         self._m_queue_depth.set(depth)
         if job_id is None:
             self._m_submissions["shed"].inc()
@@ -338,14 +348,6 @@ class SchedulerCore:
                 )
             return None
         self._m_submissions["accepted"].inc()
-        if self.trace_log is not None:
-            self.trace_log.emit(
-                "job_submitted",
-                source="service",
-                time=now,
-                job_id=job_id,
-                attempt=1,
-            )
         return job_id
 
     def cancel(self, job_id: int) -> bool:

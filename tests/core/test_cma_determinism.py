@@ -10,8 +10,12 @@ keep matching them exactly, which pins down RNG stream, update order,
 replacement policy and fitness arithmetic all at once.
 
 The ``"batch"`` discipline is a different (synchronous-within-stream)
-search, so it has its own guarantees: fixed seeds reproduce fixed
-trajectories, and both disciplines share the same initial population.
+search with its own golden trajectories: ``BATCH_GOLDEN`` was recorded
+before the cMA bred from row indices (neighbor tables, ``select_indices``,
+crossover on assignment rows, the batched rebalance mutation) and LMCTS
+scored its swaps in padded row blocks.  Both changes keep every random draw
+and every floating-point operation, so these trajectories must not move by
+a single bit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import pytest
 from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.config import CMAConfig
 from repro.core.termination import TerminationCriteria
+from repro.model.benchmark import generate_braun_like_instance
 from repro.model.generator import ETCGeneratorConfig, generate_instance
 
 
@@ -30,6 +35,12 @@ def golden_instance():
     """The exact instance the golden trajectories were recorded on."""
     config = ETCGeneratorConfig(nb_jobs=16, nb_machines=4, consistency="inconsistent")
     return generate_instance(config, rng=123, name="tiny")
+
+
+@pytest.fixture(scope="module")
+def braun_instance():
+    """A Braun-like 64 x 16 instance: wide enough for multi-job swap scans."""
+    return generate_braun_like_instance("u_i_hihi.0", rng=2007, nb_jobs=64, nb_machines=16)
 
 
 def run_trajectory(instance, local_search, seed, cell_updates, iterations=12):
@@ -51,6 +62,153 @@ GOLDEN = {
 }
 
 
+#: Batch-discipline best-fitness trajectories (``float.hex``, initial
+#: record + 12 iterations of ``CMAConfig.fast_defaults``), keyed by
+#: (instance fixture, local search, seed).
+BATCH_GOLDEN = {
+    ("golden", "gsm", 7): (
+        "0x1.4ac7147cb871dp+21", "0x1.308992aa2c8bfp+21", "0x1.265616a39e09bp+21",
+        "0x1.05d2cc45cebc3p+21", "0x1.cf965cb85571fp+20", "0x1.917f18b5c0261p+20",
+        "0x1.65a59e2c207bep+20", "0x1.65a59e2c207bep+20", "0x1.65a59e2c207bep+20",
+        "0x1.65a59e2c207bep+20", "0x1.65a59e2c207bep+20", "0x1.65a59e2c207bep+20",
+        "0x1.65a59e2c207bep+20",
+    ),
+    ("golden", "gsm", 19): (
+        "0x1.53c4f22b7c4b6p+21", "0x1.e68399aec8448p+20", "0x1.b9828f21ebf25p+20",
+        "0x1.b871cad276ff4p+20", "0x1.b871cad276ff3p+20", "0x1.b871cad276ff3p+20",
+        "0x1.b871cad276ff3p+20", "0x1.b871cad276ff3p+20", "0x1.b871cad276ff3p+20",
+        "0x1.b871cad276ff3p+20", "0x1.b871cad276ff3p+20", "0x1.b871cad276ff3p+20",
+        "0x1.b871cad276ff3p+20",
+    ),
+    ("golden", "lmctm", 7): (
+        "0x1.4ac7147cb871dp+21", "0x1.0c100a38e1aeap+21", "0x1.c46c6e2090df0p+20",
+        "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20",
+        "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20",
+        "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20",
+        "0x1.c46c6e2090df0p+20",
+    ),
+    ("golden", "lmctm", 19): (
+        "0x1.3445330cdb50cp+21", "0x1.d60e6e532df88p+20", "0x1.d60e6e532df88p+20",
+        "0x1.d60e6e532df88p+20", "0x1.9235d7a43a1fdp+20", "0x1.9235d7a43a1fcp+20",
+        "0x1.9235d7a43a1fcp+20", "0x1.8f132a3c24d2fp+20", "0x1.8f132a3c24d2fp+20",
+        "0x1.8f132a3c24d2fp+20", "0x1.8f132a3c24d2fp+20", "0x1.8f132a3c24d2fp+20",
+        "0x1.8f132a3c24d2fp+20",
+    ),
+    ("golden", "lmcts", 7): (
+        "0x1.f828e8af3f214p+20", "0x1.77345af985922p+20", "0x1.71c35b6322aa4p+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20",
+    ),
+    ("golden", "lmcts", 19): (
+        "0x1.4b3c2db2d1d09p+21", "0x1.c45f1c9d7a0a6p+20", "0x1.72faf27bcaf59p+20",
+        "0x1.6f4200e6dd30fp+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20",
+    ),
+    ("golden", "slm", 7): (
+        "0x1.9ecf8db182d44p+21", "0x1.55d2c7631e6e8p+21", "0x1.3d1bc9cd3caf9p+21",
+        "0x1.04eae0006c700p+21", "0x1.9f2a052a76cd0p+20", "0x1.8d1ebae67ac9ep+20",
+        "0x1.892425b090956p+20", "0x1.7b50b8e088ae6p+20", "0x1.769a8652e02bfp+20",
+        "0x1.769a8652e02bfp+20", "0x1.646947adbe1bep+20", "0x1.646947adbe1bep+20",
+        "0x1.646947adbe1bep+20",
+    ),
+    ("golden", "slm", 19): (
+        "0x1.af43bc4d7a46ep+21", "0x1.77f8a945725e7p+21", "0x1.24cbab88e6e72p+21",
+        "0x1.1cf00dfdc658bp+21", "0x1.1cf00dfdc658bp+21", "0x1.18a2c7ebb9506p+21",
+        "0x1.0f64e6947bdc9p+21", "0x1.0363a6082d1cap+21", "0x1.0363a6082d1cap+21",
+        "0x1.fa98d176efd38p+20", "0x1.e6efdccbacd5ap+20", "0x1.e6b0b1ae93bdap+20",
+        "0x1.e6b0b1ae93bdap+20",
+    ),
+    ("golden", "vns", 7): (
+        "0x1.f73e93527f704p+20", "0x1.72faf27bcaf59p+20", "0x1.628d10839219ap+20",
+        "0x1.628d10839219ap+20", "0x1.607a4c11ad61fp+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20",
+    ),
+    ("golden", "vns", 19): (
+        "0x1.827b9d5c66beep+21", "0x1.f6f98a0ea1f9ep+20", "0x1.7f5350944f10fp+20",
+        "0x1.768d324147937p+20", "0x1.646947adbe1bfp+20", "0x1.6256833bd9642p+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20",
+    ),
+    ("braun", "gsm", 7): (
+        "0x1.aab08c94c207bp+21", "0x1.8f2c291014031p+21", "0x1.6e8e0e486cecep+21",
+        "0x1.6590b77aa69e1p+21", "0x1.551347986ae58p+21", "0x1.327bc956062dbp+21",
+        "0x1.1fdef9dc5c50ep+21", "0x1.134f5a80a1df1p+21", "0x1.051bd30471234p+21",
+        "0x1.f0bca58e46ecap+20", "0x1.eb6877e85407fp+20", "0x1.d636d32439e6fp+20",
+        "0x1.c2e51f273a27ap+20",
+    ),
+    ("braun", "gsm", 19): (
+        "0x1.aab08c94c207bp+21", "0x1.a44bfbf5c695bp+21", "0x1.77cd61b95f0a6p+21",
+        "0x1.6684f02903744p+21", "0x1.5febde1300274p+21", "0x1.4fd90e9129bc2p+21",
+        "0x1.3ea3bd3c35f8cp+21", "0x1.1fdb2d925499ap+21", "0x1.1ac6a9566d155p+21",
+        "0x1.01d817efa8eb0p+21", "0x1.f139ea3fe95a1p+20", "0x1.cc9ebc8fbe007p+20",
+        "0x1.be1309240abfbp+20",
+    ),
+    ("braun", "lmctm", 7): (
+        "0x1.a6d75d1e030c1p+21", "0x1.798f68f038d53p+21", "0x1.53fea108000e0p+21",
+        "0x1.231d7c19ad330p+21", "0x1.c83b0afc1bf1bp+20", "0x1.c83b0afc1bf1bp+20",
+        "0x1.9491a40a22508p+20", "0x1.4b16af237ad62p+20", "0x1.3d0989d2f0cbdp+20",
+        "0x1.2d2ae7eaa6f72p+20", "0x1.1d416120946e5p+20", "0x1.0640f4ed6c574p+20",
+        "0x1.e1b6df3d36479p+19",
+    ),
+    ("braun", "lmctm", 19): (
+        "0x1.a9e4c705822e6p+21", "0x1.79eaf75e6e4c0p+21", "0x1.5acd461e5757ap+21",
+        "0x1.2ff5b772259ddp+21", "0x1.235e97d912091p+21", "0x1.117b44bec27d4p+21",
+        "0x1.e278cf658c6c6p+20", "0x1.c016ffccccc0bp+20", "0x1.86b5b7b0afd31p+20",
+        "0x1.6f8eb53a92da0p+20", "0x1.506c79bf36b3fp+20", "0x1.15f9e287b7914p+20",
+        "0x1.025d1c1b0b84fp+20",
+    ),
+    ("braun", "lmcts", 7): (
+        "0x1.a2524e49a7d50p+21", "0x1.71ad16d28532ep+21", "0x1.2b14e41e3c66dp+21",
+        "0x1.e906396d68f25p+20", "0x1.90a9735325622p+20", "0x1.8363db59e313bp+20",
+        "0x1.31bad9dc34c98p+20", "0x1.11f0c1114dc07p+20", "0x1.f0c2b2db94284p+19",
+        "0x1.cc7527115c1bep+19", "0x1.8d856a539d36ep+19", "0x1.3c504705b3dbep+19",
+        "0x1.29932a9f023d6p+19",
+    ),
+    ("braun", "lmcts", 19): (
+        "0x1.a2524e49a7d50p+21", "0x1.6c012759d0c1bp+21", "0x1.2200f47a6f5dap+21",
+        "0x1.faff0c91f5d23p+20", "0x1.8851219d27b3bp+20", "0x1.580ccc2da16d8p+20",
+        "0x1.2f301b6b9515bp+20", "0x1.f884227f6cf74p+19", "0x1.a7db34218aea0p+19",
+        "0x1.61bd231642d6dp+19", "0x1.4149d26c0b8b8p+19", "0x1.25e6f318de344p+19",
+        "0x1.129ba6c0ef776p+19",
+    ),
+    ("braun", "slm", 7): (
+        "0x1.b6c0f4a0f569ap+21", "0x1.afe9939405b31p+21", "0x1.ab557c656a0abp+21",
+        "0x1.ab557c656a0abp+21", "0x1.9b396886fad08p+21", "0x1.9a621345f2df0p+21",
+        "0x1.8e4ede0800880p+21", "0x1.81dffeb1771b5p+21", "0x1.737de7b2f3591p+21",
+        "0x1.711e47a5c4282p+21", "0x1.617f0b236a152p+21", "0x1.5bc8cc7f39744p+21",
+        "0x1.4016aaa478617p+21",
+    ),
+    ("braun", "slm", 19): (
+        "0x1.bc24d67dd4054p+21", "0x1.b62869972bf99p+21", "0x1.ae00591c328e6p+21",
+        "0x1.a7fadaccc8810p+21", "0x1.9db07d85cb676p+21", "0x1.933817d490832p+21",
+        "0x1.8dc155ce95b86p+21", "0x1.7ff595e3234dap+21", "0x1.702d2fed98c1cp+21",
+        "0x1.63293603fc6acp+21", "0x1.5971ef7639994p+21", "0x1.55e6624e1ce62p+21",
+        "0x1.4d0b6dd65f399p+21",
+    ),
+    ("braun", "vns", 7): (
+        "0x1.b9aca72249b76p+21", "0x1.a73efb163d877p+21", "0x1.7b99dd5dcad66p+21",
+        "0x1.69f5afa9d3eebp+21", "0x1.4f882a3707ec2p+21", "0x1.47acea6020b56p+21",
+        "0x1.08c439bb70989p+21", "0x1.b1e47841faefcp+20", "0x1.930b21a94988ap+20",
+        "0x1.69cd830c6e752p+20", "0x1.49cb408732d2cp+20", "0x1.22d083708cb4ap+20",
+        "0x1.032d13d4d6897p+20",
+    ),
+    ("braun", "vns", 19): (
+        "0x1.bc2e6ed95c75cp+21", "0x1.b2c914aa5f0c9p+21", "0x1.7a6ef3e481cffp+21",
+        "0x1.699fce2358424p+21", "0x1.4f76d2b826ef4p+21", "0x1.3f0a8878f7bfdp+21",
+        "0x1.266a67f16cb59p+21", "0x1.d34644b5a819cp+20", "0x1.9c37c21dbc73cp+20",
+        "0x1.85f9cc3474b78p+20", "0x1.3a69f752d42cap+20", "0x1.35f8f161303a4p+20",
+        "0x1.08c92e2eb8934p+20",
+    ),
+}
+
+
 class TestSequentialReproducesPreRefactorTrajectories:
     @pytest.mark.parametrize("local_search,seed", sorted(GOLDEN))
     def test_golden_trajectory(self, golden_instance, local_search, seed):
@@ -64,6 +222,16 @@ class TestSequentialReproducesPreRefactorTrajectories:
         trajectory = run_trajectory(golden_instance, "lmcts", 7, "sequential")
         assert len(trajectory) == 13  # initial record + 12 iterations
         assert np.all(np.diff(trajectory) <= 1e-9)
+
+
+class TestBatchGoldenTrajectories:
+    @pytest.mark.parametrize("instance_name,local_search,seed", sorted(BATCH_GOLDEN))
+    def test_golden_trajectory(self, request, instance_name, local_search, seed):
+        instance = request.getfixturevalue(f"{instance_name}_instance")
+        trajectory = run_trajectory(instance, local_search, seed, "batch")
+        golden = BATCH_GOLDEN[instance_name, local_search, seed]
+        expected = [float.fromhex(value) for value in golden]
+        np.testing.assert_allclose(trajectory, expected, rtol=0, atol=0)
 
 
 class TestBatchModeDeterminism:

@@ -118,3 +118,61 @@ class TestLinearRank:
     def test_single_candidate(self, candidates):
         selected = LinearRankSelection().select(candidates[:1], 2, rng=0)
         assert all(ind is candidates[0] for ind in selected)
+
+
+def handle_selection(selection, candidates, k, gen):
+    """The handle-based selection the cMA bred from before row indices:
+    tournaments keep the first best entrant (python ``min``), ranking sorts
+    the handles stably by fitness."""
+    if isinstance(selection, NTournamentSelection):
+        size, replace = selection.tournament_size, len(candidates) < selection.tournament_size
+        winners = []
+        for _ in range(k):
+            entrants = gen.choice(len(candidates), size=size, replace=replace)
+            winners.append(
+                min((candidates[int(i)] for i in entrants), key=lambda ind: ind.fitness)
+            )
+        return winners
+    if isinstance(selection, RandomSelection):
+        return [candidates[int(i)] for i in gen.integers(0, len(candidates), size=k)]
+    ranked = sorted(candidates, key=lambda individual: individual.fitness)
+    if isinstance(selection, BestSelection):
+        return ranked[:k] if k <= len(ranked) else ranked + [ranked[0]] * (k - len(ranked))
+    ranks = np.empty(len(candidates))
+    for rank, individual in enumerate(ranked):
+        ranks[next(i for i, c in enumerate(candidates) if c is individual)] = rank
+    n = len(candidates)
+    weights = selection.pressure - (2.0 * selection.pressure - 2.0) * ranks / max(n - 1, 1)
+    probs = np.ones(1) if n == 1 else weights / weights.sum()
+    return [candidates[int(i)] for i in gen.choice(n, size=k, p=probs)]
+
+
+class TestSelectIndices:
+    @pytest.mark.parametrize("name", sorted(list_selections()))
+    @pytest.mark.parametrize("pool", [1, 2, 9])
+    def test_matches_handle_selection_from_equal_generator_states(
+        self, candidates, name, pool
+    ):
+        # Tied fitness values exercise the tie order (first entrant / pool order).
+        pool_candidates = candidates[:pool]
+        for index, individual in enumerate(pool_candidates):
+            individual.fitness = float(index % 3)
+        fitness = np.array([individual.fitness for individual in pool_candidates])
+        for selection in (get_selection(name), NTournamentSelection(1), NTournamentSelection(5)):
+            for k in (1, 3, 12):
+                gen_indices, gen_select, gen_handles = (np.random.default_rng(11) for _ in range(3))
+                picks = selection.select_indices(fitness, k, gen_indices)
+                expected = handle_selection(selection, pool_candidates, k, gen_handles)
+                expected_ids = [id(individual) for individual in expected]
+                assert [id(pool_candidates[int(i)]) for i in picks] == expected_ids
+                selected = selection.select(pool_candidates, k, gen_select)
+                assert [id(individual) for individual in selected] == expected_ids
+                state = gen_handles.bit_generator.state
+                assert gen_indices.bit_generator.state == state
+                assert gen_select.bit_generator.state == state
+
+    def test_checks_its_arguments(self):
+        with pytest.raises(ValueError):
+            RandomSelection().select_indices(np.array([]), 1, rng=0)
+        with pytest.raises(ValueError):
+            BestSelection().select_indices(np.array([1.0]), 0)

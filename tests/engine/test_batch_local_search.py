@@ -41,6 +41,28 @@ def padded_source_jobs(assignments, sources):
     return order[:, :width], np.arange(width)[None, :] < counts[:, None], counts
 
 
+def per_row_critical_swaps(etc, assignments, completions):
+    """Each row's LMCTS pair from the per-row scan and its flat argmin."""
+    count = assignments.shape[0]
+    jobs_a = np.zeros(count, dtype=np.int64)
+    jobs_b = np.zeros(count, dtype=np.int64)
+    active = np.zeros(count, dtype=bool)
+    for row in range(count):
+        assignment, completion = assignments[row], completions[row]
+        source = int(completion.argmax())
+        source_jobs = np.nonzero(assignment == source)[0]
+        other_jobs = np.nonzero(assignment != source)[0]
+        if source_jobs.size == 0 or other_jobs.size == 0:
+            continue
+        metric = scan.score_critical_swaps(
+            etc, assignment, completion, source_jobs, other_jobs, source
+        )
+        a_index, b_index = np.unravel_index(int(metric.argmin()), metric.shape)
+        jobs_a[row], jobs_b[row] = source_jobs[a_index], other_jobs[b_index]
+        active[row] = True
+    return jobs_a, jobs_b, active
+
+
 class TestScanParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_score_moves_batch_matches_stacked_score_moves(self, seed):
@@ -102,6 +124,49 @@ class TestScanParity:
             np.testing.assert_allclose(
                 moves[row][valid[row]], reference_moves, atol=TOL, rtol=0
             )
+
+    @pytest.mark.parametrize(
+        "case,seed",
+        [("real", 0), ("integer_ties", 1), ("degenerate_rows", 2), ("single_row", 3),
+         ("one_row_blocks", 4)],
+    )
+    def test_critical_swaps_batch_matches_per_row_argmin(self, case, seed, monkeypatch):
+        """The blocked kernel picks each row's per-row-scan pair, bit for bit.
+
+        Integer ETC makes equal pair metrics common, so the first-minimum
+        tie order is exercised; degenerate rows have a makespan machine
+        that holds no job or every job, and must come back inactive.
+        """
+        rng = np.random.default_rng(seed)
+        if case == "one_row_blocks":
+            monkeypatch.setattr(scan, "SWAP_BLOCK_CELLS", 1)
+        for _ in range(40):
+            nb_jobs, nb_machines = int(rng.integers(2, 30)), int(rng.integers(2, 7))
+            if case == "real":
+                etc = rng.uniform(1.0, 300.0, size=(nb_jobs, nb_machines))
+            else:
+                etc = rng.integers(1, 4, size=(nb_jobs, nb_machines)).astype(float)
+            ready = np.zeros(nb_machines)
+            count = 1 if case == "single_row" else int(rng.integers(3, 20))
+            assignments = rng.integers(0, nb_machines, size=(count, nb_jobs))
+            if case == "degenerate_rows":
+                # The last machine's ready time defines every makespan: rows
+                # 0, 3, ... leave it jobless, rows 1, 4, ... put every job on it.
+                ready[-1] = etc.sum()
+                assignments[::3] = rng.integers(0, nb_machines - 1, size=nb_jobs)
+                assignments[1::3] = nb_machines - 1
+            batch = BatchEvaluator(SchedulingInstance(etc=etc, ready_times=ready), assignments)
+            jobs_a, jobs_b, active = scan.score_critical_swaps_batch(
+                etc, batch.assignments[:], batch.completion_times[:]
+            )
+            expected_a, expected_b, expected_active = per_row_critical_swaps(
+                etc, batch.assignments[:], batch.completion_times[:]
+            )
+            np.testing.assert_array_equal(active, expected_active)
+            np.testing.assert_array_equal(jobs_a[active], expected_a[active])
+            np.testing.assert_array_equal(jobs_b[active], expected_b[active])
+            if case == "degenerate_rows":
+                assert not active[0::3].any() and not active[1::3].any()
 
     def test_top_completions_batch_matches_scalar(self):
         instance = random_instance(11, nb_jobs=10, nb_machines=2)

@@ -14,7 +14,7 @@ import pytest
 from repro.engine import BatchEvaluator, scan
 from repro.model.fitness import FitnessEvaluator
 from repro.model.instance import SchedulingInstance
-from repro.model.schedule import Schedule
+from repro.model.schedule import Schedule, spt_flowtime
 
 TOL = 1e-9
 
@@ -179,6 +179,25 @@ def test_set_row_and_subset_recompute():
     batch.set_row(3, replacement)
     assert np.array_equal(batch.assignments[3], replacement)
     assert_batch_matches_scalar(batch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_machine_flowtimes_agree_with_spt_flowtime_to_rounding(seed):
+    """The batched per-machine flowtime kernel is ``spt_flowtime`` to
+    within 1e-12 relative — not bit for bit: the masked whole-row sum groups
+    its additions differently, so results that must match ``Schedule``
+    exactly (the rebalance mutation) go through ``spt_flowtime`` itself."""
+    rng = np.random.default_rng(seed + 300)
+    instance = random_instance(seed, int(rng.integers(5, 80)), int(rng.integers(2, 17)))
+    batch = BatchEvaluator.random(instance, population_size=5, rng=rng)
+    rows = np.repeat(np.arange(5), instance.nb_machines)
+    machines = np.tile(np.arange(instance.nb_machines), 5)
+    batched = batch._flowtimes_of_machines(rows, machines)
+    scalar = [
+        spt_flowtime(instance, np.asarray(batch.assignments[row]), machine)
+        for row, machine in zip(rows.tolist(), machines.tolist())
+    ]
+    np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=0)
 
 
 def test_single_machine_and_single_row_edges():

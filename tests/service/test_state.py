@@ -430,10 +430,10 @@ class TestBreakdown:
             planned.extend(outcome.scheduled_ids)
         shed = list(core.abort())
 
-        # Per job, plans and revocations alternate, starting with a plan.
-        # (Only these lines: submit writes job_submitted after releasing the
-        # lock, so it can land after the job's job_batched here.)
+        # The whole log is a legal lifecycle per job, and per job plans and
+        # revocations alternate, starting with a plan.
         events = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert lifecycle_violations(events) == []
         steps: dict[int, list[str]] = {}
         for event in events:
             if event["event"] in ("job_assigned", "job_revoked"):
