@@ -143,7 +143,8 @@ class PanmicticMA(PopulationBasedScheduler):
         rows = grid.stage(children)
 
         mutate = self.rng.random(nb_offspring) < cfg.mutation_probability
-        self._mutation.mutate_rows(grid.batch, rows[mutate], self.rng)
+        for row in rows[mutate]:
+            self._mutation.mutate(grid.batch.view(int(row)), self.rng)
 
         self.engine.improve_batch(grid.batch, rows, self._local_search, self.rng)
         fitnesses = grid.evaluate_rows(rows)

@@ -362,7 +362,8 @@ class CellularMemeticAlgorithm:
             return False
         positions = [order.advance() for _ in range(cfg.nb_mutations)]
         rows = self.grid.stage_cells(positions)
-        self.mutation.mutate_rows(self.grid.batch, rows, self.rng)
+        for row in rows:
+            self.mutation.mutate(self.grid.batch.view(int(row)), self.rng)
         return self._finalize_phase(positions, rows)
 
     def _finalize_phase(self, positions: list[int], rows: np.ndarray) -> bool:
@@ -390,17 +391,13 @@ class CellularMemeticAlgorithm:
         return improved_best
 
     def _mutation_stream(self, order) -> bool:
-        """Run the ``nb_mutations`` mutation updates of one iteration.
-
-        Each update mutates a staged copy of its cell in a scratch row, as
-        the batch discipline does, and detaches it as the offspring.
-        """
+        """Run the ``nb_mutations`` mutation updates of one iteration."""
+        cfg = self.config
         improved_best = False
-        for _ in range(self.config.nb_mutations):
+        for _ in range(cfg.nb_mutations):
             position = order.advance()
-            rows = self.grid.stage_cells([position])
-            self.mutation.mutate_rows(self.grid.batch, rows, self.rng)
-            offspring = Individual(self.grid.batch.schedule(int(rows[0])))
+            offspring = self.grid[position].copy()
+            self.mutation.mutate(offspring.schedule, self.rng)
             improved_best |= self._finalize_offspring(position, offspring)
         return improved_best
 

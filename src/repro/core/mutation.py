@@ -8,11 +8,7 @@ mutations are also provided — the paper's Local Move local search is "similar
 to the mutation operator", and the baseline GAs use the plain move mutation.
 
 All operators mutate the given schedule **in place**; the caller passes a
-private copy (offspring), never a population member.  The cMA mutates its
-staged offspring rows of a resident batch with :meth:`MutationOperator.
-mutate_rows`; the rebalance mutation does that without per-row views, with
-the same random draws and the same arithmetic as :meth:`~MutationOperator.
-mutate`.
+private copy (offspring), never a population member.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.engine.batch import BatchEvaluator
 from repro.model.schedule import Schedule
 from repro.utils.rng import RNGLike, as_generator
 
@@ -46,19 +41,6 @@ class MutationOperator(abc.ABC):
     @abc.abstractmethod
     def mutate(self, schedule: Schedule, rng: RNGLike = None) -> None:
         """Apply one mutation to *schedule* (in place)."""
-
-    def mutate_rows(
-        self, batch: BatchEvaluator, rows: np.ndarray, rng: RNGLike = None
-    ) -> None:
-        """Apply one mutation to each of the distinct *rows* of *batch*, in row order.
-
-        The default walks the rows through zero-copy engine views, so every
-        operator works on resident populations; operators may override it
-        with a view-free version that keeps the same draws and arithmetic.
-        """
-        gen = as_generator(rng)
-        for row in rows:
-            self.mutate(batch.view(int(row)), gen)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -84,9 +66,6 @@ class RebalanceMutation(MutationOperator):
             )
         self.underloaded_fraction = float(underloaded_fraction)
 
-    def _underloaded_count(self, nb_machines: int) -> int:
-        return max(1, int(np.ceil(self.underloaded_fraction * nb_machines)))
-
     def mutate(self, schedule: Schedule, rng: RNGLike = None) -> None:
         gen = as_generator(rng)
         completion = schedule.completion_times
@@ -99,7 +78,8 @@ class RebalanceMutation(MutationOperator):
         overloaded = np.nonzero(completion >= makespan)[0]
         # Underloaded machines: the first ceil(fraction * M) machines in
         # increasing completion-time order, excluding overloaded ones.
-        by_load = np.argsort(completion, kind="stable")[: self._underloaded_count(nb_machines)]
+        count = max(1, int(np.ceil(self.underloaded_fraction * nb_machines)))
+        by_load = np.argsort(completion, kind="stable")[:count]
         underloaded = by_load[completion[by_load] < makespan]
         if underloaded.size == 0:
             # Degenerate case: every machine is equally loaded; fall back to a
@@ -115,45 +95,6 @@ class RebalanceMutation(MutationOperator):
         job = int(gen.choice(jobs))
         target = int(gen.choice(underloaded))
         schedule.move_job(job, target)
-
-    def mutate_rows(
-        self, batch: BatchEvaluator, rows: np.ndarray, rng: RNGLike = None
-    ) -> None:
-        """:meth:`mutate` for every row, without per-row views.
-
-        The overloaded and underloaded machines of all rows come from one
-        pass over their completion times; then each row, in row order, makes
-        :meth:`mutate`'s draws and its move through
-        :meth:`BatchEvaluator.move_job` — the scalar per-machine SPT
-        flowtime, as :meth:`Schedule.move_job` computes it — so the rows end
-        bit for bit where per-row :meth:`mutate` calls would leave them.
-        """
-        gen = as_generator(rng)
-        nb_jobs, nb_machines = batch.nb_jobs, batch.nb_machines
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        if nb_machines < 2 or rows.size == 0:
-            return
-        assignments = batch.assignments
-        completions = batch.completion_times[rows]
-        makespans = completions.max(axis=1)[:, None]
-        overloaded = completions >= makespans
-        by_load = np.argsort(completions, axis=1, kind="stable")[
-            :, : self._underloaded_count(nb_machines)
-        ]
-        eligible = np.take_along_axis(completions, by_load, axis=1) < makespans
-        for i, row in enumerate(rows.tolist()):
-            underloaded = by_load[i][eligible[i]]
-            if underloaded.size:
-                source = int(gen.choice(np.flatnonzero(overloaded[i])))
-                jobs = np.flatnonzero(assignments[row] == source)
-            if underloaded.size and jobs.size:
-                job = int(gen.choice(jobs))
-                target = int(gen.choice(underloaded))
-            else:
-                # mutate()'s two fallbacks: MoveMutation's draws.
-                job = int(gen.integers(0, nb_jobs))
-                target = int(gen.integers(0, nb_machines))
-            batch.move_job(row, job, target)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RebalanceMutation(underloaded_fraction={self.underloaded_fraction})"

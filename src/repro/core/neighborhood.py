@@ -37,13 +37,6 @@ __all__ = [
 ]
 
 
-#: Read-only neighbor tables by (pattern type, offsets, height, width): a
-#: memo, so the warm service's per-activation cMA runs share one table
-#: instead of rebuilding it (~0.4 ms) each time.  See
-#: :meth:`NeighborhoodPattern.table`.
-_TABLES: dict[tuple, np.ndarray] = {}
-
-
 class NeighborhoodPattern(abc.ABC):
     """A rule mapping a cell position to the positions of its neighbors.
 
@@ -60,8 +53,8 @@ class NeighborhoodPattern(abc.ABC):
     def neighbor_offsets(self) -> Sequence[tuple[int, int]]:
         """(row, column) offsets of the neighborhood, centre included.
 
-        Panmictic overrides :meth:`neighbors` directly and returns an empty
-        offset list here.
+        Panmictic overrides :meth:`neighbors` and :meth:`table` directly and
+        returns an empty offset list here.
         """
 
     def neighbors(self, position: int, height: int, width: int) -> np.ndarray:
@@ -75,21 +68,16 @@ class NeighborhoodPattern(abc.ABC):
         return rows * width + cols
 
     def table(self, height: int, width: int) -> np.ndarray:
-        """Read-only ``(cells, neighbors)`` matrix; row *p* is :meth:`neighbors` of *p*.
+        """``(cells, neighbors)`` matrix; row *p* is :meth:`neighbors` of *p*.
 
-        Built on the first call for a pattern and grid shape and shared by
-        every later call, so a cMA breeding loop looks a neighborhood up
-        instead of recomputing it per offspring, or per run.
+        The cMA builds it once per run and breeds from its rows instead of
+        recomputing a neighborhood per offspring.
         """
-        key = (type(self), tuple(self.neighbor_offsets()), int(height), int(width))
-        table = _TABLES.get(key)
-        if table is None:
-            table = np.stack(
-                [self.neighbors(position, height, width) for position in range(height * width)]
-            )
-            table.setflags(write=False)
-            _TABLES[key] = table
-        return table
+        offsets = np.array(self.neighbor_offsets(), dtype=np.int64).reshape(-1, 2)
+        rows, cols = np.divmod(np.arange(height * width, dtype=np.int64), width)
+        rows = (rows[:, None] + offsets[:, 0]) % height
+        cols = (cols[:, None] + offsets[:, 1]) % width
+        return rows * width + cols
 
     def size(self, height: int, width: int) -> int:
         """Number of *distinct* cells in a neighborhood on the given grid.
@@ -116,6 +104,9 @@ class PanmicticNeighborhood(NeighborhoodPattern):
         if not 0 <= position < height * width:
             raise IndexError(f"position {position} outside a {height}x{width} grid")
         return np.arange(height * width, dtype=np.int64)
+
+    def table(self, height: int, width: int) -> np.ndarray:
+        return np.tile(np.arange(height * width, dtype=np.int64), (height * width, 1))
 
 
 class L5Neighborhood(NeighborhoodPattern):

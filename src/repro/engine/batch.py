@@ -507,8 +507,9 @@ class BatchEvaluator:
         bit: the sum over the whole masked row groups its pairwise
         additions differently from the sum over the machine's jobs alone.
         Code that must land on :class:`~repro.model.schedule.Schedule`'s
-        bits (the rebalance mutation's ``mutate_rows``) calls
-        :func:`~repro.model.schedule.spt_flowtime` instead.
+        bits (:meth:`move_job`, :meth:`swap_jobs`, and so the mutations
+        through engine views) calls :func:`~repro.model.schedule.spt_flowtime`
+        instead.
         """
         instance = self.instance
         order = instance.spt_order.T[machines]  # (R, J) SPT order per row's machine

@@ -11,7 +11,6 @@ from repro.core.mutation import (
     get_mutation,
     list_mutations,
 )
-from repro.engine import BatchEvaluator
 from repro.model.instance import SchedulingInstance
 from repro.model.schedule import Schedule
 
@@ -122,81 +121,3 @@ class TestRebalanceSwap:
         schedule = Schedule.random(small_instance, rng=6)
         RebalanceSwapMutation().mutate(schedule, rng=7)
         schedule.validate()
-
-
-class TestMutateRows:
-    """``mutate_rows`` on a batch equals per-view ``mutate`` calls, bit for bit."""
-
-    @staticmethod
-    def instances():
-        rng = np.random.default_rng(4)
-        # Integer ETC: equal completion times, so several overloaded
-        # machines and stable-sort ties among the underloaded ones.
-        ties = SchedulingInstance(
-            etc=rng.integers(1, 4, size=(12, 4)).astype(float),
-            ready_times=np.array([0.0, 0.0, 0.0, 40.0]),
-            name="ties",
-        )
-        uniform = SchedulingInstance(etc=np.ones((8, 4)), name="uniform")
-        real = SchedulingInstance(
-            etc=rng.uniform(1.0, 300.0, size=(30, 6)),
-            ready_times=rng.uniform(0.0, 25.0, size=6),
-            name="real",
-        )
-        return {"ties": ties, "uniform": uniform, "real": real}
-
-    @staticmethod
-    def assignments(instance, rng):
-        nb_jobs, nb_machines = instance.nb_jobs, instance.nb_machines
-        rows = rng.integers(0, nb_machines, size=(24, nb_jobs))
-        if instance.name == "ties":
-            # Machine 3 (ready 40) jobless: its lone overload has no job to
-            # give, so the mutation falls back to a plain move after the
-            # source draw.
-            rows[::2] = rng.integers(0, 3, size=(12, nb_jobs))
-        if instance.name == "uniform":
-            # Every machine equally loaded: no underloaded machine, so the
-            # mutation falls back to a plain move straight away.
-            rows[::2] = np.arange(nb_jobs) % nb_machines
-        return rows
-
-    @pytest.mark.parametrize("name", sorted(list_mutations()))
-    @pytest.mark.parametrize("instance_name", ["ties", "uniform", "real"])
-    def test_matches_per_view_mutate(self, name, instance_name):
-        instance = self.instances()[instance_name]
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            assignments = self.assignments(instance, rng)
-            batched = BatchEvaluator(instance, assignments)
-            walked = BatchEvaluator(instance, assignments)
-            rows = rng.permutation(assignments.shape[0])[:17]  # not in row order
-            gen_batched, gen_walked = np.random.default_rng(seed), np.random.default_rng(seed)
-            mutation = get_mutation(name)
-            mutation.mutate_rows(batched, rows, gen_batched)
-            for row in rows:
-                mutation.mutate(walked.view(int(row)), gen_walked)
-            assert np.array_equal(batched.assignments, walked.assignments)
-            assert np.array_equal(batched.completion_times, walked.completion_times)
-            assert np.array_equal(batched.machine_flowtimes, walked.machine_flowtimes)
-            assert gen_batched.bit_generator.state == gen_walked.bit_generator.state
-            assert not np.array_equal(batched.assignments, assignments)
-            batched.validate()
-
-    def test_fallback_rows_are_exercised(self):
-        """The fixtures above reach both fallbacks of the rebalance mutation."""
-        instances = self.instances()
-        rng = np.random.default_rng(0)
-        ties = Schedule(instances["ties"], self.assignments(instances["ties"], rng)[0])
-        source = ties.most_loaded_machine()
-        assert source == 3 and ties.machine_jobs(source).size == 0
-        uniform = Schedule(instances["uniform"], np.arange(8) % 4)
-        assert np.all(uniform.completion_times == uniform.makespan)
-
-    def test_single_machine_and_empty_rows_are_noops(self):
-        instance = SchedulingInstance(etc=np.arange(1.0, 6.0).reshape(5, 1))
-        batch = BatchEvaluator(instance, np.zeros((2, 5), dtype=np.int64))
-        gen = np.random.default_rng(0)
-        RebalanceMutation().mutate_rows(batch, np.arange(2), gen)
-        RebalanceMutation().mutate_rows(batch, np.array([], dtype=np.int64), gen)
-        assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
-        assert not batch.assignments.any()

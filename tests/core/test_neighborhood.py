@@ -104,3 +104,16 @@ class TestToroidalWrap:
         neighbors = L5Neighborhood().neighbors(0, 2, 7)
         assert neighbors.shape == (5,)
         assert neighbors.max() < 14
+
+
+class TestTable:
+    @pytest.mark.parametrize("name", sorted(list_neighborhoods()))
+    @pytest.mark.parametrize("shape", [(5, 5), (1, 1), (2, 7), (3, 4), (1, 6)])
+    def test_rows_are_the_cells_neighbors(self, name, shape):
+        pattern = get_neighborhood(name)
+        table = pattern.table(*shape)
+        expected = np.stack(
+            [pattern.neighbors(p, *shape) for p in range(shape[0] * shape[1])]
+        )
+        assert table.dtype == np.int64
+        np.testing.assert_array_equal(table, expected)
