@@ -238,8 +238,11 @@ def test_service_load(benchmark, record_output, record_json):
     # latency histogram with real samples, the trace log real spans) and
     # cost at most 5% throughput.
     families = parse_exposition(exposition)
-    latency = families["repro_service_scheduler_seconds"]
-    assert latency.value(sample_name="repro_service_scheduler_seconds_count") > 0
+    latency = families["repro_activation_scheduler_seconds"]
+    assert (
+        latency.value(sample_name="repro_activation_scheduler_seconds_count", domain="service")
+        > 0
+    )
     assert families["repro_service_submissions_total"].value(outcome="accepted") > 0
     assert trace_events > 0
     assert snap_obs.scheduled == snap_obs.accepted

@@ -53,7 +53,7 @@ from repro.core.neighborhood import (
     get_neighborhood,
     list_neighborhoods,
 )
-from repro.core.population import CellularGrid, PopulationInitializer, ResidentGrid
+from repro.core.population import PopulationInitializer, ResidentGrid
 from repro.core.replacement import (
     AlwaysReplace,
     ReplaceIfBetter,
@@ -95,7 +95,6 @@ __all__ = [
     "dominates",
     "hypervolume_2d",
     "Individual",
-    "CellularGrid",
     "ResidentGrid",
     "PopulationInitializer",
     "SearchState",

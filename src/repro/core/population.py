@@ -2,17 +2,12 @@
 
 The population of the cMA is a two-dimensional toroidal mesh of
 ``pop_height × pop_width`` cells (5 × 5 = 25 in the tuned configuration).
-Two grid representations are provided:
-
-* :class:`ResidentGrid` — the cells **are** rows of one
-  :class:`~repro.engine.batch.BatchEvaluator`: the whole mesh (plus a block
-  of offspring scratch rows) lives in one structure-of-arrays state, cell
-  replacement is a row copy, and neighborhoods / statistics are resolved
-  against the shared matrices.  This is what the cMA and the resident
-  baselines run on.
-* :class:`CellularGrid` — the original object grid of detached
-  :class:`~repro.core.individual.Individual` cells, kept for code that wants
-  to own its individuals (tests, notebooks, custom algorithms).
+In a :class:`ResidentGrid` the cells **are** rows of one
+:class:`~repro.engine.batch.BatchEvaluator`: the whole mesh (plus a block of
+offspring scratch rows) lives in one structure-of-arrays state, cell
+replacement is a row copy, and neighborhoods / statistics are resolved
+against the shared matrices.  The cMA, the warm scheduling service, the
+island model and the panmictic MA all run on it.
 
 :class:`PopulationInitializer` implements the paper's seeding strategy: one
 individual is built with the LJFR-SJFR heuristic and the remaining cells are
@@ -29,16 +24,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.individual import Individual
-from repro.core.neighborhood import NeighborhoodPattern
-from repro.engine.batch import BatchEvaluator, perturbed_copies
+from repro.engine.batch import BatchEvaluator
 from repro.model.fitness import FitnessEvaluator
 from repro.model.instance import SchedulingInstance
-from repro.model.schedule import Schedule
-from repro.utils.rng import RNGLike, as_generator
+from repro.utils.rng import RNGLike
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = [
-    "CellularGrid",
     "ResidentGrid",
     "PopulationInitializer",
     "individuals_from_batch",
@@ -103,99 +95,6 @@ def individuals_from_batch(
         )
         for row in range(batch.population_size)
     ]
-
-
-class CellularGrid:
-    """A toroidal ``height × width`` grid of :class:`Individual` cells."""
-
-    def __init__(self, height: int, width: int, individuals: Sequence[Individual]) -> None:
-        check_integer("height", height, minimum=1)
-        check_integer("width", width, minimum=1)
-        if len(individuals) != height * width:
-            raise ValueError(
-                f"expected {height * width} individuals for a {height}x{width} grid, "
-                f"got {len(individuals)}"
-            )
-        self.height = int(height)
-        self.width = int(width)
-        self._cells: list[Individual] = list(individuals)
-
-    # ------------------------------------------------------------------ #
-    # Cell access
-    # ------------------------------------------------------------------ #
-    @property
-    def size(self) -> int:
-        """Number of cells in the grid."""
-        return self.height * self.width
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, position: int) -> Individual:
-        return self._cells[self._check_position(position)]
-
-    def __setitem__(self, position: int, individual: Individual) -> None:
-        self._cells[self._check_position(position)] = individual
-
-    def __iter__(self) -> Iterator[Individual]:
-        return iter(self._cells)
-
-    def _check_position(self, position: int) -> int:
-        if not 0 <= position < self.size:
-            raise IndexError(f"position {position} outside grid of size {self.size}")
-        return int(position)
-
-    def position_of(self, row: int, col: int) -> int:
-        """Linear index of the cell at (row, col), with toroidal wrap-around."""
-        return (row % self.height) * self.width + (col % self.width)
-
-    def coordinates_of(self, position: int) -> tuple[int, int]:
-        """(row, col) coordinates of a linear cell index."""
-        self._check_position(position)
-        return divmod(position, self.width)
-
-    def neighborhood(
-        self, position: int, pattern: NeighborhoodPattern
-    ) -> list[Individual]:
-        """Individuals in the neighborhood of *position* (centre included)."""
-        indices = pattern.neighbors(position, self.height, self.width)
-        return [self._cells[int(i)] for i in indices]
-
-    # ------------------------------------------------------------------ #
-    # Population statistics
-    # ------------------------------------------------------------------ #
-    def best(self) -> Individual:
-        """The individual with the lowest fitness currently in the grid."""
-        return min(self._cells, key=lambda ind: ind.fitness)
-
-    def best_position(self) -> int:
-        """Linear index of the cell holding the best individual."""
-        return min(range(self.size), key=lambda i: self._cells[i].fitness)
-
-    def worst(self) -> Individual:
-        """The individual with the highest fitness currently in the grid."""
-        return max(self._cells, key=lambda ind: ind.fitness)
-
-    def fitness_values(self) -> np.ndarray:
-        """Fitness of every cell as an array (row-major order)."""
-        return np.array([ind.fitness for ind in self._cells], dtype=float)
-
-    def mean_fitness(self) -> float:
-        """Average fitness over the grid."""
-        return float(self.fitness_values().mean())
-
-    def genotypic_diversity(self) -> float:
-        """Average normalized Hamming distance between all pairs of schedules.
-
-        The diversity indicator the cellular-EA literature tracks to argue
-        that structured populations delay takeover; see
-        :func:`genome_diversity` for the vectorized computation.
-        """
-        return genome_diversity(np.stack([ind.schedule.assignment for ind in self._cells]))
-
-    def entropy(self) -> float:
-        """Mean per-gene Shannon entropy of the machine assignment (in nats)."""
-        return genome_entropy(np.stack([ind.schedule.assignment for ind in self._cells]))
 
 
 class ResidentGrid:
@@ -457,23 +356,6 @@ class PopulationInitializer:
     def __post_init__(self) -> None:
         check_probability("perturbation_rate", self.perturbation_rate)
 
-    def build(
-        self,
-        instance: SchedulingInstance,
-        height: int,
-        width: int,
-        evaluator: FitnessEvaluator,
-        rng: RNGLike = None,
-    ) -> CellularGrid:
-        """Create and evaluate a fully initialized :class:`CellularGrid`.
-
-        The whole mesh is seeded and evaluated through the batch engine: one
-        heuristic schedule, one vectorized perturbation draw for the other
-        cells, one batched evaluation.
-        """
-        batch = self.build_batch(instance, int(height) * int(width), evaluator.weight, rng)
-        return CellularGrid(height, width, individuals_from_batch(batch, evaluator))
-
     def build_resident(
         self,
         instance: SchedulingInstance,
@@ -485,10 +367,10 @@ class PopulationInitializer:
     ) -> ResidentGrid:
         """Seed a :class:`ResidentGrid` (cells + offspring scratch rows).
 
-        The population is drawn exactly like :meth:`build` — same heuristic
-        seed, same vectorized perturbation draw — then kept resident: the
-        seeded batch is expanded with *scratch_rows* staging rows and the
-        evaluator is charged one evaluation per cell.
+        The population is drawn by :meth:`build_batch` — one heuristic seed,
+        one vectorized perturbation draw — then kept resident: the seeded
+        batch is expanded with *scratch_rows* staging rows and the evaluator
+        is charged one evaluation per cell.
         """
         size = int(height) * int(width)
         batch = self.build_batch(instance, size, evaluator.weight, rng)
@@ -514,15 +396,3 @@ class PopulationInitializer:
             perturbation_rate=self.perturbation_rate,
             weight=weight,
         )
-
-    def perturb(self, schedule: Schedule, rng: RNGLike = None) -> None:
-        """Reassign a random ``perturbation_rate`` fraction of jobs (in place)."""
-        gen = as_generator(rng)
-        new_assignment = perturbed_copies(
-            np.asarray(schedule.assignment),
-            1,
-            schedule.instance.nb_machines,
-            self.perturbation_rate,
-            gen,
-        )[0]
-        schedule.set_assignment(new_assignment)

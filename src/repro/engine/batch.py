@@ -31,9 +31,10 @@ entire run.  To that end rows support three granularities of update:
   :meth:`~BatchEvaluator.apply_swaps` change one job (or pair) in *every*
   row at once, patching only the two affected machine columns per row via
   closed-form SPT deltas, and return undo records for bit-exact reverts —
-  the primitives behind whole-batch local search;
-* per-move, scalar: :meth:`~BatchEvaluator.move_job` /
-  :meth:`~BatchEvaluator.swap_jobs` keep the original one-row interface.
+  the primitives behind whole-batch local search.
+
+A single row changes through its zero-copy :meth:`~BatchEvaluator.view`
+(a ``Schedule`` whose ``move_job``/``swap_jobs`` write the batch matrices).
 
 Candidate moves are scored without being applied by
 :meth:`~BatchEvaluator.score_moves` (one row) and
@@ -53,7 +54,7 @@ import numpy as np
 from repro.engine import scan
 from repro.model.fitness import DEFAULT_LAMBDA
 from repro.model.instance import SchedulingInstance
-from repro.model.schedule import Schedule, spt_flowtime
+from repro.model.schedule import Schedule
 from repro.utils.rng import RNGLike, as_generator
 
 __all__ = ["BatchEvaluator", "perturbed_copies"]
@@ -169,17 +170,6 @@ class BatchEvaluator:
                 assignments[1:] = perturbed_copies(
                     seed, population_size - 1, nb_machines, perturbation_rate, gen
                 )
-        return cls(instance, assignments, weight=weight)
-
-    @classmethod
-    def from_schedules(
-        cls, schedules: Sequence[Schedule], weight: float = DEFAULT_LAMBDA
-    ) -> "BatchEvaluator":
-        """Pack existing scalar schedules into one batch (data is copied)."""
-        if not schedules:
-            raise ValueError("at least one schedule is required")
-        instance = schedules[0].instance
-        assignments = np.stack([np.asarray(s.assignment) for s in schedules])
         return cls(instance, assignments, weight=weight)
 
     # ------------------------------------------------------------------ #
@@ -370,48 +360,6 @@ class BatchEvaluator:
         """Scalarized fitness ``λ·makespan + (1−λ)·mean_flowtime`` per row."""
         return self.weight * self.makespans(rows) + (1.0 - self.weight) * self.mean_flowtimes(rows)
 
-    def best_row(self) -> int:
-        """Index of the row with the lowest scalarized fitness."""
-        return int(self.fitnesses().argmin())
-
-    # ------------------------------------------------------------------ #
-    # Incremental row updates
-    # ------------------------------------------------------------------ #
-    def _flowtime_of(self, row: int, machine: int) -> float:
-        """Flowtime contribution of one machine of one row (SPT order)."""
-        return spt_flowtime(self.instance, self._assignments[row], machine)
-
-    def set_row(self, row: int, assignment: np.ndarray | Iterable[int]) -> None:
-        """Replace one row's assignment (copies data in, recomputes its caches)."""
-        self._assignments[row] = Schedule._validate_assignment(self.instance, assignment)
-        self.recompute(rows=[row])
-
-    def move_job(self, row: int, job: int, machine: int) -> None:
-        """Reassign *job* of *row* to *machine*, updating caches incrementally."""
-        old = int(self._assignments[row, job])
-        if old == machine:
-            return
-        etc = self.instance.etc
-        self._completion[row, old] -= etc[job, old]
-        self._completion[row, machine] += etc[job, machine]
-        self._assignments[row, job] = machine
-        self._machine_flowtime[row, old] = self._flowtime_of(row, old)
-        self._machine_flowtime[row, machine] = self._flowtime_of(row, machine)
-
-    def swap_jobs(self, row: int, job_a: int, job_b: int) -> None:
-        """Exchange the machines of two jobs of *row*, updating caches."""
-        machine_a = int(self._assignments[row, job_a])
-        machine_b = int(self._assignments[row, job_b])
-        if machine_a == machine_b:
-            return
-        etc = self.instance.etc
-        self._completion[row, machine_a] += etc[job_b, machine_a] - etc[job_a, machine_a]
-        self._completion[row, machine_b] += etc[job_a, machine_b] - etc[job_b, machine_b]
-        self._assignments[row, job_a] = machine_b
-        self._assignments[row, job_b] = machine_a
-        self._machine_flowtime[row, machine_a] = self._flowtime_of(row, machine_a)
-        self._machine_flowtime[row, machine_b] = self._flowtime_of(row, machine_b)
-
     # ------------------------------------------------------------------ #
     # Vectorized neighborhood scan
     # ------------------------------------------------------------------ #
@@ -447,8 +395,8 @@ class BatchEvaluator:
     ) -> None:
         """Replace a set of rows' assignments and recompute only those rows.
 
-        The batched :meth:`set_row`: ``assignments`` must have shape
-        ``(len(rows), jobs)``; row indices must be distinct.
+        ``assignments`` must have shape ``(len(rows), jobs)``; row indices
+        must be distinct.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         matrix = np.asarray(assignments, dtype=np.int64)
@@ -484,7 +432,7 @@ class BatchEvaluator:
     def install_row(self, row: int, schedule: Schedule) -> None:
         """Copy a scalar schedule's assignment *and caches* into one row.
 
-        Unlike :meth:`set_row` this performs no recomputation: the schedule's
+        Unlike :meth:`set_rows` this performs no recomputation: the schedule's
         incrementally maintained caches are adopted verbatim, so installing
         an evaluated offspring is a plain ``O(jobs + machines)`` write.
         """
@@ -507,9 +455,8 @@ class BatchEvaluator:
         bit: the sum over the whole masked row groups its pairwise
         additions differently from the sum over the machine's jobs alone.
         Code that must land on :class:`~repro.model.schedule.Schedule`'s
-        bits (:meth:`move_job`, :meth:`swap_jobs`, and so the mutations
-        through engine views) calls :func:`~repro.model.schedule.spt_flowtime`
-        instead.
+        bits (the mutations through engine views) goes through :meth:`view`,
+        whose moves call :func:`~repro.model.schedule.spt_flowtime`.
         """
         instance = self.instance
         order = instance.spt_order.T[machines]  # (R, J) SPT order per row's machine
@@ -676,40 +623,6 @@ class BatchEvaluator:
         self._assignments[rows[mask], jobs_a[mask]] = machines_a[mask]
         self._assignments[rows[mask], jobs_b[mask]] = machines_b[mask]
         self._restore_machines(rows, machines_a, machines_b, snapshot, mask)
-
-    def save_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Snapshot (assignment, completion, flowtime) copies of a row subset.
-
-        Paired with :meth:`restore_rows`, this is the general-purpose
-        checkpoint for arbitrary row experiments (tests, diagnostics,
-        custom operators that rewrite whole rows).  The hot batched
-        local-search steps do **not** use it — single-move/swap updates
-        revert through the ``O(rows)`` undo records of :meth:`apply_moves`
-        / :meth:`apply_swaps` instead, which dirty only two machine columns
-        per row.
-        """
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        return (
-            self._assignments[rows].copy(),
-            self._completion[rows].copy(),
-            self._machine_flowtime[rows].copy(),
-        )
-
-    def restore_rows(
-        self,
-        rows: np.ndarray,
-        snapshot: tuple[np.ndarray, np.ndarray, np.ndarray],
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Restore rows (or the masked subset) from a :meth:`save_rows` snapshot."""
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        assignments, completion, flowtime = snapshot
-        if mask is not None:
-            rows, assignments = rows[mask], assignments[mask]
-            completion, flowtime = completion[mask], flowtime[mask]
-        self._assignments[rows] = assignments
-        self._completion[rows] = completion
-        self._machine_flowtime[rows] = flowtime
 
     def expanded(self, extra_rows: int) -> "BatchEvaluator":
         """A copy of this batch with ``extra_rows`` scratch rows appended.

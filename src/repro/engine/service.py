@@ -11,9 +11,10 @@ centralizes those services for one scheduler run:
   history record and by the final result;
 * **history** — one :class:`~repro.utils.history.ConvergenceHistory` fed
   through :meth:`record`;
-* **population state** — factories for :class:`~repro.engine.batch.BatchEvaluator`
-  populations (random, heuristic-seeded, perturbation-seeded) built with
-  vectorized batch initialization;
+* **population state** — :meth:`~EvaluationEngine.seeded_batch` builds
+  heuristic-seeded (optionally perturbed) or random
+  :class:`~repro.engine.batch.BatchEvaluator` populations in one vectorized
+  initialization;
 * **results** — :meth:`build_result` assembles the uniform
   :class:`~repro.engine.results.SchedulingResult` every algorithm returns.
 
@@ -60,7 +61,7 @@ class EvaluationEngine:
         instead of creating a fresh one.
     registry:
         A :class:`~repro.obs.metrics.MetricsRegistry` to charge evaluation
-        counters, batch sizes and evals/sec into; defaults to the no-op
+        counters and evals/sec into; defaults to the no-op
         :data:`~repro.obs.metrics.NULL_REGISTRY`, so the evaluation hot
         path stays allocation-free with observability off.
     """
@@ -72,7 +73,6 @@ class EvaluationEngine:
         "_stopwatch",
         "_evals_synced",
         "_m_evaluations",
-        "_m_batch_rows",
         "_m_evals_per_second",
     )
 
@@ -96,11 +96,6 @@ class EvaluationEngine:
         self._m_evaluations = reg.counter(
             "repro_engine_evaluations_total",
             "Schedule evaluations charged through the evaluation engine.",
-        )
-        self._m_batch_rows = reg.histogram(
-            "repro_engine_batch_rows",
-            "Population rows per batch fitness evaluation.",
-            buckets=(1, 4, 16, 64, 256, 1024, 4096),
         )
         self._m_evals_per_second = reg.gauge(
             "repro_engine_evals_per_second",
@@ -132,16 +127,6 @@ class EvaluationEngine:
     # ------------------------------------------------------------------ #
     # Population factories (vectorized batch initialization)
     # ------------------------------------------------------------------ #
-    def batch(self, assignments: np.ndarray) -> BatchEvaluator:
-        """Wrap an explicit ``(pop, jobs)`` assignment matrix."""
-        return BatchEvaluator(self.instance, assignments, weight=self.evaluator.weight)
-
-    def random_batch(self, population_size: int, rng: RNGLike = None) -> BatchEvaluator:
-        """A uniformly random population drawn in one vectorized call."""
-        return BatchEvaluator.random(
-            self.instance, population_size, rng, weight=self.evaluator.weight
-        )
-
     def seeded_batch(
         self,
         population_size: int,
@@ -182,20 +167,6 @@ class EvaluationEngine:
         values = self.evaluator.evaluate(schedule)
         self._sync_evaluations()
         return values
-
-    def fitness(self, schedule: Schedule) -> float:
-        """Scalar fitness of one schedule (counts one evaluation)."""
-        fitness = self.evaluator(schedule)
-        self._sync_evaluations()
-        return fitness
-
-    def evaluate_batch(self, batch: BatchEvaluator) -> np.ndarray:
-        """``(pop,)`` scalarized fitness of a batch (counts ``pop`` evaluations)."""
-        fitness = self.evaluator.scalarize_batch(batch.makespans(), batch.mean_flowtimes())
-        self.evaluator.add_evaluations(batch.population_size)
-        self._sync_evaluations()
-        self._m_batch_rows.observe(batch.population_size)
-        return fitness
 
     def improve(self, schedule: Schedule, local_search, rng: RNGLike = None) -> bool:
         """Apply a local search through the engine's counter."""

@@ -5,13 +5,16 @@ SchedulerCore` (wall time) run every activation through the same steps:
 **build** the batch instance (stable ``job_ids``/``machine_ids`` metadata
 for warm remapping), **solve** it (``job_batched`` lines, a timed scheduler
 call, the assignment check), **plan** the shortest-processing-time commit,
-and **finish** (``job_assigned`` lines, scheduler-seconds and phase
-histograms).  Both apply the :class:`CommitPlan` to a
-:class:`~repro.grid.park.Park` and trace revocations with
-:meth:`Activator.trace_revocation`; each keeps its own arrival sourcing,
-time, locking and (the live core) shed/degrade/stall modes.  Plans are
-made from the busy track as it stands at commit time, so the live core can
-solve outside its lock and commit under it.
+**finish** (``job_assigned`` lines, histograms, the outcome tally) and
+**report** (the ``activation`` trace line, ``repro_activations_total``).
+Both apply the :class:`CommitPlan` to a :class:`~repro.grid.park.Park` and
+trace revocations with :meth:`Activator.trace_revocation`; each keeps its
+own arrival sourcing, time, locking and (the live core) shed/degrade/stall
+modes.  Plans are made from the busy track as it stands at commit time, so
+the live core can solve outside its lock and commit under it.
+
+Every metric family carries a ``domain`` label, ``simulator`` or
+``service``: the ``source`` field of the domain's trace lines.
 """
 
 from __future__ import annotations
@@ -48,38 +51,67 @@ class CommitPlan:
     jobs: np.ndarray
     ends: np.ndarray
 
+    @property
+    def batch_makespan(self) -> float:
+        """Seconds from the commit instant to the last committed finish."""
+        return float(self.ends[self.jobs > 0].max(initial=self.time)) - self.time
+
+
+#: What an activation did: solved its batch (``normal``, ``degraded``), found
+#: nothing to plan (``idle``), or found work but no machine up (``stalled``).
+OUTCOMES = ("normal", "degraded", "idle", "stalled")
+
 
 class Activator:
-    """A driver's trace source, activation sequence and histogram families.
+    """A driver's activation sequence, outcome tally, trace and metric families.
 
-    Phase children are made lazily: names partly come from ``last_phases``.
+    *domain* (``simulator`` or ``service``) is the trace lines' ``source``
+    and the families' ``domain`` label.  Phase children are made lazily:
+    names partly come from ``last_phases``.
     """
 
     def __init__(
         self,
-        source: str,
-        prefix: str,
+        domain: str,
         registry: Any,
         trace_log: Any = None,
         buckets: Sequence[float] | None = None,
     ) -> None:
-        self.source = source
+        self.domain = domain
         self.trace_log = trace_log
         self.seq = 0
         #: Seconds per phase, summed over every activation so far.
         self.phase_seconds: dict[str, float] = {}
-        self._m_scheduler_seconds = registry.histogram(
-            f"{prefix}_scheduler_seconds",
-            "Wall-clock seconds one scheduler activation took.",
-            buckets=buckets,
+        #: Activations so far, by outcome; a solved batch counts once its
+        #: plan is committed (:meth:`Activation.finish`).
+        self.outcomes: dict[str, int] = dict.fromkeys(OUTCOMES, 0)
+        activations = registry.counter(
+            "repro_activations_total",
+            "Scheduler activations, by clock domain and outcome.",
+            labels=("domain", "outcome"),
         )
+        self._m_activations = {
+            outcome: activations.labels(domain=domain, outcome=outcome)
+            for outcome in OUTCOMES
+        }
+        self._m_scheduler_seconds = registry.histogram(
+            "repro_activation_scheduler_seconds",
+            "Wall-clock seconds one activation's scheduler call took.",
+            labels=("domain",),
+            buckets=buckets,
+        ).labels(domain=domain)
         self._m_phases = registry.histogram(
-            f"{prefix}_activation_phase_seconds",
+            "repro_activation_phase_seconds",
             "Wall-clock seconds one activation spent in each named phase.",
-            labels=("phase",),
+            labels=("domain", "phase"),
             buckets=buckets,
         )
         self._m_phase_children: dict[str, Any] = {}
+
+    def skip(self, outcome: str) -> None:
+        """Count an activation that planned nothing: ``idle`` or ``stalled``."""
+        self.outcomes[outcome] += 1
+        self._m_activations[outcome].inc()
 
     def build(
         self,
@@ -120,7 +152,7 @@ class Activator:
         The revocation line supersedes the attempt's planned lines; timeline
         readers process events in file (causal) order.
         """
-        log, source = self.trace_log, self.source
+        log, source = self.trace_log, self.domain
         if log is None:
             return
         log.emit(
@@ -138,15 +170,23 @@ class Activator:
                 retry_at=retry_at,
             )
 
-    def observe(self, seq: int, timer: PhaseTimer, scheduler_seconds: float) -> None:
-        """Charge one activation's phase split and solve time."""
-        for name, seconds in timer:
+    def observe(self, activation: "Activation") -> None:
+        """Charge a committed activation's phase split, solve time and outcome."""
+        for name, seconds in activation.timer:
             self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
             child = self._m_phase_children.get(name)
             if child is None:
-                child = self._m_phase_children[name] = self._m_phases.labels(phase=name)
-            child.observe(seconds, exemplar=seq)
-        self._m_scheduler_seconds.observe(scheduler_seconds)
+                child = self._m_phase_children[name] = self._m_phases.labels(
+                    domain=self.domain, phase=name
+                )
+            child.observe(seconds, exemplar=activation.seq)
+        self._m_scheduler_seconds.observe(activation.scheduler_seconds)
+        self.outcomes[activation.mode] += 1
+
+
+#: The scheduler ``stats`` counters an activation reports as carried,
+#: filled and evaluations (zero for a scheduler without stats).
+_REUSE = ("carried_jobs", "filled_jobs", "evaluations")
 
 
 @dataclass
@@ -161,20 +201,26 @@ class Activation:
     instance: SchedulingInstance
     timer: PhaseTimer
     attempts: Sequence[int]
+    mode: str = "normal"
     assignment: np.ndarray | None = None
     scheduler: Any = None
     scheduler_seconds: float = 0.0
+    #: The scheduler's ``(carried, filled, evaluations)`` change over the
+    #: solve, read only while tracing.
+    reuse: tuple[int, int, int] = (0, 0, 0)
+    _solve_watch: Stopwatch | None = None
     _commit_watch: Stopwatch | None = None
 
-    def solve(self, scheduler: Any, rng: Any, degraded: bool = False) -> None:
+    def solve(self, scheduler: Any, rng: Any, mode: str = "normal") -> None:
         """Trace the batch, run the scheduler once, check its assignment.
 
-        *degraded* calls ``degraded_schedule``; a malformed assignment raises
-        :class:`ValueError`.
+        A ``degraded`` *mode* calls ``degraded_schedule`` where the scheduler
+        has one; a malformed assignment raises :class:`ValueError`.
         """
+        self._solve_watch = Stopwatch()
         log = self.activator.trace_log
         if log is not None:
-            source, now, seq = self.activator.source, self.now, self.seq
+            source, now, seq = self.activator.domain, self.now, self.seq
             log.emit_many(
                 "job_batched",
                 [
@@ -182,11 +228,19 @@ class Activation:
                     for job, attempt in zip(self.jobs, self.attempts)
                 ],
             )
-        schedule = scheduler.degraded_schedule if degraded else scheduler.schedule
+            stats = getattr(scheduler, "stats", None)
+            before = [getattr(stats, name, 0) for name in _REUSE]
+        schedule = (
+            scheduler.degraded_schedule
+            if mode == "degraded" and hasattr(scheduler, "degraded_schedule")
+            else scheduler.schedule
+        )
         stopwatch = Stopwatch()
         assignment = np.asarray(schedule(self.instance, rng), dtype=np.int64)
         self.scheduler_seconds = stopwatch.elapsed
         self.timer.add("solve", self.scheduler_seconds)
+        if log is not None:
+            self.reuse = tuple(getattr(stats, name, 0) - was for name, was in zip(_REUSE, before))
         if assignment.shape != (len(self.jobs),):
             raise ValueError(
                 f"scheduler returned an assignment of shape {assignment.shape}, "
@@ -198,6 +252,7 @@ class Activation:
             raise ValueError("scheduler returned machine indices outside the batch")
         self.assignment = assignment
         self.scheduler = scheduler
+        self.mode = mode
 
     def plan(
         self, busy_until: np.ndarray, time: float, horizon: float | None = None
@@ -235,18 +290,48 @@ class Activation:
         jobs = np.bincount(columns, minlength=base.size)
         return CommitPlan(time, order, columns, starts, finishes, busy, jobs, ends)
 
-    def finish(self, plan: CommitPlan) -> dict[str, float]:
+    def finish(self, plan: CommitPlan) -> None:
         """End the commit phase, trace the assignment, charge the histograms.
 
-        Returns the phase split, with the scheduler's ``last_phases`` in it.
+        Merges the scheduler's ``last_phases`` into the phase split and
+        counts the activation under its mode in the outcome tally.
         """
         self.timer.add("commit", self._commit_watch.elapsed)
         self.trace("job_assigned", plan)
         scheduler_phases = getattr(self.scheduler, "last_phases", None)
         if scheduler_phases:
             self.timer.merge(scheduler_phases)
-        self.activator.observe(self.seq, self.timer, self.scheduler_seconds)
-        return self.timer.as_dict()
+        self.activator.observe(self)
+
+    def report(self, plan: CommitPlan) -> None:
+        """Count the activation in ``repro_activations_total``; write its line.
+
+        The one ``activation`` trace line of both domains;
+        ``duration_seconds`` runs from the start of the solve to this write.
+        """
+        activator = self.activator
+        activator._m_activations[self.mode].inc()
+        if activator.trace_log is None:
+            return
+        carried, filled, evaluations = self.reuse
+        activator.trace_log.emit(
+            "activation",
+            source=activator.domain,
+            time=self.now,
+            seq=self.seq,
+            backlog=len(self.jobs),
+            batch_size=len(self.jobs),
+            machines=len(self.machines),
+            mode=self.mode,
+            scheduler_seconds=self.scheduler_seconds,
+            scheduled=len(plan.rows),
+            batch_makespan=plan.batch_makespan,
+            phases=self.timer.as_dict(),
+            carried=carried,
+            filled=filled,
+            evaluations=evaluations,
+            duration_seconds=self._solve_watch.elapsed,
+        )
 
     def trace(self, event: str, plan: CommitPlan, times: np.ndarray | None = None) -> None:
         """Write one *event* line per committed placement.
@@ -257,7 +342,7 @@ class Activation:
         log = self.activator.trace_log
         if log is None:
             return
-        source, seq = self.activator.source, self.seq
+        source, seq = self.activator.domain, self.seq
         stamps = [plan.time] * len(plan.rows) if times is None else times.tolist()
         records = []
         for row, column, time in zip(plan.rows.tolist(), plan.columns.tolist(), stamps):

@@ -106,8 +106,8 @@ class ServiceStats:
     #: Times the resident buffers had to grow (first allocation included).
     capacity_reallocations: int = 0
     #: Cumulative engine evaluations charged by the warm cMA runs (the
-    #: shared evaluator's counter, mirrored here so snapshots and trace
-    #: spans can report per-activation evaluation deltas).
+    #: shared evaluator's counter, mirrored here so snapshots and the
+    #: ``activation`` trace line can report per-activation deltas).
     evaluations: int = 0
 
 
@@ -485,3 +485,8 @@ class WarmCMAPolicy(BatchSchedulingPolicy):
     def last_phases(self) -> dict[str, float]:
         """The service's phase split of the most recent activation."""
         return self.service.last_phases
+
+    @property
+    def stats(self) -> ServiceStats:
+        """The service's cumulative counters (carried, filled, evaluations)."""
+        return self.service.stats

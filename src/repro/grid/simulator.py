@@ -289,11 +289,10 @@ class GridSimulator:
         self._last_activation = -math.inf
         self._membership_dirty = False
         self._ticks_fired = 0
-        self._nb_idle_activations = 0
         self._events: EventQueue | None = None
-        # Observability: per-kind event counters and per-driver activation
-        # counters are resolved once here, so the event loop only touches
-        # pre-bound children (no-ops under the null registry).
+        # Observability: per-kind event counters are resolved once here, so
+        # the event loop only touches pre-bound children (no-ops under the
+        # null registry).
         reg = registry if registry is not None else NULL_REGISTRY
         self._trace_log = trace_log
         events_total = reg.counter(
@@ -304,23 +303,10 @@ class GridSimulator:
         self._m_events = {
             kind: events_total.labels(kind=kind.name.lower()) for kind in EventType
         }
-        driver = (
-            "adaptive"
-            if self.config.activation is not None and self.config.activation.is_adaptive
-            else "periodic"
-        )
-        activations = reg.counter(
-            "repro_sim_activations_total",
-            "Scheduler activations fired by the simulation driver.",
-            labels=("driver", "outcome"),
-        )
-        self._m_activation_scheduled = activations.labels(
-            driver=driver, outcome="scheduled"
-        )
-        self._m_activation_idle = activations.labels(driver=driver, outcome="idle")
-        # The activation steps both clock domains share: batch build, timed
-        # solve, SPT commit plan, scheduler/phase histograms.
-        self._activator = Activator("simulator", "repro_sim", reg, trace_log)
+        # The activation steps and report both clock domains share: batch
+        # build, timed solve, SPT commit plan, outcome tally, activation
+        # families and trace line.
+        self._activator = Activator("simulator", reg, trace_log)
         # Failure-model counters: revocations by cause, retry outcomes,
         # user cancellations and SLA misses.
         revocations = reg.counter(
@@ -637,8 +623,7 @@ class GridSimulator:
         pending = [self.jobs[position] for position in positions]
         up = np.flatnonzero(self.park.up)
         if not pending or not up.size:
-            self._nb_idle_activations += 1
-            self._m_activation_idle.inc()
+            self._activator.skip("idle")
             return
 
         available = [self.machines[machine] for machine in up.tolist()]
@@ -654,51 +639,33 @@ class GridSimulator:
         )
         activation.solve(self.policy, self.rng)
         plan = activation.plan(busy_until, now, self.config.commit_horizon)
-        batch_makespan = self._commit(activation, plan, positions[plan.rows], up)
-        phases = activation.finish(plan)
+        self._commit(activation, plan, positions[plan.rows], up)
+        activation.finish(plan)
         # The plan is committed at this instant, so the lifecycle lines go
         # out eagerly with the *planned* timestamps; a later job_revoked line
         # supersedes them in causal file order.
         activation.trace("job_started", plan, plan.starts)
         activation.trace("job_completed", plan, plan.finishes)
-        committed = len(plan.rows)
         self.activations.append(
             ActivationRecord(
                 time=now,
                 pending_jobs=len(pending),
                 available_machines=len(available),
-                scheduled_jobs=committed,
-                batch_makespan=batch_makespan,
+                scheduled_jobs=len(plan.rows),
+                batch_makespan=plan.batch_makespan,
                 scheduler_wall_seconds=activation.scheduler_seconds,
             )
         )
-        self._m_activation_scheduled.inc()
-        if self._trace_log is not None:
-            self._trace_log.emit(
-                "activation",
-                source="simulator",
-                time=now,
-                seq=activation.seq,
-                backlog=len(pending),
-                batch_size=len(pending),
-                machines=len(available),
-                mode="normal",
-                scheduler_seconds=activation.scheduler_seconds,
-                scheduled=committed,
-                batch_makespan=batch_makespan,
-                phases=phases,
-            )
+        activation.report(plan)
 
     def _commit(
         self, activation: Activation, plan: CommitPlan, placed: np.ndarray, up: np.ndarray
-    ) -> float:
+    ) -> None:
         """Apply a commit plan: job state arrays, then the park.
 
         *placed* holds the job position of each placement and *up* the park
-        position of each column.  Returns the batch makespan of the
-        committed work.
+        position of each column.
         """
-        now = activation.now
         self._state[placed] = _COMPLETED
         self._machine[placed] = activation.instance.metadata["machine_ids"][plan.columns]
         self._start[placed] = plan.starts
@@ -706,7 +673,6 @@ class GridSimulator:
         self._pending_positions.difference_update(placed.tolist())
         self._unfinished -= placed.size
         self.park.apply(up, plan, activation.jobs)
-        return float(plan.ends[plan.jobs > 0].max(initial=now)) - now
 
     def _finished(self, now: float) -> bool:
         """All jobs settled, no arrivals pending, no revocations to come.
@@ -787,7 +753,7 @@ class GridSimulator:
             rescheduled_jobs=int(np.count_nonzero(self._reschedules)),
             activations=self.activations,
             machine_events=self.machine_events,
-            nb_idle_activations=self._nb_idle_activations,
+            nb_idle_activations=self._activator.outcomes["idle"],
             cancelled_jobs=int(np.count_nonzero(self._state == _CANCELLED)),
             failed_jobs=int(np.count_nonzero(failed)),
             missed_deadlines=missed,

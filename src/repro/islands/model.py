@@ -28,10 +28,7 @@ per-island results are **bit-identical** to the same number of independent
 
 from __future__ import annotations
 
-import queue as queue_module
 from typing import Any, Protocol, Sequence
-
-import multiprocessing
 
 import numpy as np
 
@@ -50,6 +47,7 @@ from repro.islands.topology import MigrationTopology, get_topology
 from repro.model.instance import SchedulingInstance
 from repro.utils.rng import RNGLike, as_generator, spawn_seed_sequences
 from repro.utils.timer import Stopwatch
+from repro.utils.workers import run_workers, worker_context
 
 __all__ = ["IslandModel", "IslandRuntime"]
 
@@ -359,67 +357,36 @@ class IslandModel:
         from repro.islands.worker import MigrationBoard, WorkerTask, run_island_worker
 
         cfg = self.config
-        method = cfg.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        context = multiprocessing.get_context(method)
-
+        context = worker_context(cfg.start_method)
         board = (
             MigrationBoard(cfg.nb_islands, cfg.nb_emigrants, self.instance.nb_jobs)
             if cfg.migration_enabled
             else None
         )
         locks = [context.Lock() for _ in range(cfg.nb_islands)]
-        results_queue = context.Queue()
-        processes = []
-        collected: dict[int, SchedulingResult] = {}
         try:
-            for island in range(cfg.nb_islands):
-                task = WorkerTask(
-                    island_id=island,
-                    instance=self.instance,
-                    spec=self.spec,
-                    termination=self.termination,
-                    algorithm_stream=algorithm_streams[island],
-                    migration_stream=migration_streams[island],
-                    config=cfg,
-                    sources=self.topology.sources_of(island),
-                    board_name=board.name if board is not None else None,
-                    start_method=method,
+            tasks = {
+                island: (
+                    WorkerTask(
+                        island_id=island,
+                        instance=self.instance,
+                        spec=self.spec,
+                        termination=self.termination,
+                        algorithm_stream=algorithm_streams[island],
+                        migration_stream=migration_streams[island],
+                        config=cfg,
+                        sources=self.topology.sources_of(island),
+                        board_name=board.name if board is not None else None,
+                        start_method=context.get_start_method(),
+                    ),
+                    locks,
                 )
-                process = context.Process(
-                    target=run_island_worker,
-                    args=(task, locks, results_queue),
-                    name=f"island-{island}",
-                    daemon=True,
-                )
-                processes.append(process)
-                process.start()
-            while len(collected) < cfg.nb_islands:
-                try:
-                    island, status, payload = results_queue.get(
-                        timeout=cfg.worker_timeout
-                    )
-                except queue_module.Empty:
-                    raise RuntimeError(
-                        f"island workers timed out after {cfg.worker_timeout}s "
-                        f"({len(collected)}/{cfg.nb_islands} results received); "
-                        f"terminating the pool"
-                    ) from None
-                if status == "error":
-                    raise RuntimeError(
-                        f"island {island} worker failed:\n{payload}"
-                    )
-                collected[island] = payload
-            for process in processes:
-                process.join(timeout=cfg.worker_timeout)
+                for island in range(cfg.nb_islands)
+            }
+            collected = run_workers(
+                context, run_island_worker, tasks, cfg.worker_timeout, "island"
+            )
         finally:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join(timeout=5.0)
             if board is not None:
                 board.close()
                 board.unlink()

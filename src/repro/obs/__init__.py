@@ -1,4 +1,4 @@
-"""Observability: metrics registry, Prometheus exposition, trace spans.
+"""Observability: metrics registry, Prometheus exposition, trace log.
 
 The unified observability layer every subsystem hangs its counters on:
 
@@ -8,11 +8,12 @@ The unified observability layer every subsystem hangs its counters on:
   :mod:`repro.obs.exposition`;
 * :data:`NULL_REGISTRY` — the no-op default every instrumented constructor
   takes, so hot paths stay allocation-free with observability off;
-* :class:`TraceLog` — structured JSON-lines tracing with a span API
+* :class:`TraceLog` — structured JSON-lines tracing
   (:mod:`repro.obs.tracelog`), summarized back into per-activation tables
   by :mod:`repro.obs.summarize` (``repro-scheduler obs summarize``);
 * :class:`PhaseTimer` — named sub-span timing inside one activation
-  (:mod:`repro.obs.phases`), feeding per-phase histograms and trace spans;
+  (:mod:`repro.obs.phases`), feeding per-phase histograms and the
+  ``activation`` line's ``phases`` field;
 * :class:`JobTimeline` — per-job lifecycle reconstruction and latency
   attribution (:mod:`repro.obs.timeline`, ``repro-scheduler obs
   timeline`` / ``obs slowest``).
@@ -45,7 +46,7 @@ from repro.obs.timeline import (
     slowest_table,
     timeline_report,
 )
-from repro.obs.tracelog import TraceLog, TraceSpan, read_trace
+from repro.obs.tracelog import TraceLog, read_trace
 
 __all__ = [
     "Counter",
@@ -57,7 +58,6 @@ __all__ = [
     "ParsedFamily",
     "parse_exposition",
     "TraceLog",
-    "TraceSpan",
     "read_trace",
     "activation_rows",
     "event_counts",

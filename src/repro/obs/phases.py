@@ -7,8 +7,8 @@ evaluation loop, committing the plan.  :class:`PhaseTimer` accumulates
 those named phases as plain wall-clock seconds — one
 :class:`~repro.utils.timer.Stopwatch` read per phase boundary, no
 allocation per observation — so the instrumented layers can keep it on
-even when tracing is off (the accumulated dict feeds both the activation
-trace span's nested ``phases`` field and the per-phase histograms of the
+even when tracing is off (the accumulated dict feeds both the ``phases``
+field of the ``activation`` trace line and the per-phase histograms of the
 :class:`~repro.obs.metrics.MetricsRegistry`).
 
 Phases may repeat (``phase("evaluate")`` inside a loop accumulates), and a
@@ -53,7 +53,7 @@ class PhaseTimer:
             ...build the batch instance...
         with timer.phase("solve"):
             ...run the scheduler...
-        span.update(phases=timer.as_dict())
+        phases = timer.as_dict()
     """
 
     __slots__ = ("durations",)
@@ -81,7 +81,7 @@ class PhaseTimer:
         return sum(self.durations.values())
 
     def as_dict(self) -> dict[str, float]:
-        """A copy of the accumulated split (what the trace span records)."""
+        """A copy of the accumulated split (what the trace line records)."""
         return dict(self.durations)
 
     def __iter__(self) -> Iterator[tuple[str, float]]:

@@ -2,7 +2,7 @@
 
 ``repro-scheduler obs summarize trace.jsonl`` renders the
 activation-by-activation account a :class:`~repro.obs.tracelog.TraceLog`
-recorded: one row per activation span (backlog drained, batch size, mode,
+recorded: one row per activation line (backlog drained, batch size, mode,
 scheduling latency, warm-start reuse, engine evaluations), followed by the
 point-event tally (shed episodes, degrade/recover transitions, machine
 churn).  The same functions back the tests that pin "the trace reproduces

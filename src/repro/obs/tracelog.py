@@ -1,17 +1,13 @@
-"""Structured JSON-lines tracing with a span API.
+"""Structured JSON-lines tracing.
 
 Where the metrics registry answers "how much, in aggregate", a trace
 answers "what happened, in order": one JSON object per line, one line per
-event.  The instrumented layers emit two shapes:
-
-* **spans** (:meth:`TraceLog.span`) — one per scheduler activation, opened
-  before the batch is solved and closed after the plan is committed; the
-  span stamps its own ``duration_seconds`` from a
-  :class:`~repro.utils.timer.Stopwatch` and carries the activation's whole
-  account (backlog drained, batch size, mode, scheduling latency,
-  warm-start reuse, engine evaluation counts);
-* **point events** (:meth:`TraceLog.emit`) — shed/degrade/recover
-  transitions and machine join/leave, each a single timestamped line.
+event (:meth:`TraceLog.emit`, or :meth:`TraceLog.emit_many` for a batch of
+per-job lines).  Each scheduler activation writes one ``activation`` line
+with its whole account (backlog drained, batch size, mode, scheduling
+latency, warm-start reuse, engine evaluation counts; see
+:mod:`repro.grid.activation`); shed/degrade/recover transitions and machine
+join/leave are single timestamped lines.
 
 The log is append-only, thread-safe (the live service writes from an
 executor thread), and flushed per line so a crash loses at most the event
@@ -31,9 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.utils.timer import Stopwatch
-
-__all__ = ["TraceLog", "TraceSpan", "read_trace"]
+__all__ = ["TraceLog", "read_trace"]
 
 
 def _jsonable(value: Any) -> Any:
@@ -47,43 +41,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
-
-
-class TraceSpan:
-    """One in-flight span; closing it emits the merged event line.
-
-    Usable as a context manager or closed explicitly; extra fields can be
-    attached any time before close via :meth:`update`.  The span measures
-    its own wall-clock ``duration_seconds`` between construction and close.
-    """
-
-    def __init__(self, log: "TraceLog", event: str, fields: dict[str, Any]) -> None:
-        self._log = log
-        self._event = event
-        self._fields = fields
-        self._stopwatch = Stopwatch()
-        self._closed = False
-
-    def update(self, **fields: Any) -> "TraceSpan":
-        """Attach more fields to the span (last write per key wins)."""
-        self._fields.update(fields)
-        return self
-
-    def close(self) -> None:
-        """Emit the span's event line (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._fields.setdefault("duration_seconds", self._stopwatch.elapsed)
-        self._log.emit(self._event, **self._fields)
-
-    def __enter__(self) -> "TraceSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self._fields.setdefault("error", repr(exc))
-        self.close()
 
 
 class TraceLog:
@@ -212,10 +169,6 @@ class TraceLog:
                 self._owns_handle = False
             self._capped = False
             self.bytes_written = 0
-
-    def span(self, event: str, **fields: Any) -> TraceSpan:
-        """Open a span that emits one merged event line when closed."""
-        return TraceSpan(self, event, dict(fields))
 
     def close(self) -> None:
         """Stop accepting events; close the handle if the log opened it."""

@@ -109,6 +109,7 @@ class ServiceSnapshot:
     accepted: int
     shed: int
     scheduled: int
+    #: Activations by outcome: a solved batch counts once its plan commits.
     activations: int
     idle_activations: int
     degraded_batches: int
@@ -125,6 +126,8 @@ class ServiceSnapshot:
     machines_total: int = 0
     breakdowns: int = 0
     repairs: int = 0
+    #: Activations that found work but no machine up: the batch was
+    #: re-queued untouched (no job is ever lost to a broken park).
     stalled_activations: int = 0
     #: Planned jobs a breakdown took back and re-queued.
     revoked: int = 0
@@ -174,8 +177,8 @@ class SchedulerCore:
         allocation-free with observability off.  Exposed as
         :attr:`registry` — the server's ``GET /metrics`` renders it.
     trace_log:
-        A :class:`~repro.obs.tracelog.TraceLog` receiving one span per
-        activation and one point event per shed episode and
+        A :class:`~repro.obs.tracelog.TraceLog` receiving one ``activation``
+        line per solved batch and one point event per shed episode and
         degrade/recover transition; ``None`` disables tracing.
     """
 
@@ -218,11 +221,6 @@ class SchedulerCore:
         self.shed = 0
         self.scheduled = 0
         self.cancelled = 0
-        self.activations = 0
-        self.idle_activations = 0
-        #: Activations that found work but no machine up: the batch was
-        #: re-queued untouched (no job is ever lost to a broken park).
-        self.stalled_activations = 0
         self.peak_backlog = 0
         self.breakdowns = 0
         self.repairs = 0
@@ -269,26 +267,16 @@ class SchedulerCore:
             transition: transitions.labels(transition=transition)
             for transition in ("degrade", "recover")
         }
-        activations = self.registry.counter(
-            "repro_service_activations_total",
-            "Scheduler activations, by the mode the batch was solved under.",
-            labels=("mode",),
-        )
-        self._m_activations = {
-            mode: activations.labels(mode=mode)
-            for mode in ("normal", "degraded", "idle", "stalled")
-        }
         buckets = self.config.latency_buckets
         self._m_job_latency = self.registry.histogram(
             "repro_service_job_latency_seconds",
             "Per-job scheduling latency: accepted to planned.",
             buckets=buckets,
         )
-        # The activation steps both clock domains share: batch build, timed
-        # solve, SPT commit plan, scheduler/phase histograms.
-        self._activator = Activator(
-            "service", "repro_service", self.registry, trace_log, buckets
-        )
+        # The activation steps and report both clock domains share: batch
+        # build, timed solve, SPT commit plan, outcome tally (the snapshot's
+        # activation counts), activation families and trace line.
+        self._activator = Activator("service", self.registry, trace_log, buckets)
 
     # ------------------------------------------------------------------ #
     # Queue side: submit and cancel
@@ -481,32 +469,20 @@ class SchedulerCore:
         with self._lock:
             now = self._now()
             self._last_activation = now
-            self.activations += 1
             batch = self._queue
             self._queue = []
-            if not batch:
-                self.idle_activations += 1
-                self._m_activations["idle"].inc()
-                return ActivationOutcome(
-                    time=now,
-                    batch_size=0,
-                    scheduled_ids=(),
-                    mode=self.mode,
-                    scheduler_seconds=0.0,
-                )
             up = np.flatnonzero(self.park.up)
-            if up.size == 0:
-                # Every machine is down: stall, don't lose.  The batch goes
-                # back to the *front* of the queue (arrival order preserved
-                # for the next activation) and the activation reports idle,
-                # so the exactly-once partition is untouched.
+            if not batch or not up.size:
+                # Nothing queued is idle.  With every machine down, stall,
+                # don't lose: the batch goes back to the *front* of the queue
+                # (arrival order preserved for the next activation) and the
+                # activation reports idle, so the exactly-once partition is
+                # untouched.
                 self._queue = batch + self._queue
-                self.stalled_activations += 1
-                depth = len(self._queue)
-                self._m_activations["stalled"].inc()
-                if self.trace_log is not None:
+                self._activator.skip("stalled" if batch else "idle")
+                if batch and self.trace_log is not None:
                     self.trace_log.emit(
-                        "stalled", source="service", time=now, backlog=depth
+                        "stalled", source="service", time=now, backlog=len(self._queue)
                     )
                 return ActivationOutcome(
                     time=now,
@@ -551,35 +527,8 @@ class SchedulerCore:
                     time=now,
                     backlog=len(batch),
                 )
-        # Warm-start reuse and evaluation counts come out of the scheduler
-        # stats as per-activation deltas (the warm service keeps cumulative
-        # counters); a stats-less scheduler just traces zeros.
-        stats = getattr(self.scheduler, "stats", None)
-        stats_before = (
-            (stats.carried_jobs, stats.filled_jobs, stats.evaluations)
-            if stats is not None
-            else (0, 0, 0)
-        )
-        # One span per activation: opened before the batch is solved,
-        # closed after the plan is committed (the span stamps its own
-        # duration; scheduler_seconds is the solve alone).
-        span = (
-            self.trace_log.span(
-                "activation",
-                source="service",
-                time=now,
-                seq=activation.seq,
-                backlog=len(batch),
-                batch_size=len(batch),
-                mode=mode,
-            )
-            if self.trace_log is not None
-            else None
-        )
-
-        degraded = mode == "degraded" and hasattr(self.scheduler, "degraded_schedule")
         try:
-            activation.solve(self.scheduler, self.rng, degraded)
+            activation.solve(self.scheduler, self.rng, mode)
         except BaseException:
             # A failed solve loses nothing either: the batch goes back to
             # the front of the queue, ahead of what arrived meanwhile.
@@ -601,31 +550,17 @@ class SchedulerCore:
             overflow = len(self._latencies) - self.config.latency_window
             if overflow > 0:
                 del self._latencies[:overflow]
-            # The assignment is traced under the lock too, so a breakdown
-            # cannot revoke a placement before its job_assigned line.
-            phases = activation.finish(plan)
+            # The assignment is traced and the activation counted under the
+            # lock too: a breakdown cannot revoke a placement before its
+            # job_assigned line, and no snapshot misses a committed plan.
+            activation.finish(plan)
             # A machine that broke during the solve takes its share back.
             self._revoke(up[~self.park.up[up]].tolist(), done)
             depth = len(self._queue)
         self._m_queue_depth.set(depth)
-        self._m_activations[mode].inc()
         for latency in latencies:
             self._m_job_latency.observe(latency)
-        if span is not None:
-            stats_after = (
-                (stats.carried_jobs, stats.filled_jobs, stats.evaluations)
-                if stats is not None
-                else (0, 0, 0)
-            )
-            span.update(
-                scheduler_seconds=activation.scheduler_seconds,
-                carried=stats_after[0] - stats_before[0],
-                filled=stats_after[1] - stats_before[1],
-                evaluations=stats_after[2] - stats_before[2],
-                scheduled=len(batch),
-                phases=phases,
-            )
-            span.close()
+        activation.report(plan)
         return ActivationOutcome(
             time=now,
             batch_size=len(batch),
@@ -672,6 +607,7 @@ class SchedulerCore:
     def snapshot(self) -> ServiceSnapshot:
         """The current metrics snapshot (see :class:`ServiceSnapshot`)."""
         stats = getattr(self.scheduler, "stats", None)
+        outcomes = self._activator.outcomes
         with self._lock:
             uptime = self._now()
             # Gated: p95/p99 are NaN until the rolling window holds enough
@@ -687,8 +623,8 @@ class SchedulerCore:
                 accepted=self.accepted,
                 shed=self.shed,
                 scheduled=self.scheduled,
-                activations=self.activations,
-                idle_activations=self.idle_activations,
+                activations=sum(outcomes.values()),
+                idle_activations=outcomes["idle"],
                 degraded_batches=int(getattr(stats, "degraded_batches", 0)),
                 degraded_jobs=int(getattr(stats, "degraded_jobs", 0)),
                 peak_backlog=self.peak_backlog,
@@ -704,6 +640,6 @@ class SchedulerCore:
                 machines_total=len(self.machines),
                 breakdowns=self.breakdowns,
                 repairs=self.repairs,
-                stalled_activations=self.stalled_activations,
+                stalled_activations=outcomes["stalled"],
                 revoked=self.revoked,
             )

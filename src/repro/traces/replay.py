@@ -29,8 +29,6 @@ specs of :mod:`repro.experiments.runner`.
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_module
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -44,6 +42,7 @@ from repro.heuristics import list_heuristics
 from repro.traces.format import Trace
 from repro.utils.rng import substream_seed_sequence
 from repro.utils.timer import Stopwatch
+from repro.utils.workers import run_workers, worker_context
 
 __all__ = [
     "INHERIT_ACTIVATION",
@@ -360,49 +359,12 @@ class ReplayArena:
         )
 
     def _run_workers(self) -> dict[str, list[SimulationMetrics]]:
-        """One worker process per policy (islands-style timeout guard)."""
+        """One worker process per policy, through the shared launcher."""
         cfg = self.config
-        method = cfg.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        context = multiprocessing.get_context(method)
-        results_queue = context.Queue()
-        processes = []
-        collected: dict[str, list[SimulationMetrics]] = {}
-        try:
-            for spec in self.specs:
-                process = context.Process(
-                    target=_arena_worker,
-                    args=(self.trace, spec, cfg, results_queue),
-                    name=f"arena-{spec.name}",
-                    daemon=True,
-                )
-                processes.append(process)
-                process.start()
-            while len(collected) < len(self.specs):
-                try:
-                    name, status, payload = results_queue.get(
-                        timeout=cfg.worker_timeout
-                    )
-                except queue_module.Empty:
-                    raise RuntimeError(
-                        f"arena workers timed out after {cfg.worker_timeout}s "
-                        f"({len(collected)}/{len(self.specs)} policies "
-                        f"finished); terminating the pool"
-                    ) from None
-                if status == "error":
-                    raise RuntimeError(f"policy {name!r} worker failed:\n{payload}")
-                collected[name] = payload
-            for process in processes:
-                process.join(timeout=cfg.worker_timeout)
-        finally:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join(timeout=5.0)
-        return collected
+        tasks = {spec.name: (self.trace, spec, cfg) for spec in self.specs}
+        return run_workers(
+            worker_context(cfg.start_method), _arena_worker, tasks, cfg.worker_timeout, "arena"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,47 +1,44 @@
-"""Tests for the cellular grid population and its initializer."""
+"""Tests for the resident cellular grid and its initializer."""
 
 import numpy as np
 import pytest
 
 from repro.core.individual import Individual
-from repro.core.neighborhood import C9Neighborhood, L5Neighborhood
-from repro.core.population import CellularGrid, PopulationInitializer
+from repro.core.population import PopulationInitializer, ResidentGrid
+from repro.engine import BatchEvaluator
 from repro.heuristics import build_schedule
-from repro.model.schedule import Schedule
 
 
 def make_grid(instance, evaluator, height=3, width=3, seed=0):
-    individuals = []
-    for i in range(height * width):
-        individual = Individual(Schedule.random(instance, rng=seed + i))
-        individual.evaluate(evaluator)
-        individuals.append(individual)
-    return CellularGrid(height, width, individuals)
+    batch = BatchEvaluator.random(instance, height * width, rng=seed)
+    return ResidentGrid(height, width, batch, evaluator)
 
 
-class TestCellularGrid:
+def build(instance, height, width, evaluator, rng, **initializer):
+    """A seeded grid with one offspring scratch row."""
+    return PopulationInitializer(**initializer).build_resident(
+        instance, height, width, evaluator, scratch_rows=1, rng=rng
+    )
+
+
+def cell_rows(grid):
+    return grid.batch.assignments[grid.population_rows]
+
+
+class TestResidentGrid:
     def test_size_and_indexing(self, tiny_instance, evaluator):
         grid = make_grid(tiny_instance, evaluator)
         assert grid.size == len(grid) == 9
         assert isinstance(grid[0], Individual)
 
-    def test_wrong_individual_count_rejected(self, tiny_instance, evaluator):
+    def test_wrong_row_count_rejected(self, tiny_instance, evaluator):
         with pytest.raises(ValueError):
-            CellularGrid(2, 2, [Individual(Schedule.random(tiny_instance, rng=0))])
+            ResidentGrid(2, 2, BatchEvaluator.random(tiny_instance, 3, rng=0), evaluator)
 
     def test_out_of_range_position_rejected(self, tiny_instance, evaluator):
         grid = make_grid(tiny_instance, evaluator)
         with pytest.raises(IndexError):
             grid[9]
-        with pytest.raises(IndexError):
-            grid[-1] = grid[0]
-
-    def test_setitem_replaces_cell(self, tiny_instance, evaluator):
-        grid = make_grid(tiny_instance, evaluator)
-        newcomer = Individual(Schedule.random(tiny_instance, rng=99))
-        newcomer.evaluate(evaluator)
-        grid[4] = newcomer
-        assert grid[4] is newcomer
 
     def test_coordinate_conversions(self, tiny_instance, evaluator):
         grid = make_grid(tiny_instance, evaluator, height=3, width=4)
@@ -55,27 +52,14 @@ class TestCellularGrid:
         assert grid.best().fitness == fitnesses.min()
         assert grid.worst().fitness == fitnesses.max()
         assert grid[grid.best_position()].fitness == fitnesses.min()
-
-    def test_mean_fitness(self, tiny_instance, evaluator):
-        grid = make_grid(tiny_instance, evaluator)
-        assert grid.mean_fitness() == pytest.approx(grid.fitness_values().mean())
-
-    def test_neighborhood_returns_individuals(self, tiny_instance, evaluator):
-        grid = make_grid(tiny_instance, evaluator)
-        neighbors = grid.neighborhood(4, L5Neighborhood())
-        assert len(neighbors) == 5
-        assert all(isinstance(n, Individual) for n in neighbors)
-
-    def test_neighborhood_contains_centre(self, tiny_instance, evaluator):
-        grid = make_grid(tiny_instance, evaluator)
-        assert grid[4] in grid.neighborhood(4, C9Neighborhood())
+        assert grid.mean_fitness() == pytest.approx(fitnesses.mean())
 
 
 class TestDiversityMetrics:
     def test_identical_population_has_zero_diversity(self, tiny_instance, evaluator):
-        base = Individual(Schedule.random(tiny_instance, rng=1))
-        base.evaluate(evaluator)
-        grid = CellularGrid(2, 2, [base.copy() for _ in range(4)])
+        batch = BatchEvaluator.random(tiny_instance, 1, rng=1)
+        copies = BatchEvaluator(tiny_instance, np.tile(batch.assignments[0], (4, 1)))
+        grid = ResidentGrid(2, 2, copies, evaluator)
         assert grid.genotypic_diversity() == pytest.approx(0.0)
         assert grid.entropy() == pytest.approx(0.0)
 
@@ -89,58 +73,47 @@ class TestDiversityMetrics:
         assert grid.genotypic_diversity() <= 1.0
 
     def test_single_cell_grid(self, tiny_instance, evaluator):
-        individual = Individual(Schedule.random(tiny_instance, rng=0))
-        individual.evaluate(evaluator)
-        grid = CellularGrid(1, 1, [individual])
+        grid = make_grid(tiny_instance, evaluator, height=1, width=1)
         assert grid.genotypic_diversity() == 0.0
 
 
 class TestPopulationInitializer:
     def test_grid_dimensions(self, tiny_instance, evaluator):
-        grid = PopulationInitializer().build(tiny_instance, 4, 3, evaluator, rng=1)
+        grid = build(tiny_instance, 4, 3, evaluator, rng=1)
         assert grid.height == 4 and grid.width == 3
-        assert grid.size == 12
+        assert grid.size == 12 and grid.scratch_rows == 1
 
-    def test_every_individual_evaluated(self, tiny_instance, evaluator):
-        grid = PopulationInitializer().build(tiny_instance, 3, 3, evaluator, rng=1)
+    def test_every_cell_evaluated_and_charged(self, tiny_instance, evaluator):
+        grid = build(tiny_instance, 3, 3, evaluator, rng=1)
         assert all(ind.is_evaluated for ind in grid)
+        assert evaluator.evaluations == 9
 
     def test_first_individual_is_the_seed_heuristic(self, tiny_instance, evaluator):
-        grid = PopulationInitializer(seeding_heuristic="min_min").build(
-            tiny_instance, 3, 3, evaluator, rng=1
-        )
+        grid = build(tiny_instance, 3, 3, evaluator, rng=1)
+        expected = build_schedule("ljfr_sjfr", tiny_instance)
+        assert np.array_equal(cell_rows(grid)[0], expected.assignment)
+
+    def test_min_min_seeding(self, tiny_instance, evaluator):
+        grid = build(tiny_instance, 3, 3, evaluator, rng=1, seeding_heuristic="min_min")
         expected = build_schedule("min_min", tiny_instance)
-        assert np.array_equal(grid[0].schedule.assignment, expected.assignment)
+        assert np.array_equal(cell_rows(grid)[0], expected.assignment)
 
     def test_rest_are_perturbations_of_the_seed(self, small_instance, evaluator):
-        initializer = PopulationInitializer(perturbation_rate=0.3)
-        grid = initializer.build(small_instance, 3, 3, evaluator, rng=2)
-        seed_assignment = grid[0].schedule.assignment
-        for position in range(1, grid.size):
-            distance = np.count_nonzero(
-                grid[position].schedule.assignment != seed_assignment
-            )
+        grid = build(small_instance, 3, 3, evaluator, rng=2, perturbation_rate=0.3)
+        rows = cell_rows(grid)
+        for row in rows[1:]:
+            distance = np.count_nonzero(row != rows[0])
             assert 0 < distance <= int(0.3 * small_instance.nb_jobs) + 1
 
     def test_perturbation_rate_validated(self):
         with pytest.raises(ValueError):
             PopulationInitializer(perturbation_rate=1.5)
 
-    def test_perturb_changes_at_most_rate_fraction(self, small_instance, evaluator):
-        initializer = PopulationInitializer(perturbation_rate=0.5)
-        schedule = build_schedule("ljfr_sjfr", small_instance)
-        original = np.array(schedule.assignment)
-        initializer.perturb(schedule, rng=3)
-        changed = np.count_nonzero(original != schedule.assignment)
-        assert changed <= int(0.5 * small_instance.nb_jobs)
-        schedule.validate()
-
     def test_population_is_diverse(self, small_instance, evaluator):
-        grid = PopulationInitializer().build(small_instance, 5, 5, evaluator, rng=4)
+        grid = build(small_instance, 5, 5, evaluator, rng=4)
         assert grid.genotypic_diversity() > 0.1
 
     def test_deterministic_for_seed(self, tiny_instance, evaluator):
-        a = PopulationInitializer().build(tiny_instance, 3, 3, evaluator, rng=5)
-        b = PopulationInitializer().build(tiny_instance, 3, 3, evaluator, rng=5)
-        for i in range(9):
-            assert np.array_equal(a[i].schedule.assignment, b[i].schedule.assignment)
+        a = build(tiny_instance, 3, 3, evaluator, rng=5)
+        b = build(tiny_instance, 3, 3, evaluator, rng=5)
+        assert np.array_equal(cell_rows(a), cell_rows(b))

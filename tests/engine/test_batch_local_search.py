@@ -33,6 +33,14 @@ def random_instance(seed: int, nb_jobs: int = 24, nb_machines: int = 6) -> Sched
     )
 
 
+def checkpoint(batch, rows):
+    """Copies of the rows' assignments, completion times and machine flowtimes."""
+    return tuple(
+        np.array(array[rows])
+        for array in (batch.assignments, batch.completion_times, batch.machine_flowtimes)
+    )
+
+
 def padded_source_jobs(assignments, sources):
     on_source = assignments == sources[:, None]
     counts = on_source.sum(axis=1)
@@ -188,13 +196,13 @@ class TestRowSetUpdates:
             jobs = rng.integers(0, instance.nb_jobs, size=8)
             current = np.asarray(batch.assignments)[rows, jobs]
             targets = (current + rng.integers(1, instance.nb_machines, size=8)) % instance.nb_machines
-            before = batch.save_rows(rows)
+            before = checkpoint(batch, rows)
             undo = batch.apply_moves(rows, jobs, targets)
             batch.validate()  # incremental caches equal a scalar recomputation
             mask = rng.random(8) < 0.5
             batch.undo_moves(rows, jobs, undo, mask)
             batch.validate()
-            after = batch.save_rows(rows)
+            after = checkpoint(batch, rows)
             # Reverted rows restored bit for bit.
             np.testing.assert_array_equal(before[0][mask], after[0][mask])
             np.testing.assert_array_equal(before[1][mask], after[1][mask])
@@ -215,13 +223,13 @@ class TestRowSetUpdates:
             if any(c.size == 0 for c in candidates):
                 continue
             jobs_b = np.array([int(rng.choice(c)) for c in candidates])
-            before = batch.save_rows(rows)
+            before = checkpoint(batch, rows)
             undo = batch.apply_swaps(rows, jobs_a, jobs_b)
             batch.validate()
             mask = rng.random(6) < 0.5
             batch.undo_swaps(rows, jobs_a, jobs_b, undo, mask)
             batch.validate()
-            after = batch.save_rows(rows)
+            after = checkpoint(batch, rows)
             np.testing.assert_array_equal(before[0][mask], after[0][mask])
 
     def test_set_rows_copy_rows_and_expanded(self):

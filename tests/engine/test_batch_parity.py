@@ -69,7 +69,7 @@ def test_batch_fitness_matches_scalarized_objectives(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_move_swap_sequences_keep_parity(seed):
-    """Apply the same random move/swap stream to batch rows and scalar twins."""
+    """Apply the same random move/swap stream to batch row views and scalar twins."""
     instance = random_instance(seed, nb_jobs=18, nb_machines=5)
     rng = np.random.default_rng(seed + 7)
     batch = BatchEvaluator.random(instance, 6, rng=rng)
@@ -80,11 +80,11 @@ def test_randomized_move_swap_sequences_keep_parity(seed):
         if rng.random() < 0.5:
             job = int(rng.integers(instance.nb_jobs))
             machine = int(rng.integers(instance.nb_machines))
-            batch.move_job(row, job, machine)
+            batch.view(row).move_job(job, machine)
             twins[row].move_job(job, machine)
         else:
             job_a, job_b = (int(j) for j in rng.integers(instance.nb_jobs, size=2))
-            batch.swap_jobs(row, job_a, job_b)
+            batch.view(row).swap_jobs(job_a, job_b)
             twins[row].swap_jobs(job_a, job_b)
 
     batch.validate()
@@ -172,11 +172,11 @@ def test_view_is_zero_copy_and_consistent():
     batch.validate()
 
 
-def test_set_row_and_subset_recompute():
+def test_set_rows_and_subset_recompute():
     instance = random_instance(9)
     batch = BatchEvaluator.random(instance, 5, rng=4)
     replacement = np.zeros(instance.nb_jobs, dtype=np.int64)
-    batch.set_row(3, replacement)
+    batch.set_rows([3], replacement[None, :])
     assert np.array_equal(batch.assignments[3], replacement)
     assert_batch_matches_scalar(batch)
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.population import individuals_from_batch
 from repro.core.termination import SearchState
-from repro.engine import EvaluationEngine, perturbed_copies
+from repro.engine import BatchEvaluator, EvaluationEngine, perturbed_copies
 from repro.heuristics import build_schedule
 from repro.model.instance import SchedulingInstance
 
@@ -23,16 +23,10 @@ def instance() -> SchedulingInstance:
 
 
 class TestCounterAndLifecycle:
-    def test_batch_evaluation_charges_one_per_row(self, instance):
-        engine = EvaluationEngine(instance)
-        batch = engine.random_batch(8, rng=1)
-        engine.evaluate_batch(batch)
-        assert engine.evaluations == 8
-
     def test_scalar_and_batch_share_one_counter(self, instance):
         engine = EvaluationEngine(instance)
-        batch = engine.random_batch(4, rng=1)
-        engine.evaluate_batch(batch)
+        batch = BatchEvaluator.random(instance, 4, rng=1)
+        individuals_from_batch(batch, engine.evaluator)
         engine.evaluate(batch.schedule(0))
         assert engine.evaluations == 5
 
@@ -86,7 +80,7 @@ class TestPopulationFactories:
 
     def test_individuals_from_batch_matches_batch_objectives(self, instance):
         engine = EvaluationEngine(instance)
-        batch = engine.random_batch(7, rng=2)
+        batch = BatchEvaluator.random(instance, 7, rng=2)
         individuals = individuals_from_batch(batch, engine.evaluator)
         assert engine.evaluations == 7
         for row, individual in enumerate(individuals):
@@ -101,10 +95,10 @@ class TestResults:
         engine = EvaluationEngine(instance)
         engine.begin_run()
         state = SearchState()
-        batch = engine.random_batch(3, rng=8)
-        engine.evaluate_batch(batch)
+        batch = BatchEvaluator.random(instance, 3, rng=8)
+        individuals_from_batch(batch, engine.evaluator)
         state.evaluations = engine.evaluations
-        best = batch.schedule(batch.best_row())
+        best = batch.schedule(int(batch.fitnesses().argmin()))
         engine.record(
             state,
             fitness=float(batch.fitnesses().min()),

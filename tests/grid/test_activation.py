@@ -5,9 +5,11 @@ driver, simulated time) and to the live ``SchedulerCore`` (a ``FakeClock``
 paced by the same trace): at every activation both domains must hand the
 scheduler the same batch and bit-identical ready times, and get back the
 same assignment.  With one machine broken down over a window, both domains
-must also revoke the same jobs at the breakdown.  The failed-solve tests pin
-what both domains do when the scheduler raises or returns a malformed
-assignment.
+must also revoke the same jobs at the breakdown.  Both domains report each
+activation the same way: one ``activation`` trace line with one field set,
+and one metric family per quantity told apart by its ``domain`` label.  The
+failed-solve tests pin what both domains do when the scheduler raises or
+returns a malformed assignment.
 """
 
 import dataclasses
@@ -25,7 +27,8 @@ from repro.grid import (
     SimulationConfig,
     WarmCMAPolicy,
 )
-from repro.obs import TraceLog
+from repro.grid.activation import OUTCOMES
+from repro.obs import MetricsRegistry, TraceLog, parse_exposition
 from repro.service import FakeClock, SchedulerCore
 from repro.traces import generate_trace
 
@@ -66,6 +69,11 @@ class Recording:
         )
         return assignment
 
+    @property
+    def stats(self):
+        """The inner policy's warm-start counters, when it keeps any."""
+        return getattr(self.inner, "stats", None)
+
 
 def static_trace(affinity_spread):
     trace = generate_trace(
@@ -85,7 +93,7 @@ def static_trace(affinity_spread):
     return trace
 
 
-def simulate(trace, policy, window=None, trace_log=None):
+def simulate(trace, policy, window=None, trace_log=None, registry=None):
     """The simulator's activations; *window* breaks machine ``BROKEN`` down."""
     recording = Recording(policy)
     machines = trace.to_machines()
@@ -97,12 +105,13 @@ def simulate(trace, policy, window=None, trace_log=None):
         recording,
         SimulationConfig(activation_interval=INTERVAL),
         rng=SEED,
+        registry=registry,
         trace_log=trace_log,
     ).run()
     return recording.calls
 
 
-def serve(trace, policy, window=None, trace_log=None):
+def serve(trace, policy, window=None, trace_log=None, registry=None):
     """Replay the trace into the live core, one activation per simulator tick.
 
     The clock steps in whole intervals, so the k-th activation happens at
@@ -118,6 +127,7 @@ def serve(trace, policy, window=None, trace_log=None):
         ServiceConfig(queue_capacity=10_000, degrade_threshold=10_000),
         clock=clock,
         rng=SEED,
+        registry=registry,
         trace_log=trace_log,
     )
     jobs = trace.to_jobs()
@@ -185,6 +195,83 @@ def test_both_domains_revoke_the_same_jobs_at_a_breakdown(policy, affinity_sprea
         np.testing.assert_array_equal(sim_ready.view(np.int64), live_ready.view(np.int64))
 
 
+#: ``activation`` line fields both domains must agree on.
+SHARED_FIELDS = (
+    "seq",
+    "backlog",
+    "batch_size",
+    "machines",
+    "mode",
+    "scheduled",
+    "batch_makespan",
+    "carried",
+    "filled",
+    "evaluations",
+)
+#: The activation families, each with a ``domain`` label.
+FAMILIES = (
+    "repro_activations_total",
+    "repro_activation_scheduler_seconds",
+    "repro_activation_phase_seconds",
+)
+
+
+def activation_lines(log):
+    events = [json.loads(line) for line in log.getvalue().splitlines()]
+    return [event for event in events if event["event"] == "activation"]
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_both_domains_report_the_same_activations(policy):
+    trace = static_trace(0.4)
+    logs = {"simulator": io.StringIO(), "service": io.StringIO()}
+    registries = {"simulator": MetricsRegistry(), "service": MetricsRegistry()}
+    for domain, run in (("simulator", simulate), ("service", serve)):
+        run(
+            trace,
+            POLICIES[policy](),
+            trace_log=TraceLog(logs[domain]),
+            registry=registries[domain],
+        )
+
+    simulated = activation_lines(logs["simulator"])
+    live = activation_lines(logs["service"])
+    assert len(simulated) == len(live) > 5
+    for sim_line, live_line in zip(simulated, live):
+        assert sim_line.keys() == live_line.keys()
+        assert (sim_line["source"], live_line["source"]) == ("simulator", "service")
+        assert [sim_line[key] for key in SHARED_FIELDS] == [
+            live_line[key] for key in SHARED_FIELDS
+        ]
+        for line in (sim_line, live_line):
+            assert line["duration_seconds"] >= line["scheduler_seconds"] >= 0.0
+    if policy == "warm_cma":
+        # The warm cMA reports its warm start; a single-job batch takes the
+        # degenerate path and reuses nothing.
+        assert sum(line["carried"] + line["filled"] for line in simulated) > 0
+
+    counts = {}
+    for domain, registry in registries.items():
+        families = parse_exposition(registry.render())
+        assert all(name in families for name in FAMILIES)
+        counts[domain] = {
+            outcome: registry.get_sample_value(
+                "repro_activations_total", {"domain": domain, "outcome": outcome}
+            )
+            for outcome in OUTCOMES
+        }
+        solved = {"domain": domain}
+        assert registry.get_sample_value(
+            "repro_activation_scheduler_seconds_count", solved
+        ) == counts[domain]["normal"]
+        assert registry.get_sample_value(
+            "repro_activation_phase_seconds_count", {**solved, "phase": "solve"}
+        ) == counts[domain]["normal"]
+    assert counts["simulator"] == counts["service"]
+    assert counts["service"]["normal"] == len(live)
+    assert counts["service"]["idle"] > 0
+
+
 class ShortAssignment:
     name = "short"
 
@@ -234,7 +321,10 @@ def test_live_core_requeues_the_batch_of_a_failed_solve(scheduler, error):
     with pytest.raises(error):
         core.activate()
     assert (core.accepted, core.scheduled, core.backlog) == (4, 0, 4)
+    # A failed solve commits nothing, so it is not counted as an activation.
+    assert core.snapshot().activations == 0
     # Back at the front in arrival order: a working scheduler plans them all.
     core.scheduler = HeuristicBatchPolicy("mct")
     assert core.activate().scheduled_ids == tuple(ids)
     assert (core.scheduled, core.backlog, core.shed, core.cancelled) == (4, 0, 0, 0)
+    assert core.snapshot().activations == 1

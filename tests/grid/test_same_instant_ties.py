@@ -32,6 +32,9 @@ CANCELS = {3: 5, 9: 8, 12: 9}
 DUE_DATES = {0: 1, 1: 1, 4: 2, 5: 4, 7: 6, 8: 5, 9: 7, 10: 6, 11: 7, 13: 8}
 #: Trace fields read off the wall clock.
 WALL_FIELDS = {"scheduler_seconds", "phases", "duration_seconds"}
+#: Activation-line fields newer than the digests: the scheduler's warm-start
+#: reuse over the solve, zero under a heuristic.
+REUSE_FIELDS = ("carried", "filled", "evaluations")
 
 DRIVERS = {
     "periodic": None,
@@ -143,6 +146,9 @@ def test_same_instant_output_is_golden(driver, heuristic):
     assert len(output["activations"]) == 9
     assert len(output["lines"]) == lines
     assert (summary["completed"], summary["cancelled"], summary["rescheduled"]) == (12, 2, 3)
+    for line in output["lines"]:
+        if line["event"] == "activation":
+            assert [line.pop(key) for key in REUSE_FIELDS] == [0, 0, 0]
     assert digest(output) == expected
 
 

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from repro.core.config import ServiceConfig
-from repro.engine import EvaluationEngine
+from repro.engine import BatchEvaluator, EvaluationEngine
 from repro.grid.job import GridJob
 from repro.grid.machine import GridMachine
 from repro.grid.scheduler import HeuristicBatchPolicy
@@ -35,15 +35,12 @@ class TestEngineInstrumentation:
     def test_evaluations_flow_into_the_registry(self, tiny_instance):
         registry = MetricsRegistry()
         engine = EvaluationEngine(tiny_instance, registry=registry)
-        batch = engine.random_batch(8, rng=3)
-        engine.evaluate_batch(batch)
+        batch = BatchEvaluator.random(tiny_instance, 8, rng=3)
+        for row in range(len(batch)):
+            engine.evaluate(batch.view(row))
         value = registry.get_sample_value("repro_engine_evaluations_total")
         # The registry mirrors the engine's own cumulative counter exactly.
         assert value == float(engine.evaluator.evaluations) == 8.0
-        assert registry.get_sample_value("repro_engine_batch_rows_count") == 1.0
-        assert registry.get_sample_value(
-            "repro_engine_batch_rows_bucket", {"le": "16.0"}
-        ) == 1.0
 
 
 class TestCoreInstrumentation:
@@ -100,15 +97,10 @@ class TestCoreInstrumentation:
         core.submit(100.0)
         core.activate()  # recovers (threshold 1)
 
-        assert registry.get_sample_value(
-            "repro_service_activations_total", {"mode": "idle"}
-        ) == 1.0
-        assert registry.get_sample_value(
-            "repro_service_activations_total", {"mode": "degraded"}
-        ) == 1.0
-        assert registry.get_sample_value(
-            "repro_service_activations_total", {"mode": "normal"}
-        ) == 1.0
+        for outcome, count in (("idle", 1), ("degraded", 1), ("normal", 1), ("stalled", 0)):
+            assert registry.get_sample_value(
+                "repro_activations_total", {"domain": "service", "outcome": outcome}
+            ) == float(count)
         assert registry.get_sample_value(
             "repro_service_mode_transitions_total", {"transition": "degrade"}
         ) == 1.0
@@ -118,7 +110,7 @@ class TestCoreInstrumentation:
         # The scheduling-latency histogram saw the two non-idle
         # activations, the job-latency histogram every scheduled job.
         assert registry.get_sample_value(
-            "repro_service_scheduler_seconds_count"
+            "repro_activation_scheduler_seconds_count", {"domain": "service"}
         ) == 2.0
         assert registry.get_sample_value(
             "repro_service_job_latency_seconds_count"
@@ -220,17 +212,15 @@ class TestSimulatorInstrumentation:
         def sample(name, **labels):
             return registry.get_sample_value(name, labels) or 0.0
 
-        scheduled = sample(
-            "repro_sim_activations_total", driver="periodic", outcome="scheduled"
-        )
-        idle = sample("repro_sim_activations_total", driver="periodic", outcome="idle")
-        assert scheduled + idle == float(metrics.nb_activations)
+        scheduled = sample("repro_activations_total", domain="simulator", outcome="normal")
+        idle = sample("repro_activations_total", domain="simulator", outcome="idle")
+        assert scheduled == float(metrics.nb_activations)
         assert idle == float(metrics.nb_idle_activations)
         assert sample("repro_sim_events_total", kind="task_submit") == float(len(jobs))
         # Machine 0 joins at t=0, machine 1 at t=1; only machine 1 leaves.
         assert sample("repro_sim_events_total", kind="machine_join") == 2.0
         assert sample("repro_sim_events_total", kind="machine_leave") == 1.0
-        assert sample("repro_sim_scheduler_seconds_count") == scheduled
+        assert sample("repro_activation_scheduler_seconds_count", domain="simulator") == scheduled
 
         events = trace_events(buffer)
         joins = [e for e in events if e["event"] == "machine_join"]
@@ -249,7 +239,7 @@ class TestNullDefaults:
         # No registry anywhere: everything still runs, and a registry
         # created afterwards is untouched.
         engine = EvaluationEngine(tiny_instance)
-        engine.evaluate_batch(engine.random_batch(8, rng=3))
+        engine.evaluate(BatchEvaluator.random(tiny_instance, 8, rng=3).view(0))
         core = SchedulerCore(
             make_machines(),
             HeuristicBatchPolicy("min_min"),

@@ -153,9 +153,12 @@ def test_live_scrape_under_load_and_trace_account(tmp_path):
 
     # --- The scraped document, validated against the strict grammar. ---
     families = parse_exposition(body)
-    latency = families["repro_service_scheduler_seconds"]
+    latency = families["repro_activation_scheduler_seconds"]
     assert latency.kind == "histogram"
-    assert latency.value(sample_name="repro_service_scheduler_seconds_count") > 0
+    assert (
+        latency.value(sample_name="repro_activation_scheduler_seconds_count", domain="service")
+        > 0
+    )
     submissions = families["repro_service_submissions_total"]
     assert submissions.value(outcome="accepted") == float(report.accepted)
     assert submissions.value(outcome="shed") == float(report.shed)

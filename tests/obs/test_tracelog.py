@@ -27,33 +27,6 @@ def test_emit_writes_one_json_line_per_event(tmp_path):
     assert read_trace(path) == events
 
 
-def test_span_measures_duration_and_merges_updates():
-    buffer = io.StringIO()
-    log = TraceLog(buffer)
-    span = log.span("activation", source="test", backlog=5)
-    span.update(scheduled=4, mode="normal")
-    span.close()
-    span.close()  # idempotent
-    (line,) = buffer.getvalue().splitlines()
-    record = json.loads(line)
-    assert record["event"] == "activation"
-    assert record["backlog"] == 5
-    assert record["scheduled"] == 4
-    assert record["duration_seconds"] >= 0.0
-    assert log.events_written == 1
-
-
-def test_span_context_manager_records_errors():
-    buffer = io.StringIO()
-    log = TraceLog(buffer)
-    with pytest.raises(RuntimeError):
-        with log.span("activation", source="test"):
-            raise RuntimeError("boom")
-    record = json.loads(buffer.getvalue())
-    assert "boom" in record["error"]
-    assert record["duration_seconds"] >= 0.0
-
-
 def test_numpy_fields_serialize_and_nan_is_refused():
     buffer = io.StringIO()
     log = TraceLog(buffer)

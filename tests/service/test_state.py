@@ -98,7 +98,8 @@ class TestQueueAndShed:
         outcome = core.activate()
         assert outcome.idle
         assert outcome.scheduled_ids == ()
-        assert core.idle_activations == 1
+        snapshot = core.snapshot()
+        assert (snapshot.activations, snapshot.idle_activations) == (1, 1)
 
 
 class TestActivation:
@@ -285,7 +286,8 @@ class TestShutdown:
         # then the caller's abort sheds the job.
         outcomes = core.drain()
         assert [outcome.idle for outcome in outcomes] == [True]
-        assert core.stalled_activations == 1
+        snapshot = core.snapshot()
+        assert (snapshot.stalled_activations, snapshot.idle_activations) == (1, 0)
         assert core.abort() == (job_id,)
         assert core.shed == 1
 
@@ -531,9 +533,9 @@ class TestLatencyBuckets:
         core.activate()
         families = parse_exposition(registry.render())
         for family in (
-            "repro_service_scheduler_seconds",
+            "repro_activation_scheduler_seconds",
             "repro_service_job_latency_seconds",
-            "repro_service_activation_phase_seconds",
+            "repro_activation_phase_seconds",
         ):
             text = registry.render()
             assert f'{family}_bucket{{' in text or family in families
@@ -550,7 +552,7 @@ class TestLatencyBuckets:
         phase_lines = [
             line
             for line in text.splitlines()
-            if line.startswith("repro_service_activation_phase_seconds_bucket")
+            if line.startswith('repro_activation_phase_seconds_bucket{domain="service"')
         ]
         assert phase_lines, "phase histogram must be live after an activation"
         assert {line.split('le="')[1].split('"')[0] for line in phase_lines} <= {
