@@ -8,11 +8,13 @@ this table instead of adding ad-hoc timers (see
 * **full evaluation** (PR 1) — evaluating a whole population from scratch:
   scalar ``Schedule`` construction vs. one vectorized ``recompute``;
 * **neighborhood scan** (PR 1) — scoring all ``jobs × machines`` single-job
-  moves of one schedule: per-candidate what-ifs vs. one vectorized scan
-  (PR-1 baseline: ~150x);
+  moves of one schedule: per-candidate what-ifs vs. one vectorized scan, a
+  one-row ``score_moves_batch`` (first recorded at ~150x);
 * **grid iteration** (PR 2) — the cMA offspring pipeline: the PR-1
   scalar-grid path (one detached ``Schedule``/``Individual`` per offspring,
-  scalar local search, per-offspring evaluation) vs. the resident-grid path
+  scalar local-search steps, which now choose their candidates through the
+  batch kernels on a one-row batch, per-offspring evaluation) vs. the
+  resident-grid path
   (offspring staged into the population's scratch rows, whole-batch local
   search via ``score_moves_batch``-style kernels, one batched evaluation);
 * **islands scaling** (PR 3) — a fixed total evaluation budget split across
@@ -156,7 +158,8 @@ def _time_grid_iteration(instance, cells: int, local_search: str) -> tuple[float
     Both paths push ``cells`` offspring (the same crossover children) through
     ``local_search`` and evaluation.  The scalar path is the PR-1 cMA
     pipeline: one detached ``Schedule`` + ``Individual`` per offspring,
-    scalar local-search steps, one counted evaluation each.  The resident
+    scalar local-search steps (each choosing its candidate through the batch
+    scan kernels on a one-row batch), one counted evaluation each.  The resident
     path stages the whole offspring batch into the grid's scratch rows and
     improves/evaluates it with vectorized whole-batch passes.
     """
@@ -327,7 +330,7 @@ def test_engine_throughput(record_output, record_json):
                 schedule.makespan_if_moved(job, machine)
 
     def vectorized_scan():
-        batch.score_moves(0)
+        batch.score_moves_batch([0])
 
     scalar_scan_s = _timed(scalar_scan)
     vector_scan_s = _timed(vectorized_scan)

@@ -15,15 +15,14 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.cma import SchedulingResult
+from repro.core.crossover import OnePointCrossover
 from repro.core.individual import Individual
+from repro.core.mutation import MoveMutation
 from repro.core.population import individuals_from_batch
 from repro.core.termination import SearchState, TerminationCriteria
 from repro.engine.service import EvaluationEngine
 from repro.model.instance import SchedulingInstance
-from repro.model.schedule import Schedule
 from repro.utils.rng import RNGLike, as_generator
 
 __all__ = ["PopulationBasedScheduler"]
@@ -41,6 +40,9 @@ class PopulationBasedScheduler(abc.ABC):
 
     #: Name reported in :class:`SchedulingResult.algorithm`; subclasses override.
     algorithm_name: str = "baseline"
+    #: The registered operators the GA baselines breed with, on :attr:`rng`.
+    crossover = OnePointCrossover()
+    mutation = MoveMutation()
 
     def __init__(
         self,
@@ -151,19 +153,3 @@ class PopulationBasedScheduler(abc.ABC):
         pool = len(candidates)
         indices = self.rng.integers(0, pool, size=max(1, size))
         return min((candidates[int(i)] for i in indices), key=lambda ind: ind.fitness)
-
-    def _one_point_crossover(
-        self, parent_a: np.ndarray, parent_b: np.ndarray
-    ) -> np.ndarray:
-        length = parent_a.shape[0]
-        if length < 2:
-            return parent_a.copy()
-        cut = int(self.rng.integers(1, length))
-        child = parent_a.copy()
-        child[cut:] = parent_b[cut:]
-        return child
-
-    def _move_mutation(self, schedule: Schedule) -> None:
-        job = int(self.rng.integers(0, self.instance.nb_jobs))
-        machine = int(self.rng.integers(0, self.instance.nb_machines))
-        schedule.move_job(job, machine)

@@ -99,14 +99,14 @@ class GenerationalGA(PopulationBasedScheduler):
             parent_a = self._tournament(self.population, cfg.tournament_size)
             parent_b = self._tournament(self.population, cfg.tournament_size)
             if self.rng.random() < cfg.crossover_probability:
-                child_assignment = self._one_point_crossover(
-                    parent_a.schedule.assignment, parent_b.schedule.assignment
+                child_assignment = self.crossover.recombine(
+                    (parent_a.schedule.assignment, parent_b.schedule.assignment), self.rng
                 )
                 child = Individual(Schedule(self.instance, child_assignment))
             else:
                 child = parent_a.copy()
             if self.rng.random() < cfg.mutation_probability:
-                self._move_mutation(child.schedule)
+                self.mutation.mutate(child.schedule, self.rng)
             child.evaluate(self.evaluator)
             next_population.append(child)
 

@@ -81,12 +81,12 @@ class SteadyStateGA(PopulationBasedScheduler):
         for _ in range(cfg.offspring_per_iteration):
             parent_a = self._tournament(self.population, cfg.tournament_size)
             parent_b = self._tournament(self.population, cfg.tournament_size)
-            child_assignment = self._one_point_crossover(
-                parent_a.schedule.assignment, parent_b.schedule.assignment
+            child_assignment = self.crossover.recombine(
+                (parent_a.schedule.assignment, parent_b.schedule.assignment), self.rng
             )
             child = Individual(Schedule(self.instance, child_assignment))
             if self.rng.random() < cfg.mutation_probability:
-                self._move_mutation(child.schedule)
+                self.mutation.mutate(child.schedule, self.rng)
             child.evaluate(self.evaluator)
 
             worst_index = max(

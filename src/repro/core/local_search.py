@@ -21,22 +21,25 @@ single-job move over the whole ``jobs × machines`` neighborhood, scored by
 one vectorized engine scan) and **VNS**, a small variable-neighborhood
 scheme that cycles LM → SLM → LMCTS.
 
-Moves are ranked with the vectorized completion-time scans of
-:mod:`repro.engine.scan` (no schedule copies, no per-candidate allocations),
-then the selected move is applied and *accepted only if the scalarized
-fitness improves*, so a local-search step never degrades the offspring.  The
+Every built-in method chooses its candidate once, with the vectorized
+completion-time scans of :mod:`repro.engine.scan` (no schedule copies, no
+per-candidate allocations), over ``(rows, jobs)`` assignments; the chosen
+move is then applied and *accepted only if the scalarized fitness
+improves*, so a local-search step never degrades the offspring.  The
 number of steps per offspring is the ``nb local search iterations``
 parameter of Table 1 (5 in the tuned configuration).
 
-Every method exists at two granularities.  :meth:`LocalSearch.step` /
-:meth:`LocalSearch.improve` operate on one schedule (the scalar path).
-:meth:`LocalSearch.step_batch` / :meth:`LocalSearch.improve_batch` improve a
-whole row subset of a resident :class:`~repro.engine.batch.BatchEvaluator`
-population at once: one vectorized scan chooses a candidate per row, the
-moves are applied with incremental two-machine cache updates, and rows that
-did not strictly improve are reverted from the undo record.  Registered
-custom searches only need ``step`` — the default ``step_batch`` walks rows
-through zero-copy engine views.
+The choice is applied at two granularities.  :meth:`LocalSearch.step` /
+:meth:`LocalSearch.improve` operate on one schedule: the choice runs on
+its single row and the move goes through ``Schedule.move_job``/
+``swap_jobs``, whose arithmetic fixes the ``sequential`` cMA trajectories.
+:meth:`LocalSearch.step_batch` / :meth:`LocalSearch.improve_batch` improve
+a whole row subset of a resident :class:`~repro.engine.batch.BatchEvaluator`
+population at once: the choice runs on every row, the moves are applied
+with incremental two-machine cache updates, and rows that did not strictly
+improve are reverted from the undo record.  Registered custom searches
+only need ``step`` — the default ``step_batch`` walks rows through
+zero-copy engine views.
 """
 
 from __future__ import annotations
@@ -223,279 +226,150 @@ class NullLocalSearch(LocalSearch):
         return np.zeros(rows.shape[0], dtype=bool)
 
 
-class LocalMoveSearch(LocalSearch):
+class _CandidateSearch(LocalSearch):
+    """A built-in method: one vectorized candidate choice, applied two ways.
+
+    Subclasses implement :meth:`choose` once, over ``(rows, jobs)``
+    assignments and ``(rows, machines)`` completion times.  :meth:`step`
+    runs it on the schedule's single row and applies the pick through
+    ``Schedule.move_job``/``swap_jobs``; :meth:`step_batch` runs it on a
+    row subset and applies every pick with the batched accept/revert cycle.
+    Both keep a candidate only on strict fitness improvement; with a single
+    machine there is nothing to choose, and neither calls :meth:`choose`.
+    """
+
+    #: Whether the partner of a pick is a job to swap with (else a machine).
+    swaps = False
+
+    @abc.abstractmethod
+    def choose(
+        self,
+        etc: np.ndarray,
+        assignments: np.ndarray,
+        completions: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's candidate on two or more machines: ``(jobs, partners, active)``.
+
+        ``partners`` holds target machines, or partner jobs when
+        :attr:`swaps` is set; ``active`` marks the rows that have a
+        candidate.  A single row draws from *rng* exactly like one scalar
+        step.
+        """
+
+    def step(
+        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
+    ) -> bool:
+        if schedule.instance.nb_machines < 2:
+            return False
+        jobs, partners, active = self.choose(
+            schedule.instance.etc,
+            schedule.assignment[None, :],
+            schedule.completion_times[None, :],
+            rng,
+        )
+        if not active[0]:
+            return False
+        job, partner = int(jobs[0]), int(partners[0])
+        apply = schedule.swap_jobs if self.swaps else schedule.move_job
+        undo = partner if self.swaps else int(schedule.assignment[job])
+        before = _fitness_of(schedule, evaluator)
+        apply(job, partner)
+        if _fitness_of(schedule, evaluator) < before:
+            return True
+        apply(job, undo)  # a swap is its own inverse; a move goes back
+        return False
+
+    def step_batch(
+        self,
+        batch: BatchEvaluator,
+        rows: np.ndarray,
+        evaluator: FitnessEvaluator,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        improved = np.zeros(rows.shape[0], dtype=bool)
+        if batch.nb_machines < 2:
+            return improved
+        jobs, partners, active = self.choose(
+            batch.instance.etc, batch.assignments[rows], batch.completion_times[rows], rng
+        )
+        if active.any():
+            accept = _accept_swaps if self.swaps else _accept_moves
+            improved[active] = accept(
+                batch, rows[active], jobs[active], partners[active], evaluator
+            )
+        return improved
+
+
+class LocalMoveSearch(_CandidateSearch):
     """LM: move a random job to a random machine, keep only improvements."""
 
     name = "lm"
 
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        nb_jobs = schedule.instance.nb_jobs
-        nb_machines = schedule.instance.nb_machines
-        if nb_machines < 2:
-            return False
-        job = int(rng.integers(0, nb_jobs))
-        old_machine = int(schedule.assignment[job])
-        new_machine = int(rng.integers(0, nb_machines))
-        if new_machine == old_machine:
-            return False
-        before = _fitness_of(schedule, evaluator)
-        schedule.move_job(job, new_machine)
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.move_job(job, old_machine)
-        return False
-
-    def step_batch(
-        self,
-        batch: BatchEvaluator,
-        rows: np.ndarray,
-        evaluator: FitnessEvaluator,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        nb_jobs, nb_machines = batch.nb_jobs, batch.nb_machines
-        count = rows.shape[0]
-        improved = np.zeros(count, dtype=bool)
-        if nb_machines < 2:
-            return improved
+    def choose(self, etc, assignments, completions, rng):
+        count, nb_jobs = assignments.shape
         jobs = rng.integers(0, nb_jobs, size=count)
-        machines = rng.integers(0, nb_machines, size=count)
-        active = machines != batch.assignments[rows, jobs]
-        if not active.any():
-            return improved
-        improved[active] = _accept_moves(
-            batch, rows[active], jobs[active], machines[active], evaluator
-        )
-        return improved
+        machines = rng.integers(0, etc.shape[1], size=count)
+        return jobs, machines, machines != assignments[np.arange(count), jobs]
 
 
-class SteepestLocalMoveSearch(LocalSearch):
+class SteepestLocalMoveSearch(_CandidateSearch):
     """SLM: move a random job to the machine giving the best completion-time drop."""
 
     name = "slm"
 
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        instance = schedule.instance
-        nb_machines = instance.nb_machines
-        if nb_machines < 2:
-            return False
-        job = int(rng.integers(0, instance.nb_jobs))
-        source = int(schedule.assignment[job])
-        resulting_makespan = scan.score_moves_for_job(
-            instance.etc, schedule.assignment, schedule.completion_times, job
-        )
-        target = int(resulting_makespan.argmin())
-
-        before = _fitness_of(schedule, evaluator)
-        schedule.move_job(job, target)
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.move_job(job, source)
-        return False
-
-    def step_batch(
-        self,
-        batch: BatchEvaluator,
-        rows: np.ndarray,
-        evaluator: FitnessEvaluator,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if batch.nb_machines < 2:
-            return np.zeros(rows.shape[0], dtype=bool)
-        jobs = rng.integers(0, batch.nb_jobs, size=rows.shape[0])
-        scores = scan.score_moves_for_jobs_batch(
-            batch.instance.etc,
-            batch.assignments[rows],
-            batch.completion_times[rows],
-            jobs,
-        )
-        targets = scores.argmin(axis=1)
-        return _accept_moves(batch, rows, jobs, targets, evaluator)
+    def choose(self, etc, assignments, completions, rng):
+        count, nb_jobs = assignments.shape
+        jobs = rng.integers(0, nb_jobs, size=count)
+        scores = scan.score_moves_for_jobs_batch(etc, assignments, completions, jobs)
+        return jobs, scores.argmin(axis=1), np.ones(count, dtype=bool)
 
 
-class LocalMCTSwapSearch(LocalSearch):
+class LocalMCTSwapSearch(_CandidateSearch):
     """LMCTS: best swap between a job on the makespan machine and any other job.
 
     The scan considers every pair ``(a, b)`` where ``a`` runs on the machine
     that defines the makespan and ``b`` runs elsewhere, ranks the pairs by
     the larger of the two affected completion times after the swap (the
     quantity the paper calls "the reduction in the completion time"), applies
-    the best pair and keeps it only if the fitness improves.
+    the best pair and keeps it only if the fitness improves.  The pairs of
+    every row are scored in padded row blocks by
+    :func:`~repro.engine.scan.score_critical_swaps_batch`.
     """
 
     name = "lmcts"
+    swaps = True
 
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        instance = schedule.instance
-        etc = instance.etc
-        completion = schedule.completion_times
-        source = schedule.most_loaded_machine()
-
-        source_jobs = schedule.machine_jobs(source)
-        if source_jobs.size == 0:
-            return False
-        other_jobs = np.nonzero(schedule.assignment != source)[0]
-        if other_jobs.size == 0:
-            return False
-
-        pair_metric = scan.score_critical_swaps(
-            etc, schedule.assignment, completion, source_jobs, other_jobs, source
-        )
-        best_flat = int(pair_metric.argmin())
-        a_index, b_index = np.unravel_index(best_flat, pair_metric.shape)
-        job_a = int(source_jobs[a_index])
-        job_b = int(other_jobs[b_index])
-
-        before = _fitness_of(schedule, evaluator)
-        schedule.swap_jobs(job_a, job_b)
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.swap_jobs(job_a, job_b)  # revert
-        return False
-
-    def step_batch(
-        self,
-        batch: BatchEvaluator,
-        rows: np.ndarray,
-        evaluator: FitnessEvaluator,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Batched LMCTS step: one blocked pair scan, batched acceptance.
-
-        :func:`~repro.engine.scan.score_critical_swaps_batch` picks every
-        row's best swap in padded row blocks — the pair :meth:`step` would
-        pick, bit for bit — and the swaps are then applied, evaluated and
-        selectively reverted for all rows at once.
-        """
-        improved = np.zeros(rows.shape[0], dtype=bool)
-        jobs_a, jobs_b, active = scan.score_critical_swaps_batch(
-            batch.instance.etc, batch.assignments[rows], batch.completion_times[rows]
-        )
-        if not active.any():
-            return improved
-        improved[active] = _accept_swaps(
-            batch, rows[active], jobs_a[active], jobs_b[active], evaluator
-        )
-        return improved
+    def choose(self, etc, assignments, completions, rng):
+        return scan.score_critical_swaps_batch(etc, assignments, completions)
 
 
-class LocalMCTMoveSearch(LocalSearch):
+class LocalMCTMoveSearch(_CandidateSearch):
     """LMCTM (extension): best single-job move off the makespan machine."""
 
     name = "lmctm"
 
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        instance = schedule.instance
-        nb_machines = instance.nb_machines
-        if nb_machines < 2:
-            return False
-        etc = instance.etc
-        completion = schedule.completion_times
-        source = schedule.most_loaded_machine()
-        source_jobs = schedule.machine_jobs(source)
-        if source_jobs.size == 0:
-            return False
-
-        metric = scan.score_critical_moves(etc, completion, source_jobs, source)
-        best_flat = int(metric.argmin())
-        a_index, target = np.unravel_index(best_flat, metric.shape)
-        job = int(source_jobs[a_index])
-
-        before = _fitness_of(schedule, evaluator)
-        schedule.move_job(job, int(target))
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.move_job(job, source)
-        return False
-
-    def step_batch(
-        self,
-        batch: BatchEvaluator,
-        rows: np.ndarray,
-        evaluator: FitnessEvaluator,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        improved = np.zeros(rows.shape[0], dtype=bool)
-        if batch.nb_machines < 2:
-            return improved
-        assignments = batch.assignments[rows]
-        completions = batch.completion_times[rows]
-        sources = completions.argmax(axis=1)
-        source_jobs, valid, counts = scan.machine_jobs_padded(assignments, sources)
-        active = counts > 0
-        if not active.any():
-            return improved
-        sub = np.nonzero(active)[0]
-        metric = scan.score_critical_moves_batch(
-            batch.instance.etc,
-            completions[sub],
-            source_jobs[sub],
-            valid[sub],
-            sources[sub],
-        )
-        flat = metric.reshape(sub.shape[0], -1).argmin(axis=1)
-        a_index, targets = np.unravel_index(flat, metric.shape[1:])
-        jobs = source_jobs[sub, a_index]
-        improved[sub] = _accept_moves(batch, rows[sub], jobs, targets, evaluator)
-        return improved
+    def choose(self, etc, assignments, completions, rng):
+        return scan.score_critical_moves_batch(etc, assignments, completions)
 
 
-class GlobalSteepestMoveSearch(LocalSearch):
+class GlobalSteepestMoveSearch(_CandidateSearch):
     """GSM (extension): best single-job move over the whole neighborhood.
 
     Scores all ``jobs × machines`` single-job moves with one vectorized
-    engine scan (:func:`repro.engine.scan.score_all_moves`) and applies the
-    move with the smallest resulting makespan — the deepest descent step a
-    single-job neighborhood allows.
+    engine scan (:func:`repro.engine.scan.score_all_moves_batch`) and applies
+    the move with the smallest resulting makespan — the deepest descent step
+    a single-job neighborhood allows.
     """
 
     name = "gsm"
 
-    def step(
-        self, schedule: Schedule, evaluator: FitnessEvaluator, rng: np.random.Generator
-    ) -> bool:
-        instance = schedule.instance
-        if instance.nb_machines < 2:
-            return False
-        scores = scan.score_all_moves(
-            instance.etc, schedule.assignment, schedule.completion_times
-        )
-        job, target = np.unravel_index(int(scores.argmin()), scores.shape)
-        job, target = int(job), int(target)
-        source = int(schedule.assignment[job])
-
-        before = _fitness_of(schedule, evaluator)
-        schedule.move_job(job, target)
-        after = _fitness_of(schedule, evaluator)
-        if after < before:
-            return True
-        schedule.move_job(job, source)
-        return False
-
-    def step_batch(
-        self,
-        batch: BatchEvaluator,
-        rows: np.ndarray,
-        evaluator: FitnessEvaluator,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if batch.nb_machines < 2:
-            return np.zeros(rows.shape[0], dtype=bool)
-        scores = batch.score_moves_batch(rows)  # (R, J, M)
-        flat = scores.reshape(rows.shape[0], -1).argmin(axis=1)
+    def choose(self, etc, assignments, completions, rng):
+        count = assignments.shape[0]
+        scores = scan.score_all_moves_batch(etc, assignments, completions)
+        flat = scores.reshape(count, -1).argmin(axis=1)
         jobs, targets = np.unravel_index(flat, scores.shape[1:])
-        return _accept_moves(batch, rows, jobs, targets, evaluator)
+        return jobs, targets, np.ones(count, dtype=bool)
 
 
 class VariableNeighborhoodSearch(LocalSearch):

@@ -3,8 +3,8 @@
 The engine layer sits between the scheduling model and the algorithms:
 
 * :mod:`repro.engine.scan` — vectorized neighborhood scans (score every
-  single-job move of one schedule — or of a whole population of rows —
-  in one numpy expression);
+  single-job move of a batch of rows — a whole population, or one
+  schedule as a one-row batch — in one numpy expression);
 * :mod:`repro.engine.batch` — :class:`BatchEvaluator`, a structure-of-arrays
   population with batched completion-time / flowtime / fitness evaluation,
   row-set move/swap updates with undo, and zero-copy row views; resident
@@ -21,13 +21,9 @@ The engine layer sits between the scheduling model and the algorithms:
 from repro.engine.batch import BatchEvaluator, perturbed_copies
 from repro.engine.results import SchedulingResult
 from repro.engine.scan import (
-    score_all_moves,
     score_all_moves_batch,
-    score_critical_moves,
     score_critical_moves_batch,
-    score_critical_swaps,
     score_critical_swaps_batch,
-    score_moves_for_job,
     score_moves_for_jobs_batch,
     top_completions,
     top_completions_batch,
@@ -39,13 +35,9 @@ __all__ = [
     "EvaluationEngine",
     "SchedulingResult",
     "perturbed_copies",
-    "score_all_moves",
     "score_all_moves_batch",
-    "score_critical_moves",
     "score_critical_moves_batch",
-    "score_critical_swaps",
     "score_critical_swaps_batch",
-    "score_moves_for_job",
     "score_moves_for_jobs_batch",
     "top_completions",
     "top_completions_batch",

@@ -37,12 +37,12 @@ A single row changes through its zero-copy :meth:`~BatchEvaluator.view`
 (a ``Schedule`` whose ``move_job``/``swap_jobs`` write the batch matrices).
 
 Candidate moves are scored without being applied by
-:meth:`~BatchEvaluator.score_moves` (one row) and
 :meth:`~BatchEvaluator.score_moves_batch` (the whole ``rows × jobs ×
-machines`` move tensor in one expression), and any row can be exposed
-through the full ``Schedule`` API as a zero-copy view — which is how the
-rest of the library (local searches, operators, tests) interoperates with
-engine state without a second code path.
+machines`` move tensor in one expression; one row is a one-row subset),
+and any row can be exposed through the full ``Schedule`` API as a
+zero-copy view — which is how the rest of the library (operators, custom
+local searches, tests) interoperates with engine state without a second
+code path.
 """
 
 from __future__ import annotations
@@ -363,24 +363,13 @@ class BatchEvaluator:
     # ------------------------------------------------------------------ #
     # Vectorized neighborhood scan
     # ------------------------------------------------------------------ #
-    def score_moves(self, row: int) -> np.ndarray:
-        """Makespan of every single-job move of one row, ``(jobs, machines)``.
-
-        One numpy expression over the row's cached completion times (see
-        :func:`repro.engine.scan.score_all_moves`); entries for "moves" that
-        keep the job on its current machine hold ``+inf``.
-        """
-        return scan.score_all_moves(
-            self.instance.etc, self._assignments[row], self._completion[row]
-        )
-
     def score_moves_batch(self, rows: np.ndarray | Sequence[int]) -> np.ndarray:
         """Move scores for a whole row subset, ``(len(rows), jobs, machines)``.
 
         ``scores[i, j, m]`` is the makespan ``rows[i]`` would have after
         moving job *j* to machine *m* (``+inf`` where the job already sits on
-        *m*) — :meth:`score_moves` for every requested row in one vectorized
-        expression (see :func:`repro.engine.scan.score_all_moves_batch`).
+        *m*), for every requested row in one vectorized expression (see
+        :func:`repro.engine.scan.score_all_moves_batch`).
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         return scan.score_all_moves_batch(

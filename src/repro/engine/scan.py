@@ -2,20 +2,21 @@
 
 Every local-search method of the paper ranks candidate moves by the machine
 completion times they would produce.  The functions in this module compute
-those scores as single numpy expressions over the *current* assignment and
-completion arrays — no per-candidate ``np.delete``, no schedule copies.
-The kernels exist per row (one solution at a time, consumed by the scalar
-local-search steps and the :class:`~repro.model.schedule.Schedule` path)
-and as ``*_batch`` (a whole population of rows at once, consumed by the
-batched local-search steps that improve an entire resident offspring batch
-per iteration).  The ragged critical-swap scan is padded to the widest row
-and scored in row blocks under a fixed cell budget.
+those scores as single numpy expressions over ``(rows, jobs)`` assignments
+and ``(rows, machines)`` completion times — no per-candidate ``np.delete``,
+no schedule copies.  Every kernel takes a batch of rows: the batched
+local-search steps pass a whole resident offspring batch, and the scalar
+steps pass their schedule as a one-row batch, so both choose through the
+same arithmetic.  The ragged critical-move and critical-swap scans are
+padded to the widest row; the swap scan is scored in row blocks under a
+fixed cell budget.
 
 The central trick: moving one job touches at most two machine completion
 times, so the makespan after the move is the maximum of the two updated
 entries and the largest *unchanged* entry.  The latter is always among the
 top three completion times of the current state (top two when only one
-machine changes), which :func:`top_completions` extracts once per state.
+machine changes), which :func:`top_completions_batch` extracts once per
+row.
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ from repro.utils.arrays import top_completions
 __all__ = [
     "top_completions",
     "top_completions_batch",
-    "score_all_moves",
     "score_all_moves_batch",
-    "score_moves_for_job",
     "score_moves_for_jobs_batch",
-    "score_critical_moves",
     "score_critical_moves_batch",
-    "score_critical_swaps",
     "score_critical_swaps_batch",
-    "machine_jobs_padded",
 ]
 
 #: Cell budget of one block of :func:`score_critical_swaps_batch`.  Rows are
@@ -71,44 +67,17 @@ def top_completions_batch(
     return indices, values
 
 
-def score_all_moves(
-    etc: np.ndarray, assignment: np.ndarray, completion: np.ndarray
-) -> np.ndarray:
-    """Makespan of every single-job move, as a ``(jobs, machines)`` matrix.
-
-    ``scores[j, m]`` is the makespan that would result from reassigning job
-    *j* to machine *m*; entries with ``m == assignment[j]`` (staying put is
-    not a move) hold ``+inf``.  The whole scan is one vectorized expression:
-    the unchanged-machines maximum is resolved from the top three completion
-    times, since at most two machines (source and destination) are excluded
-    per candidate.
-    """
-    nb_jobs, nb_machines = etc.shape
-    jobs = np.arange(nb_jobs)
-    removed = completion[assignment] - etc[jobs, assignment]  # (J,) source after removal
-    added = completion[None, :] + etc  # (J, M) destination after insertion
-    (i1, i2, _), (v1, v2, v3) = top_completions(completion, 3)
-    source = assignment[:, None]
-    destination = np.arange(nb_machines)[None, :]
-    unchanged = np.where(
-        (i1 != source) & (i1 != destination),
-        v1,
-        np.where((i2 != source) & (i2 != destination), v2, v3),
-    )
-    scores = np.maximum(np.maximum(unchanged, removed[:, None]), added)
-    scores[jobs, assignment] = np.inf
-    return scores
-
-
 def score_all_moves_batch(
     etc: np.ndarray, assignments: np.ndarray, completions: np.ndarray
 ) -> np.ndarray:
-    """:func:`score_all_moves` for a whole batch, ``(rows, jobs, machines)``.
+    """Makespan of every single-job move of every row, ``(rows, jobs, machines)``.
 
     ``scores[r, j, m]`` is the makespan row *r* would have after reassigning
-    job *j* to machine *m*; entries with ``m == assignments[r, j]`` hold
-    ``+inf``.  One expression scores every single-job move of every row —
-    the kernel behind whole-grid batch local search.
+    job *j* to machine *m*; entries with ``m == assignments[r, j]`` (staying
+    put is not a move) hold ``+inf``.  One expression scores every
+    single-job move of every row: the unchanged-machines maximum comes from
+    the top three completion times, since a move excludes at most two
+    machines (source and destination).
 
     To keep the number of full ``(rows, jobs, machines)`` passes minimal,
     the kernel first assumes the unchanged-machines maximum is the global
@@ -158,39 +127,19 @@ def score_all_moves_batch(
     return scores
 
 
-def score_moves_for_job(
-    etc: np.ndarray, assignment: np.ndarray, completion: np.ndarray, job: int
-) -> np.ndarray:
-    """Makespan of moving *job* to each machine, as a ``(machines,)`` vector.
-
-    This is the SLM scan: the completion vector with the job removed from
-    its source machine is formed once, its top two entries give the
-    excluded-destination maximum in O(1), and the entry for the current
-    machine holds ``+inf``.
-    """
-    source = int(assignment[job])
-    reduced = completion.astype(float, copy=True)
-    reduced[source] -= etc[job, source]
-    (i1, _), (v1, v2) = top_completions(reduced, 2)
-    new_destination = reduced + etc[job]  # equals completion + etc off the source machine
-    unchanged = np.where(np.arange(completion.shape[0]) == i1, v2, v1)
-    scores = np.maximum(unchanged, new_destination)
-    scores[source] = np.inf
-    return scores
-
-
 def score_moves_for_jobs_batch(
     etc: np.ndarray,
     assignments: np.ndarray,
     completions: np.ndarray,
     jobs: np.ndarray,
 ) -> np.ndarray:
-    """:func:`score_moves_for_job` for one chosen job per row, ``(rows, machines)``.
+    """Makespan of moving one chosen job per row to each machine, ``(rows, machines)``.
 
     ``scores[r, m]`` is the makespan of moving ``jobs[r]`` of row *r* to
-    machine *m* (``+inf`` on the job's current machine) — the batched SLM
-    scan: every row's reduced completion vector, its top two entries and the
-    destination maxima are formed in one expression.
+    machine *m* (``+inf`` on the job's current machine) — the SLM scan:
+    every row's completion vector with its job removed from the source is
+    formed once, and its top two entries give the maximum over the machines
+    other than the destination.
     """
     rows = np.arange(assignments.shape[0])
     nb_machines = completions.shape[1]
@@ -209,70 +158,25 @@ def score_moves_for_jobs_batch(
     return scores
 
 
-def score_critical_moves(
-    etc: np.ndarray,
-    completion: np.ndarray,
-    source_jobs: np.ndarray,
-    source: int,
-) -> np.ndarray:
-    """LMCTM metric for moving each makespan-machine job anywhere.
-
-    ``metric[a, m] = max(new_source, new_destination)`` for moving
-    ``source_jobs[a]`` from the makespan-defining machine *source* to
-    machine *m* — the completion-time reduction criterion of the paper.
-    Column *source* holds ``+inf``.
-    """
-    new_source = completion[source] - etc[source_jobs, source]  # (A,)
-    new_destination = completion[None, :] + etc[source_jobs, :]  # (A, M)
-    metric = np.maximum(new_source[:, None], new_destination)
-    metric[:, source] = np.inf
-    return metric
-
-
-def score_critical_swaps(
-    etc: np.ndarray,
-    assignment: np.ndarray,
-    completion: np.ndarray,
-    source_jobs: np.ndarray,
-    other_jobs: np.ndarray,
-    source: int,
-) -> np.ndarray:
-    """LMCTS metric for swapping makespan-machine jobs with the rest.
-
-    ``metric[a, b] = max(new_source, new_target)`` after exchanging the
-    machines of ``source_jobs[a]`` (on the makespan-defining machine
-    *source*) and ``other_jobs[b]``, ranking pairs by the larger of the two
-    affected completion times.
-    """
-    other_machines = assignment[other_jobs]
-    new_source = (
-        completion[source]
-        - etc[source_jobs, source][:, None]
-        + etc[other_jobs, source][None, :]
-    )  # (A, B)
-    new_target = (
-        (completion[other_machines] - etc[other_jobs, other_machines])[None, :]
-        + etc[source_jobs[:, None], other_machines[None, :]]
-    )  # (A, B)
-    return np.maximum(new_source, new_target)
-
-
 def score_critical_swaps_batch(
     etc: np.ndarray,
     assignments: np.ndarray,
     completions: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every row's best LMCTS pair: :func:`score_critical_swaps` and its argmin.
+    """Every row's best LMCTS pair: a makespan-machine job and its swap partner.
 
-    Row *r*'s source jobs (on its makespan machine ``completions[r].argmax()``)
-    are padded to the widest row ``A`` and every job is a partner, so the
-    metric is one ``(rows, A, jobs)`` tensor in which padding slots and
-    partners on the source machine hold ``+inf``.  Real entries use the
-    per-row scan's arithmetic in its order, and the flat argmin keeps its
-    first-minimum order (source jobs ascending, then partners ascending):
-    each row gets the per-row scan's pair, bit for bit.  The per-row terms
-    are formed once; the tensor is then built ``max(1, SWAP_BLOCK_CELLS //
-    (A * jobs))`` rows at a time, ``A`` narrowed to the block's widest row.
+    Swapping job ``a`` on row *r*'s makespan machine ``s`` (``completions[r]
+    .argmax()``) with job ``b`` on machine ``m`` scores ``max(new_source,
+    new_target)``, the larger of the two affected completion times, with
+    ``new_source = (C[s] - etc[a, s]) + etc[b, s]`` and ``new_target =
+    (C[m] - etc[b, m]) + etc[a, m]``.  The source jobs are padded to the
+    widest row ``A`` and every job is a partner, so the metric is one
+    ``(rows, A, jobs)`` tensor in which padding slots and partners on the
+    source machine hold ``+inf``; the flat argmin takes each row's first
+    minimum (source jobs ascending, then partners ascending).  The per-row
+    terms are formed once; the tensor is then built ``max(1,
+    SWAP_BLOCK_CELLS // (A * jobs))`` rows at a time, ``A`` narrowed to the
+    block's widest row.
 
     Returns ``(jobs_a, jobs_b, active)``: each row's pair, and a mask of the
     rows that have one (a makespan machine holding no job or every job has
@@ -291,7 +195,7 @@ def score_critical_swaps_batch(
         return jobs_a, jobs_b, active
     sources, on_source = sources[live], on_source[live]
     assignments, completions = assignments[live], completions[live]
-    source_jobs, valid, counts = machine_jobs_padded(assignments, sources)
+    source_jobs, valid, counts = _machine_jobs_padded(assignments, sources)
     width = source_jobs.shape[1]
     rows = np.arange(live.size)
     # Gathers go through flat indices (np.take flattens in C order).
@@ -323,15 +227,15 @@ def score_critical_swaps_batch(
     return jobs_a, jobs_b, active
 
 
-def machine_jobs_padded(
+def _machine_jobs_padded(
     assignments: np.ndarray, machines: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row jobs on ``machines[r]``, packed into a padded matrix.
 
     Rows hold different numbers of jobs on their machine, so the job sets
-    are packed into one ``(rows, A)`` matrix (ascending job order, like the
-    per-row scans; ``A`` the widest row, at least 1).  Returns ``(jobs,
-    valid, counts)``, ``valid`` marking the real entries.
+    are packed into one ``(rows, A)`` matrix (ascending job order; ``A`` the
+    widest row, at least 1).  Returns ``(jobs, valid, counts)``, ``valid``
+    marking the real entries.
     """
     on_machine = assignments == machines[:, None]
     counts = on_machine.sum(axis=1)
@@ -341,20 +245,27 @@ def machine_jobs_padded(
 
 
 def score_critical_moves_batch(
-    etc: np.ndarray,
-    completions: np.ndarray,
-    source_jobs: np.ndarray,
-    valid: np.ndarray,
-    sources: np.ndarray,
-) -> np.ndarray:
-    """:func:`score_critical_moves` for a whole batch, ``(rows, A, machines)``.
+    etc: np.ndarray, assignments: np.ndarray, completions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's best LMCTM move: a makespan-machine job to another machine.
 
-    ``source_jobs`` is a ``(rows, A)`` matrix of per-row makespan-machine
-    jobs padded to the widest row, ``valid`` the matching boolean mask and
-    ``sources`` the ``(rows,)`` makespan-defining machines.  Padded entries
-    and the source-machine column hold ``+inf``.
+    Moving job ``a`` off row *r*'s makespan machine ``s`` to machine ``m``
+    scores ``max(C[s] - etc[a, s], C[m] + etc[a, m])``, the larger of the
+    two affected completion times (the paper's completion-time reduction
+    criterion).  The makespan-machine jobs are padded to the widest row
+    ``A`` (:func:`_machine_jobs_padded`), so the metric is one ``(rows, A,
+    machines)`` tensor in which padding slots and the source column hold
+    ``+inf``; the flat argmin takes each row's first minimum (source jobs
+    ascending, then machines ascending).
+
+    Returns ``(jobs, targets, active)``: each row's move, and a mask of the
+    rows whose makespan machine holds a job (other rows read arbitrary
+    entries).
     """
-    rows = np.arange(completions.shape[0])
+    count, nb_machines = completions.shape
+    rows = np.arange(count)
+    sources = completions.argmax(axis=1)
+    source_jobs, valid, counts = _machine_jobs_padded(assignments, sources)
     new_source = (
         completions[rows, sources][:, None] - etc[source_jobs, sources[:, None]]
     )  # (R, A)
@@ -362,4 +273,5 @@ def score_critical_moves_batch(
     metric = np.maximum(new_source[:, :, None], new_destination)
     np.put_along_axis(metric, sources[:, None, None], np.inf, axis=2)
     metric[~valid] = np.inf
-    return metric
+    a_index, targets = np.divmod(metric.reshape(count, -1).argmin(axis=1), nb_machines)
+    return source_jobs[rows, a_index], targets, counts > 0

@@ -12,7 +12,6 @@ tables and sweeps can iterate over algorithms as data.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -136,28 +135,15 @@ class _Scheduler(Protocol):
     def run(self) -> SchedulingResult: ...
 
 
-#: Factory signature: (instance, termination, rng[, engine]) -> scheduler object.
+#: Factory signature: (instance, termination, rng, engine=engine) -> scheduler object.
 SchedulerFactory = Callable[..., _Scheduler]
-
-
-def _accepts_engine(factory: SchedulerFactory) -> bool:
-    """Whether *factory* can receive the ``engine`` keyword argument."""
-    try:
-        parameters = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # builtins / odd callables: assume legacy
-        return False
-    if any(p.kind == p.VAR_KEYWORD for p in parameters.values()):
-        return True
-    return "engine" in parameters
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """A named scheduler factory usable by every experiment.
 
-    Factories receive ``(instance, termination, rng, engine)``; legacy
-    three-argument factories (user-supplied specs predating the engine) are
-    still accepted and simply run without a shared engine.
+    Factories receive ``(instance, termination, rng, engine=engine)``.
     """
 
     name: str
@@ -173,14 +159,13 @@ class AlgorithmSpec:
     ) -> _Scheduler:
         """Instantiate the scheduler for one run.
 
-        Every run gets one :class:`EvaluationEngine` so evaluation counting,
-        timing and convergence history flow through a single shared service.
+        Every run gets one :class:`EvaluationEngine` (a fresh one when
+        *engine* is ``None``) so evaluation counting, timing and convergence
+        history flow through a single shared service.
         """
-        if _accepts_engine(self.factory):
-            if engine is None:
-                engine = EvaluationEngine(instance)
-            return self.factory(instance, termination, rng, engine=engine)
-        return self.factory(instance, termination, rng)
+        if engine is None:
+            engine = EvaluationEngine(instance)
+        return self.factory(instance, termination, rng, engine=engine)
 
 
 # --------------------------------------------------------------------------- #

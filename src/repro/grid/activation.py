@@ -108,10 +108,17 @@ class Activator:
         )
         self._m_phase_children: dict[str, Any] = {}
 
-    def skip(self, outcome: str) -> None:
-        """Count an activation that planned nothing: ``idle`` or ``stalled``."""
+    def skip(self, now: float, backlog: int) -> None:
+        """Count an activation that planned nothing.
+
+        With no pending job it is ``idle``; with *backlog* pending jobs but
+        no machine up it is ``stalled`` and writes a ``stalled`` line.
+        """
+        outcome = "stalled" if backlog else "idle"
         self.outcomes[outcome] += 1
         self._m_activations[outcome].inc()
+        if backlog and self.trace_log is not None:
+            self.trace_log.emit("stalled", source=self.domain, time=now, backlog=backlog)
 
     def build(
         self,

@@ -623,7 +623,7 @@ class GridSimulator:
         pending = [self.jobs[position] for position in positions]
         up = np.flatnonzero(self.park.up)
         if not pending or not up.size:
-            self._activator.skip("idle")
+            self._activator.skip(now, len(pending))
             return
 
         available = [self.machines[machine] for machine in up.tolist()]
@@ -753,7 +753,9 @@ class GridSimulator:
             rescheduled_jobs=int(np.count_nonzero(self._reschedules)),
             activations=self.activations,
             machine_events=self.machine_events,
-            nb_idle_activations=self._activator.outcomes["idle"],
+            nb_idle_activations=(
+                self._activator.outcomes["idle"] + self._activator.outcomes["stalled"]
+            ),
             cancelled_jobs=int(np.count_nonzero(self._state == _CANCELLED)),
             failed_jobs=int(np.count_nonzero(failed)),
             missed_deadlines=missed,

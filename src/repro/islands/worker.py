@@ -27,7 +27,6 @@ pin down.
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Sequence
@@ -209,11 +208,12 @@ def _runtime_for(task: WorkerTask) -> "IslandRuntime":
     )
 
 
-def _execute(task: WorkerTask, locks: Sequence[Any]):
-    """Run one island to completion, migrating through the shared board.
+def run_island_worker(task: WorkerTask, locks: Sequence[Any]):
+    """Process entry point: run one island to completion, return its result.
 
-    The board methods themselves are lock-free; every publish and read is
-    wrapped in the owning island's lock (``locks[i]`` guards mailbox *i*).
+    The island migrates through the shared board.  The board methods
+    themselves are lock-free; every publish and read is wrapped in the
+    owning island's lock (``locks[i]`` guards mailbox *i*).
     Migration is asynchronous: an island that reaches a migration point
     publishes its emigrants and integrates whatever its sources have
     *currently* published — no barrier, so a slow or finished neighbor can
@@ -262,18 +262,3 @@ def _execute(task: WorkerTask, locks: Sequence[Any]):
         return runtime.finish_result()
     finally:
         board.close()
-
-
-def run_island_worker(task: WorkerTask, locks: Sequence[Any], results: Any) -> None:
-    """Process entry point: run one island, send its result (or the error).
-
-    ``locks`` guard the migration-board slots (``locks[i]`` for island
-    *i*'s mailbox); ``results`` is the parent's result queue.  Every
-    exception is caught and shipped back as a formatted traceback so the
-    parent can fail fast instead of waiting for a timeout.
-    """
-    try:
-        result = _execute(task, locks)
-        results.put((task.island_id, "ok", result))
-    except BaseException:  # noqa: BLE001 - the parent re-raises
-        results.put((task.island_id, "error", traceback.format_exc()))

@@ -479,11 +479,7 @@ class SchedulerCore:
                 # activation reports idle, so the exactly-once partition is
                 # untouched.
                 self._queue = batch + self._queue
-                self._activator.skip("stalled" if batch else "idle")
-                if batch and self.trace_log is not None:
-                    self.trace_log.emit(
-                        "stalled", source="service", time=now, backlog=len(self._queue)
-                    )
+                self._activator.skip(now, len(batch))
                 return ActivationOutcome(
                     time=now,
                     batch_size=0,

@@ -29,7 +29,6 @@ specs of :mod:`repro.experiments.runner`.
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -295,16 +294,6 @@ def _replay_policy(
     return runs
 
 
-def _arena_worker(
-    trace: Trace, spec: PolicySpec, config: ArenaConfig, results: Any
-) -> None:
-    """Process entry point: replay one policy, ship its metrics (or error)."""
-    try:
-        results.put((spec.name, "ok", _replay_policy(trace, spec, config)))
-    except BaseException:  # noqa: BLE001 - the parent re-raises
-        results.put((spec.name, "error", traceback.format_exc()))
-
-
 class ReplayArena:
     """Replay one trace against N policies at equal per-activation budget.
 
@@ -363,7 +352,7 @@ class ReplayArena:
         cfg = self.config
         tasks = {spec.name: (self.trace, spec, cfg) for spec in self.specs}
         return run_workers(
-            worker_context(cfg.start_method), _arena_worker, tasks, cfg.worker_timeout, "arena"
+            worker_context(cfg.start_method), _replay_policy, tasks, cfg.worker_timeout, "arena"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

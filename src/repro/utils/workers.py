@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
+import traceback
 from multiprocessing.context import BaseContext
 from typing import Any, Callable, Hashable, Mapping
 
@@ -21,22 +22,35 @@ def worker_context(start_method: str | None = None) -> BaseContext:
     return multiprocessing.get_context(start_method)
 
 
+def _run_task(target: Callable[..., Any], key: Hashable, args: tuple, results: Any) -> None:
+    """Worker side: put ``(key, "ok", target(*args))`` or the traceback on *results*.
+
+    The traceback goes out before the exception propagates, so the parent
+    fails fast instead of waiting for its timeout.
+    """
+    try:
+        results.put((key, "ok", target(*args)))
+    except BaseException:
+        results.put((key, "error", traceback.format_exc()))
+        raise
+
+
 def run_workers(
     context: BaseContext,
-    target: Callable[..., None],
+    target: Callable[..., Any],
     tasks: Mapping[Hashable, tuple],
     timeout: float,
     noun: str,
 ) -> dict[Hashable, Any]:
-    """Run ``target(*args, results)`` in one daemon process per task.
+    """Run ``target(*args)`` in one daemon process per task.
 
-    *tasks* maps each task key to its arguments; the worker puts
-    ``(key, "ok", payload)`` or ``(key, "error", traceback_text)`` on the
-    *results* queue.  Returns the payloads by key.  Raises
-    :class:`RuntimeError` with the worker's traceback when one fails, or
-    when no message arrives within *timeout* seconds; the processes are
-    terminated and joined either way.  *noun* names the workers in
-    messages and process names.
+    *tasks* maps each task key to its arguments; each worker puts
+    ``(key, "ok", result)``, or ``(key, "error", traceback_text)`` when
+    *target* raises, on one results queue.  Returns the results by key.
+    Raises :class:`RuntimeError` with the worker's traceback when one
+    fails, or when no message arrives within *timeout* seconds; the
+    processes are terminated and joined either way.  *noun* names the
+    workers in messages and process names.
     """
     results = context.Queue()
     processes = []
@@ -44,7 +58,10 @@ def run_workers(
     try:
         for key, args in tasks.items():
             process = context.Process(
-                target=target, args=(*args, results), name=f"{noun}-{key}", daemon=True
+                target=_run_task,
+                args=(target, key, args, results),
+                name=f"{noun}-{key}",
+                daemon=True,
             )
             processes.append(process)
             process.start()

@@ -7,7 +7,11 @@ golden values below were recorded by running the pre-resident-grid code
 (commit ``7b5af18``, detached ``Schedule``/``Individual`` copies per cell)
 on the deterministic ``tiny`` instance; the sequential resident path must
 keep matching them exactly, which pins down RNG stream, update order,
-replacement policy and fitness arithmetic all at once.
+replacement policy and fitness arithmetic all at once.  ``SEQUENTIAL_GOLDEN``
+extends that pin to every scalar step (LMCTM and VNS included) and to a
+Braun-like 64 x 16 instance; it was recorded before the scalar steps chose
+their candidates through the batch scan kernels, which keeps every draw and
+every score, so it must not move by a single bit either.
 
 The ``"batch"`` discipline is a different (synchronous-within-stream)
 search with its own golden trajectories: ``BATCH_GOLDEN`` was recorded
@@ -209,6 +213,154 @@ BATCH_GOLDEN = {
 }
 
 
+#: Sequential-discipline best-fitness trajectories (``float.hex``, initial
+#: record + 12 iterations of ``CMAConfig.fast_defaults``), keyed like
+#: ``BATCH_GOLDEN``.  Unlike ``GOLDEN`` they pin every scalar step,
+#: LMCTM and VNS included, on both instances.
+SEQUENTIAL_GOLDEN = {
+    ("golden", "gsm", 7): (
+        "0x1.4ac7147cb871ep+21", "0x1.24ac2ffc211a4p+21", "0x1.24ac2ffc211a4p+21",
+        "0x1.21a3138de923ep+21", "0x1.02d90d6e36b82p+21", "0x1.7856490040781p+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20",
+    ),
+    ("golden", "gsm", 19): (
+        "0x1.53c4f22b7c4b6p+21", "0x1.c3b9fbade8bacp+20", "0x1.c3b9fbade8bacp+20",
+        "0x1.bc2972562f937p+20", "0x1.8ef9c5062fdb6p+20", "0x1.88c00b889cb32p+20",
+        "0x1.88c00b889cb32p+20", "0x1.88c00b889cb32p+20", "0x1.88c00b889cb32p+20",
+        "0x1.88c00b889cb32p+20", "0x1.88c00b889cb32p+20", "0x1.88c00b889cb32p+20",
+        "0x1.88c00b889cb32p+20",
+    ),
+    ("golden", "lmctm", 7): (
+        "0x1.4ac7147cb871ep+21", "0x1.dccc3b0db9a03p+20", "0x1.c46c6e2090df0p+20",
+        "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20",
+        "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20",
+        "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20", "0x1.c46c6e2090df0p+20",
+        "0x1.c46c6e2090df0p+20",
+    ),
+    ("golden", "lmctm", 19): (
+        "0x1.3445330cdb50cp+21", "0x1.ff1f502e7cfccp+20", "0x1.dd1aac4c45453p+20",
+        "0x1.93202d00f9d0dp+20", "0x1.93202d00f9d0dp+20", "0x1.93202d00f9d0dp+20",
+        "0x1.93202d00f9d0dp+20", "0x1.93202d00f9d0dp+20", "0x1.93202d00f9d0dp+20",
+        "0x1.93202d00f9d0dp+20", "0x1.93202d00f9d0dp+20", "0x1.93202d00f9d0dp+20",
+        "0x1.93202d00f9d0dp+20",
+    ),
+    ("golden", "lmcts", 7): (
+        "0x1.f828e8af3f214p+20", "0x1.86d6b7684c956p+20", "0x1.6256833bd9642p+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20",
+    ),
+    ("golden", "lmcts", 19): (
+        "0x1.4b3c2db2d1d08p+21", "0x1.6b1d376c4cc29p+20", "0x1.6295ae58f27c2p+20",
+        "0x1.60b9772ec679ep+20", "0x1.60b9772ec679ep+20", "0x1.60b9772ec679ep+20",
+        "0x1.60b9772ec679ep+20", "0x1.60b9772ec679ep+20", "0x1.60b9772ec679ep+20",
+        "0x1.60b9772ec679ep+20", "0x1.60b9772ec679ep+20", "0x1.60b9772ec679ep+20",
+        "0x1.60b9772ec679ep+20",
+    ),
+    ("golden", "slm", 7): (
+        "0x1.9790f91272949p+21", "0x1.7a5eabce1f7abp+21", "0x1.22325b1454ee0p+21",
+        "0x1.0d77a1572450ep+21", "0x1.8cc69f9941662p+20", "0x1.86452ab441e1cp+20",
+        "0x1.856ef48a7c1f1p+20", "0x1.7184fa9870c1cp+20", "0x1.7184fa9870c1cp+20",
+        "0x1.6256833bd9642p+20", "0x1.6256833bd9642p+20", "0x1.6256833bd9642p+20",
+        "0x1.6256833bd9642p+20",
+    ),
+    ("golden", "slm", 19): (
+        "0x1.b0083ed15bf46p+21", "0x1.8b6d27f97a69bp+21", "0x1.8b6d27f97a69bp+21",
+        "0x1.8b6d27f97a69bp+21", "0x1.2092ca158032fp+21", "0x1.1ed5a9f7ac6c1p+21",
+        "0x1.ea69c98440cc2p+20", "0x1.b039af2adab90p+20", "0x1.aa0009b0cfb62p+20",
+        "0x1.aa0009b0cfb62p+20", "0x1.aa0009b0cfb62p+20", "0x1.9ae083119ede0p+20",
+        "0x1.8acf461412fbep+20",
+    ),
+    ("golden", "vns", 7): (
+        "0x1.f828e8af3f214p+20", "0x1.ad40072bde9e9p+20", "0x1.63c96701f479ap+20",
+        "0x1.60b9772ec679ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20",
+    ),
+    ("golden", "vns", 19): (
+        "0x1.4b3c2db2d1d08p+21", "0x1.c08dcf5a54950p+20", "0x1.667f72fdf4ceap+20",
+        "0x1.60b9772ec679fp+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20", "0x1.607a4c11ad61ep+20",
+        "0x1.607a4c11ad61ep+20",
+    ),
+    ("braun", "gsm", 7): (
+        "0x1.aab08c94c207cp+21", "0x1.8cfd88d591110p+21", "0x1.5314316ebd531p+21",
+        "0x1.2b832a6d03556p+21", "0x1.05d548b13ababp+21", "0x1.ef06164ad01d7p+20",
+        "0x1.e333afd07956ap+20", "0x1.d779b6a0339f5p+20", "0x1.c7b231c417fe9p+20",
+        "0x1.b2e134baae577p+20", "0x1.93d62e2c8c778p+20", "0x1.7dae8487ffbbcp+20",
+        "0x1.698e97078185fp+20",
+    ),
+    ("braun", "gsm", 19): (
+        "0x1.aab08c94c207cp+21", "0x1.9942393fd15f7p+21", "0x1.8094cf3f82bd6p+21",
+        "0x1.7d9eb61c0627cp+21", "0x1.78ee5e3990648p+21", "0x1.73ba1136f532fp+21",
+        "0x1.6abf3675054b8p+21", "0x1.501288b063ffcp+21", "0x1.3c2a9e827bd86p+21",
+        "0x1.2e14d2dad1bd3p+21", "0x1.2450ca2fa7368p+21", "0x1.1efa1f159a1bcp+21",
+        "0x1.16cb4a14b118cp+21",
+    ),
+    ("braun", "lmctm", 7): (
+        "0x1.a6d75d1e030c1p+21", "0x1.798f68f038d52p+21", "0x1.312bf4a031aecp+21",
+        "0x1.d6028174ce0a3p+20", "0x1.700cfb3466948p+20", "0x1.455bab72ac786p+20",
+        "0x1.455bab72ac786p+20", "0x1.3afaa64494767p+20", "0x1.1f080c391999bp+20",
+        "0x1.05d082e0fe4b6p+20", "0x1.f06edd97fc93ep+19", "0x1.d914435989e8fp+19",
+        "0x1.b5e9acac533cap+19",
+    ),
+    ("braun", "lmctm", 19): (
+        "0x1.a9e4c705822e7p+21", "0x1.76cd5672ef480p+21", "0x1.1c163fdfb9642p+21",
+        "0x1.f4342e705063ep+20", "0x1.b9f4ed503602ap+20", "0x1.4d77eba8a5682p+20",
+        "0x1.1dbb779d828d9p+20", "0x1.caad7fc1da995p+19", "0x1.ba49d4d48d6a4p+19",
+        "0x1.b697d03864949p+19", "0x1.ac576504ac5b4p+19", "0x1.94064a0272af3p+19",
+        "0x1.645e0dc1893e8p+19",
+    ),
+    ("braun", "lmcts", 7): (
+        "0x1.a2524e49a7d50p+21", "0x1.71ad16d28532ep+21", "0x1.ee4eb87c7d53ap+20",
+        "0x1.811c58c838a66p+20", "0x1.0d9cd5c3af126p+20", "0x1.d5c1eb87bcb2dp+19",
+        "0x1.63208a8a66116p+19", "0x1.3b09707461adap+19", "0x1.2aad0e9b380f7p+19",
+        "0x1.2580791876d86p+19", "0x1.18d8ca4755383p+19", "0x1.0a5171b076ae5p+19",
+        "0x1.ffed71dece3cbp+18",
+    ),
+    ("braun", "lmcts", 19): (
+        "0x1.a2524e49a7d50p+21", "0x1.596752596f10ep+21", "0x1.a20fd037c1486p+20",
+        "0x1.2cd4d89ae6976p+20", "0x1.0ed433089f850p+20", "0x1.8b143df43b347p+19",
+        "0x1.3d69617e17302p+19", "0x1.24a345a332103p+19", "0x1.0c43b7a33bf54p+19",
+        "0x1.0c43b7a33bf54p+19", "0x1.0c43b7a33bf54p+19", "0x1.0c43b7a33bf54p+19",
+        "0x1.0b968a1af0624p+19",
+    ),
+    ("braun", "slm", 7): (
+        "0x1.b949db0daebd1p+21", "0x1.b949db0daebd1p+21", "0x1.ae9881f6d4a7ep+21",
+        "0x1.a328d58b2a691p+21", "0x1.91e7dc1273f77p+21", "0x1.8bf3407468b8cp+21",
+        "0x1.819df7afc3544p+21", "0x1.7198184e10f68p+21", "0x1.68edb04e31c86p+21",
+        "0x1.67d71106f43a7p+21", "0x1.5ab9208b98d15p+21", "0x1.471c04f095feep+21",
+        "0x1.1c7845c1a815ep+21",
+    ),
+    ("braun", "slm", 19): (
+        "0x1.b6e30a91a5117p+21", "0x1.ae26cf3ed5236p+21", "0x1.a3f4e2e3522dfp+21",
+        "0x1.9a3088446031dp+21", "0x1.920e46e0de4dfp+21", "0x1.870762f3b39b2p+21",
+        "0x1.79aa870e74436p+21", "0x1.5ca9eb38fef08p+21", "0x1.5933f80cf48fcp+21",
+        "0x1.49e5a3dd0ab09p+21", "0x1.49e5a3dd0ab09p+21", "0x1.2e9723a27fe84p+21",
+        "0x1.228023bbefad4p+21",
+    ),
+    ("braun", "vns", 7): (
+        "0x1.bb4d78ba4bd07p+21", "0x1.90600eda781c1p+21", "0x1.7edf9e008eaa3p+21",
+        "0x1.63f0626f4580cp+21", "0x1.2218db3c906c1p+21", "0x1.041733595ba77p+21",
+        "0x1.909c6b612cb5cp+20", "0x1.53d764e9ea52ep+20", "0x1.fbac112a1b78ap+19",
+        "0x1.bddb84fe4793cp+19", "0x1.60562c6e16f32p+19", "0x1.3c6648ba956fap+19",
+        "0x1.31cda25d0d58fp+19",
+    ),
+    ("braun", "vns", 19): (
+        "0x1.b5bc57514ce6ap+21", "0x1.a78dec323a27cp+21", "0x1.99fa761799bf4p+21",
+        "0x1.6d68b4d4c0f83p+21", "0x1.5876d7731482cp+21", "0x1.16f253857224dp+21",
+        "0x1.d5fddeeb6af3ap+20", "0x1.79e0310325a7ep+20", "0x1.4da56dc7c4f84p+20",
+        "0x1.e421495485f15p+19", "0x1.948af4b9f3887p+19", "0x1.5be7ce555ddd0p+19",
+        "0x1.27b254ff30f7cp+19",
+    ),
+}
+
+
 class TestSequentialReproducesPreRefactorTrajectories:
     @pytest.mark.parametrize("local_search,seed", sorted(GOLDEN))
     def test_golden_trajectory(self, golden_instance, local_search, seed):
@@ -223,6 +375,15 @@ class TestSequentialReproducesPreRefactorTrajectories:
         assert len(trajectory) == 13  # initial record + 12 iterations
         assert np.all(np.diff(trajectory) <= 1e-9)
 
+
+class TestSequentialGoldenTrajectories:
+    @pytest.mark.parametrize("instance_name,local_search,seed", sorted(SEQUENTIAL_GOLDEN))
+    def test_golden_trajectory(self, request, instance_name, local_search, seed):
+        instance = request.getfixturevalue(f"{instance_name}_instance")
+        trajectory = run_trajectory(instance, local_search, seed, "sequential")
+        golden = SEQUENTIAL_GOLDEN[instance_name, local_search, seed]
+        expected = [float.fromhex(value) for value in golden]
+        np.testing.assert_allclose(trajectory, expected, rtol=0, atol=0)
 
 class TestBatchGoldenTrajectories:
     @pytest.mark.parametrize("instance_name,local_search,seed", sorted(BATCH_GOLDEN))

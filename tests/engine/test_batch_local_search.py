@@ -1,9 +1,10 @@
 """Parity and exactness tests for the whole-batch local-search machinery.
 
-The resident-grid path rests on three guarantees checked here to 1e-9:
+The resident-grid path rests on three guarantees checked here:
 
-* ``score_moves_batch(rows)`` equals stacked per-row ``score_moves(row)``
-  calls (and the other batched scan kernels equal their scalar twins);
+* the batched scan kernels agree with independent oracles: move scores
+  with ``Schedule.makespan_if_moved`` to 1e-9, and the LMCTM and LMCTS
+  picks with brute-force references in first-minimum order, exactly;
 * the incremental ``apply_moves``/``apply_swaps`` cache updates match a
   from-scratch recomputation, and their undo records restore the prior
   state bit for bit;
@@ -20,6 +21,7 @@ from repro.core.local_search import get_local_search, list_local_searches
 from repro.engine import BatchEvaluator, scan
 from repro.model.fitness import FitnessEvaluator
 from repro.model.instance import SchedulingInstance
+from repro.model.schedule import Schedule
 
 TOL = 1e-9
 
@@ -41,16 +43,39 @@ def checkpoint(batch, rows):
     )
 
 
-def padded_source_jobs(assignments, sources):
-    on_source = assignments == sources[:, None]
-    counts = on_source.sum(axis=1)
-    width = max(int(counts.max()), 1)
-    order = np.argsort(~on_source, axis=1, kind="stable")
-    return order[:, :width], np.arange(width)[None, :] < counts[:, None], counts
+def moved_makespans(instance, assignment):
+    """Every single-job move's makespan from the ``Schedule`` what-if (the oracle)."""
+    schedule = Schedule(instance, assignment)
+    scores = np.full((instance.nb_jobs, instance.nb_machines), np.inf)
+    for job in range(instance.nb_jobs):
+        for machine in range(instance.nb_machines):
+            if machine != schedule.assignment[job]:
+                scores[job, machine] = schedule.makespan_if_moved(job, machine)
+    return scores
+
+
+def per_row_critical_moves(etc, assignments, completions):
+    """Each row's LMCTM move by brute force, first minimum in scan order."""
+    count = assignments.shape[0]
+    jobs = np.zeros(count, dtype=np.int64)
+    targets = np.zeros(count, dtype=np.int64)
+    active = np.zeros(count, dtype=bool)
+    for row in range(count):
+        assignment, completion = assignments[row], completions[row]
+        source = int(completion.argmax())
+        best = np.inf
+        for job in np.nonzero(assignment == source)[0]:
+            new_source = completion[source] - etc[job, source]
+            for machine in range(etc.shape[1]):
+                metric = max(new_source, completion[machine] + etc[job, machine])
+                if machine != source and metric < best:
+                    best, jobs[row], targets[row] = metric, job, machine
+                    active[row] = True
+    return jobs, targets, active
 
 
 def per_row_critical_swaps(etc, assignments, completions):
-    """Each row's LMCTS pair from the per-row scan and its flat argmin."""
+    """Each row's LMCTS pair from a per-row pair scan and its flat argmin."""
     count = assignments.shape[0]
     jobs_a = np.zeros(count, dtype=np.int64)
     jobs_b = np.zeros(count, dtype=np.int64)
@@ -62,24 +87,63 @@ def per_row_critical_swaps(etc, assignments, completions):
         other_jobs = np.nonzero(assignment != source)[0]
         if source_jobs.size == 0 or other_jobs.size == 0:
             continue
-        metric = scan.score_critical_swaps(
-            etc, assignment, completion, source_jobs, other_jobs, source
-        )
+        other_machines = assignment[other_jobs]
+        new_source = (
+            completion[source]
+            - etc[source_jobs, source][:, None]
+            + etc[other_jobs, source][None, :]
+        )  # (A, B)
+        new_target = (
+            (completion[other_machines] - etc[other_jobs, other_machines])[None, :]
+            + etc[source_jobs[:, None], other_machines[None, :]]
+        )  # (A, B)
+        metric = np.maximum(new_source, new_target)
         a_index, b_index = np.unravel_index(int(metric.argmin()), metric.shape)
         jobs_a[row], jobs_b[row] = source_jobs[a_index], other_jobs[b_index]
         active[row] = True
     return jobs_a, jobs_b, active
 
 
+CRITICAL_CASES = [
+    ("real", 0), ("integer_ties", 1), ("degenerate_rows", 2), ("single_row", 3),
+    ("one_row_blocks", 4),
+]
+
+
+def critical_batches(case, seed):
+    """40 random batches of one case for the critical-move and -swap kernels.
+
+    Integer ETC makes equal metrics common, so the first-minimum tie order
+    is exercised; in ``degenerate_rows`` the makespan machine of rows 0, 3,
+    ... holds no job and that of rows 1, 4, ... holds every job.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        nb_jobs, nb_machines = int(rng.integers(2, 30)), int(rng.integers(2, 7))
+        if case == "real":
+            etc = rng.uniform(1.0, 300.0, size=(nb_jobs, nb_machines))
+        else:
+            etc = rng.integers(1, 4, size=(nb_jobs, nb_machines)).astype(float)
+        ready = np.zeros(nb_machines)
+        count = 1 if case == "single_row" else int(rng.integers(3, 20))
+        assignments = rng.integers(0, nb_machines, size=(count, nb_jobs))
+        if case == "degenerate_rows":
+            # The last machine's ready time defines every makespan.
+            ready[-1] = etc.sum()
+            assignments[::3] = rng.integers(0, nb_machines - 1, size=nb_jobs)
+            assignments[1::3] = nb_machines - 1
+        yield etc, BatchEvaluator(SchedulingInstance(etc=etc, ready_times=ready), assignments)
+
+
 class TestScanParity:
     @pytest.mark.parametrize("seed", range(5))
-    def test_score_moves_batch_matches_stacked_score_moves(self, seed):
+    def test_score_moves_batch_matches_makespan_if_moved(self, seed):
         instance = random_instance(seed, *[(24, 6), (17, 3), (12, 2), (30, 8), (16, 4)][seed])
         batch = BatchEvaluator.random(instance, 11, rng=seed + 1)
         rows = np.arange(len(batch))
-        stacked = np.stack([batch.score_moves(int(row)) for row in rows])
+        expected = np.stack([moved_makespans(instance, batch.assignments[row]) for row in rows])
         np.testing.assert_allclose(
-            batch.score_moves_batch(rows), stacked, atol=TOL, rtol=0
+            batch.score_moves_batch(rows), expected, atol=TOL, rtol=0
         )
 
     def test_score_moves_batch_on_row_subset(self):
@@ -89,11 +153,11 @@ class TestScanParity:
         scores = batch.score_moves_batch(rows)
         for i, row in enumerate(rows):
             np.testing.assert_allclose(
-                scores[i], batch.score_moves(int(row)), atol=TOL, rtol=0
+                scores[i], moved_makespans(instance, batch.assignments[row]), atol=TOL, rtol=0
             )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_score_moves_for_jobs_batch_matches_scalar(self, seed):
+    def test_score_moves_for_jobs_batch_matches_makespan_if_moved(self, seed):
         instance = random_instance(seed)
         batch = BatchEvaluator.random(instance, 8, rng=seed)
         rng = np.random.default_rng(seed + 20)
@@ -102,68 +166,35 @@ class TestScanParity:
             instance.etc, batch.assignments[:], batch.completion_times[:], jobs
         )
         for row in range(8):
-            reference = scan.score_moves_for_job(
-                instance.etc,
-                batch.assignments[row],
-                batch.completion_times[row],
-                int(jobs[row]),
-            )
+            reference = moved_makespans(instance, batch.assignments[row])[jobs[row]]
             np.testing.assert_allclose(scores[row], reference, atol=TOL, rtol=0)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_critical_kernels_match_scalar(self, seed):
-        instance = random_instance(seed, nb_jobs=20, nb_machines=5)
-        batch = BatchEvaluator.random(instance, 7, rng=seed)
-        assignments = np.asarray(batch.assignments)
-        completions = np.asarray(batch.completion_times)
-        sources = completions.argmax(axis=1)
-        source_jobs, valid, counts = padded_source_jobs(assignments, sources)
-        moves = scan.score_critical_moves_batch(
-            instance.etc, completions, source_jobs, valid, sources
-        )
-        for row in range(7):
-            jobs_on_source = source_jobs[row][valid[row]]
-            assert np.all(np.isinf(moves[row][~valid[row]]))
-            if jobs_on_source.size == 0:
-                continue
-            reference_moves = scan.score_critical_moves(
-                instance.etc, completions[row], jobs_on_source, int(sources[row])
+    @pytest.mark.parametrize("case,seed", CRITICAL_CASES[:4])
+    def test_critical_moves_batch_matches_per_row_argmin(self, case, seed):
+        """Each row's LMCTM move is the brute-force first minimum, exactly."""
+        for etc, batch in critical_batches(case, seed):
+            jobs, targets, active = scan.score_critical_moves_batch(
+                etc, batch.assignments[:], batch.completion_times[:]
             )
-            np.testing.assert_allclose(
-                moves[row][valid[row]], reference_moves, atol=TOL, rtol=0
+            expected_jobs, expected_targets, expected_active = per_row_critical_moves(
+                etc, batch.assignments[:], batch.completion_times[:]
             )
+            np.testing.assert_array_equal(active, expected_active)
+            np.testing.assert_array_equal(jobs[active], expected_jobs[active])
+            np.testing.assert_array_equal(targets[active], expected_targets[active])
+            if case == "degenerate_rows":
+                assert not active[0::3].any() and active[1::3].all()
 
-    @pytest.mark.parametrize(
-        "case,seed",
-        [("real", 0), ("integer_ties", 1), ("degenerate_rows", 2), ("single_row", 3),
-         ("one_row_blocks", 4)],
-    )
+    @pytest.mark.parametrize("case,seed", CRITICAL_CASES)
     def test_critical_swaps_batch_matches_per_row_argmin(self, case, seed, monkeypatch):
-        """The blocked kernel picks each row's per-row-scan pair, bit for bit.
+        """The blocked kernel picks each row's per-row pair, bit for bit.
 
-        Integer ETC makes equal pair metrics common, so the first-minimum
-        tie order is exercised; degenerate rows have a makespan machine
-        that holds no job or every job, and must come back inactive.
+        Degenerate rows, with a makespan machine that holds no job or every
+        job, must come back inactive.
         """
-        rng = np.random.default_rng(seed)
         if case == "one_row_blocks":
             monkeypatch.setattr(scan, "SWAP_BLOCK_CELLS", 1)
-        for _ in range(40):
-            nb_jobs, nb_machines = int(rng.integers(2, 30)), int(rng.integers(2, 7))
-            if case == "real":
-                etc = rng.uniform(1.0, 300.0, size=(nb_jobs, nb_machines))
-            else:
-                etc = rng.integers(1, 4, size=(nb_jobs, nb_machines)).astype(float)
-            ready = np.zeros(nb_machines)
-            count = 1 if case == "single_row" else int(rng.integers(3, 20))
-            assignments = rng.integers(0, nb_machines, size=(count, nb_jobs))
-            if case == "degenerate_rows":
-                # The last machine's ready time defines every makespan: rows
-                # 0, 3, ... leave it jobless, rows 1, 4, ... put every job on it.
-                ready[-1] = etc.sum()
-                assignments[::3] = rng.integers(0, nb_machines - 1, size=nb_jobs)
-                assignments[1::3] = nb_machines - 1
-            batch = BatchEvaluator(SchedulingInstance(etc=etc, ready_times=ready), assignments)
+        for etc, batch in critical_batches(case, seed):
             jobs_a, jobs_b, active = scan.score_critical_swaps_batch(
                 etc, batch.assignments[:], batch.completion_times[:]
             )

@@ -103,7 +103,7 @@ def test_score_moves_matches_makespan_if_moved(seed):
     batch = BatchEvaluator.random(instance, 3, rng=seed)
     for row in range(len(batch)):
         schedule = Schedule(instance, batch.assignments[row])
-        scores = batch.score_moves(row)
+        (scores,) = batch.score_moves_batch([row])
         for job in range(instance.nb_jobs):
             for machine in range(instance.nb_machines):
                 if machine == int(schedule.assignment[job]):
@@ -144,16 +144,21 @@ def test_what_if_helpers_match_brute_force(seed):
 
 
 def test_scan_for_job_matches_full_scan():
+    """The SLM scan of each job equals that job's slab of the full scan."""
     instance = random_instance(11, nb_jobs=16, nb_machines=6)
     schedule = Schedule.random(instance, rng=3)
-    full = scan.score_all_moves(
-        instance.etc, schedule.assignment, schedule.completion_times
+    (full,) = scan.score_all_moves_batch(
+        instance.etc, schedule.assignment[None, :], schedule.completion_times[None, :]
     )
-    for job in range(instance.nb_jobs):
-        per_job = scan.score_moves_for_job(
-            instance.etc, schedule.assignment, schedule.completion_times, job
-        )
-        np.testing.assert_allclose(per_job, full[job], atol=TOL, rtol=0)
+    # One row per job: the schedule repeated, each row moving its own job.
+    jobs = np.arange(instance.nb_jobs)
+    per_job = scan.score_moves_for_jobs_batch(
+        instance.etc,
+        np.repeat(schedule.assignment[None, :], jobs.size, axis=0),
+        np.repeat(schedule.completion_times[None, :], jobs.size, axis=0),
+        jobs,
+    )
+    np.testing.assert_allclose(per_job, full, atol=TOL, rtol=0)
 
 
 def test_view_is_zero_copy_and_consistent():
@@ -207,8 +212,8 @@ def test_single_machine_and_single_row_edges():
     schedule = Schedule(instance)
     assert batch.makespans()[0] == pytest.approx(schedule.makespan, abs=TOL)
     assert batch.flowtimes()[0] == pytest.approx(schedule.flowtime, abs=TOL)
-    scores = batch.score_moves(0)
-    assert np.all(np.isinf(scores))
+    scores = batch.score_moves_batch([0])
+    assert scores.shape == (1, 6, 1) and np.all(np.isinf(scores))
 
 
 def test_invalid_assignments_rejected():

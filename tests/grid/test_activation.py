@@ -5,7 +5,8 @@ driver, simulated time) and to the live ``SchedulerCore`` (a ``FakeClock``
 paced by the same trace): at every activation both domains must hand the
 scheduler the same batch and bit-identical ready times, and get back the
 same assignment.  With one machine broken down over a window, both domains
-must also revoke the same jobs at the breakdown.  Both domains report each
+must also revoke the same jobs at the breakdown, and count a tick that
+finds work but no machine up as ``stalled``.  Both domains report each
 activation the same way: one ``activation`` trace line with one field set,
 and one metric family per quantity told apart by its ``domain`` label.  The
 failed-solve tests pin what both domains do when the scheduler raises or
@@ -28,6 +29,8 @@ from repro.grid import (
     WarmCMAPolicy,
 )
 from repro.grid.activation import OUTCOMES
+from repro.grid.job import GridJob
+from repro.grid.machine import GridMachine
 from repro.obs import MetricsRegistry, TraceLog, parse_exposition
 from repro.service import FakeClock, SchedulerCore
 from repro.traces import generate_trace
@@ -271,6 +274,74 @@ def test_both_domains_report_the_same_activations(policy):
     assert counts["service"]["normal"] == len(live)
     assert counts["service"]["idle"] > 0
 
+
+def stalled_lines(log):
+    events = [json.loads(line) for line in log.getvalue().splitlines()]
+    return [
+        (event["source"], event["time"], event["backlog"])
+        for event in events
+        if event["event"] == "stalled"
+    ]
+
+
+def test_both_domains_count_dark_park_ticks_as_stalled():
+    """A tick with a pending job but no machine up is ``stalled``, not ``idle``.
+
+    One job arrives at t=0.5 on one machine broken over [0.2, 3.5]; at
+    interval 1 the tick at 0 finds nothing (idle), those at 1, 2 and 3 find
+    the job on a dark park (stalled), and the one at 4 schedules it.
+    """
+    machine = GridMachine(machine_id=0, mips=1000.0)
+    logs = {"simulator": io.StringIO(), "service": io.StringIO()}
+    registries = {"simulator": MetricsRegistry(), "service": MetricsRegistry()}
+    metrics = GridSimulator(
+        [GridJob(job_id=0, workload=1000.0, arrival_time=0.5)],
+        [dataclasses.replace(machine, breakdowns=((0.2, 3.5),))],
+        HeuristicBatchPolicy("mct"),
+        SimulationConfig(activation_interval=1.0),
+        rng=SEED,
+        registry=registries["simulator"],
+        trace_log=TraceLog(logs["simulator"]),
+    ).run()
+
+    clock = FakeClock()
+    core = SchedulerCore(
+        [machine],
+        HeuristicBatchPolicy("mct"),
+        clock=clock,
+        rng=SEED,
+        registry=registries["service"],
+        trace_log=TraceLog(logs["service"]),
+    )
+    timeline = [
+        (0.0, core.activate),
+        (0.2, lambda: core.break_machine(0)),
+        (0.5, lambda: core.submit(1000.0)),
+        (1.0, core.activate),
+        (2.0, core.activate),
+        (3.0, core.activate),
+        (3.5, lambda: core.repair_machine(0)),
+        (4.0, core.activate),
+    ]
+    for time, action in timeline:
+        clock.advance(time - clock.now())
+        action()
+
+    expected = {"normal": 1, "degraded": 0, "idle": 1, "stalled": 3}
+    for domain, registry in registries.items():
+        assert {
+            outcome: registry.get_sample_value(
+                "repro_activations_total", {"domain": domain, "outcome": outcome}
+            )
+            for outcome in OUTCOMES
+        } == expected, domain
+        assert stalled_lines(logs[domain]) == [
+            (domain, 1.0, 1), (domain, 2.0, 1), (domain, 3.0, 1)
+        ]
+    # ``nb_idle_activations`` keeps counting every tick that planned nothing.
+    assert (metrics.nb_activations, metrics.nb_idle_activations) == (1, 4)
+    snapshot = core.snapshot()
+    assert (snapshot.idle_activations, snapshot.stalled_activations) == (1, 3)
 
 class ShortAssignment:
     name = "short"
