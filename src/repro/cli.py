@@ -16,10 +16,10 @@ be driven without writing Python:
     Run K islands of one algorithm — in-process or one worker process per
     island — with periodic best-row migration along a chosen topology.
 ``repro-scheduler simulate``
-    Run the dynamic-grid simulation with a chosen batch scheduling policy.
+    Run the dynamic-grid simulation with a chosen batch scheduling policy;
+    ``--out FILE`` also captures the run as a replayable trace artifact.
 ``repro-scheduler trace``
-    Record, generate and replay dynamic workload traces: ``trace record``
-    captures a live simulation as a trace artifact, ``trace generate``
+    Generate and replay dynamic workload traces: ``trace generate``
     produces a synthetic scenario family (calm / bursty / diurnal /
     heavy-tailed / flash-crowd), and ``trace replay`` runs the policy
     arena — one trace against several policies at equal per-activation
@@ -300,10 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_activation_arguments(simulate)
     simulate.add_argument("--seed", type=int, default=2007)
-
-    trace = subparsers.add_parser(
-        "trace", help="record, generate and replay dynamic workload traces"
+    simulate.add_argument(
+        "--out", default=None, help="also save the run as a replayable trace file (.npz)"
     )
+
+    trace = subparsers.add_parser("trace", help="generate and replay dynamic workload traces")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     generate = trace_sub.add_parser(
@@ -322,21 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--machine-heterogeneity", choices=("hi", "lo"), default="hi")
     generate.add_argument("--seed", type=int, default=2007)
     generate.add_argument("--out", required=True, help="output trace file (.npz)")
-
-    record = trace_sub.add_parser(
-        "record", help="run a live simulation and capture it as a trace"
-    )
-    record.add_argument(
-        "--policy", default="min_min",
-        help="'cma', 'warm-cma' or any heuristic name (as in simulate)",
-    )
-    record.add_argument("--rate", type=float, default=1.0, help="job arrivals per simulated second")
-    record.add_argument("--duration", type=float, default=60.0, help="submission window (simulated seconds)")
-    record.add_argument("--machines", type=int, default=8)
-    record.add_argument("--interval", type=float, default=10.0, help="scheduler activation interval")
-    record.add_argument("--budget", type=float, default=0.2, help="cMA wall-clock budget per activation")
-    record.add_argument("--seed", type=int, default=2007)
-    record.add_argument("--out", required=True, help="output trace file (.npz)")
 
     replay = trace_sub.add_parser(
         "replay", help="replay one trace against several policies (the arena)"
@@ -772,6 +758,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
             activation_interval=args.interval, activation=_activation_policy(args)
         ),
         rng=args.seed,
+        recorder=None if args.out is None else TraceRecorder(),
     )
     metrics = simulator.run()
     print(
@@ -780,6 +767,10 @@ def _command_simulate(args: argparse.Namespace) -> int:
             title=f"Dynamic grid simulation with the {metrics.policy} policy",
         )
     )
+    if args.out is not None:
+        trace = simulator.recorder.trace(name=f"recorded-{args.policy}")
+        path = trace.save(args.out)
+        print(format_mapping(trace.describe(), title=f"Recorded trace -> {path}"))
     return 0
 
 
@@ -797,26 +788,6 @@ def _command_trace_generate(args: argparse.Namespace) -> int:
     trace = generate_trace(config, seed=args.seed)
     path = trace.save(args.out)
     print(format_mapping(trace.describe(), title=f"Generated trace -> {path}"))
-    return 0
-
-
-def _command_trace_record(args: argparse.Namespace) -> int:
-    jobs = PoissonArrivalModel(rate=args.rate, duration=args.duration).generate(
-        rng=args.seed
-    )
-    machines = StaticResourceModel(nb_machines=args.machines).generate(rng=args.seed)
-    recorder = TraceRecorder()
-    GridSimulator(
-        jobs,
-        machines,
-        policy_spec_from_name(args.policy, max_seconds=args.budget).build(),
-        SimulationConfig(activation_interval=args.interval),
-        rng=args.seed,
-        recorder=recorder,
-    ).run()
-    trace = recorder.trace(name=f"recorded-{args.policy}")
-    path = trace.save(args.out)
-    print(format_mapping(trace.describe(), title=f"Recorded trace -> {path}"))
     return 0
 
 
@@ -867,7 +838,6 @@ def _command_trace_replay(args: argparse.Namespace) -> int:
 
 _TRACE_COMMANDS = {
     "generate": _command_trace_generate,
-    "record": _command_trace_record,
     "replay": _command_trace_replay,
 }
 

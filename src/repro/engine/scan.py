@@ -13,10 +13,11 @@ fixed cell budget.
 
 The central trick: moving one job touches at most two machine completion
 times, so the makespan after the move is the maximum of the two updated
-entries and the largest *unchanged* entry.  The latter is always among the
-top three completion times of the current state (top two when only one
-machine changes), which :func:`top_completions_batch` extracts once per
-row.
+entries and the largest *unchanged* entry.  ETC entries are strictly
+positive, so a move's destination ends above its own old completion time:
+the largest completion time off the source machine stands in for the
+unchanged maximum, and it is among the top two of the row, which
+:func:`top_completions_batch` extracts once per row.
 """
 
 from __future__ import annotations
@@ -74,55 +75,22 @@ def score_all_moves_batch(
 
     ``scores[r, j, m]`` is the makespan row *r* would have after reassigning
     job *j* to machine *m*; entries with ``m == assignments[r, j]`` (staying
-    put is not a move) hold ``+inf``.  One expression scores every
-    single-job move of every row: the unchanged-machines maximum comes from
-    the top three completion times, since a move excludes at most two
-    machines (source and destination).
-
-    To keep the number of full ``(rows, jobs, machines)`` passes minimal,
-    the kernel first assumes the unchanged-machines maximum is the global
-    top completion time ``v1`` (true for every candidate that excludes
-    neither ``v1``'s machine as source nor as destination) and then repairs
-    the two thin exception slabs — the ``m == top-machine`` column and the
-    ``j on top-machine`` rows — with 2-D-sized work.
+    put is not a move) hold ``+inf``.  One 3-D maximum scores every
+    single-job move of every row: ``max(removed, unchanged)`` is folded in
+    2-D first, ``unchanged`` being the top completion time ``v1``, or the
+    runner-up ``v2`` for jobs on ``v1``'s machine.  That is exact where the
+    true unchanged maximum is smaller: a move onto ``v1``'s machine lifts it
+    above ``v1``, and a move from it onto ``v2``'s lifts that above ``v2``.
     """
     count = assignments.shape[0]
-    nb_jobs, nb_machines = etc.shape
     rows_2d = np.arange(count)[:, None]
-    jobs = np.arange(nb_jobs)
+    jobs = np.arange(etc.shape[0])
     chosen = etc[jobs[None, :], assignments]  # (R, J) current-machine ETC
     removed = completions[rows_2d, assignments] - chosen  # (R, J)
-    indices, values = top_completions_batch(completions, 3)
-    i1, i2 = indices[:, 0], indices[:, 1]
-    v1, v2, v3 = values[:, 0], values[:, 1], values[:, 2]
-
-    # Main pass: max(removed, v1) folded in 2-D, one 3-D maximum.
+    indices, values = top_completions_batch(completions, 2)
+    unchanged = np.where(assignments == indices[:, :1], values[:, 1:], values[:, :1])
     scores = completions[:, None, :] + etc[None, :, :]  # (R, J, M) "added"
-    base = np.maximum(removed, v1[:, None])  # (R, J)
-    np.maximum(scores, base[:, :, None], out=scores)
-
-    # Fix the destination == top-machine column: v1's machine is excluded,
-    # so the unchanged maximum drops to v2 (or v3 when the source is v2's).
-    unchanged_col = np.where(assignments != i2[:, None], v2[:, None], v3[:, None])
-    added_col = v1[:, None] + etc[:, i1].T  # (R, J)
-    scores[rows_2d, jobs[None, :], i1[:, None]] = np.maximum(
-        np.maximum(unchanged_col, removed), added_col
-    )
-
-    # Fix the source == top-machine rows: moving a job *off* v1's machine
-    # excludes it everywhere, so those job rows use v2/v3 across machines.
-    row_idx, job_idx = np.nonzero(assignments == i1[:, None])
-    if row_idx.size:
-        unchanged_rows = np.where(
-            np.arange(nb_machines)[None, :] != i2[row_idx, None],
-            v2[row_idx, None],
-            v3[row_idx, None],
-        )  # (K, M)
-        added_rows = completions[row_idx] + etc[job_idx]  # (K, M)
-        scores[row_idx, job_idx] = np.maximum(
-            np.maximum(unchanged_rows, removed[row_idx, job_idx, None]), added_rows
-        )
-
+    np.maximum(scores, np.maximum(removed, unchanged)[:, :, None], out=scores)
     scores[rows_2d, jobs[None, :], assignments] = np.inf
     return scores
 
@@ -138,22 +106,14 @@ def score_moves_for_jobs_batch(
     ``scores[r, m]`` is the makespan of moving ``jobs[r]`` of row *r* to
     machine *m* (``+inf`` on the job's current machine) — the SLM scan:
     every row's completion vector with its job removed from the source is
-    formed once, and its top two entries give the maximum over the machines
-    other than the destination.
+    formed once, and its maximum stands in for the machines other than the
+    destination (a move onto the maximum's own machine lifts it above).
     """
     rows = np.arange(assignments.shape[0])
-    nb_machines = completions.shape[1]
     sources = assignments[rows, jobs]
     reduced = completions.astype(float, copy=True)
     reduced[rows, sources] -= etc[jobs, sources]
-    indices, values = top_completions_batch(reduced, 2)
-    new_destination = reduced + etc[jobs]  # (R, M)
-    unchanged = np.where(
-        np.arange(nb_machines)[None, :] == indices[:, 0, None],
-        values[:, 1, None],
-        values[:, 0, None],
-    )
-    scores = np.maximum(unchanged, new_destination)
+    scores = np.maximum(reduced.max(axis=1)[:, None], reduced + etc[jobs])
     scores[rows, sources] = np.inf
     return scores
 
@@ -193,9 +153,9 @@ def score_critical_swaps_batch(
     live = np.flatnonzero(active)
     if live.size == 0:
         return jobs_a, jobs_b, active
-    sources, on_source = sources[live], on_source[live]
+    sources, on_source, counts = sources[live], on_source[live], counts[live]
     assignments, completions = assignments[live], completions[live]
-    source_jobs, valid, counts = _machine_jobs_padded(assignments, sources)
+    source_jobs, valid = _machine_jobs_padded(on_source, counts)
     width = source_jobs.shape[1]
     rows = np.arange(live.size)
     # Gathers go through flat indices (np.take flattens in C order).
@@ -228,20 +188,18 @@ def score_critical_swaps_batch(
 
 
 def _machine_jobs_padded(
-    assignments: np.ndarray, machines: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row jobs on ``machines[r]``, packed into a padded matrix.
+    on_machine: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row jobs flagged in *on_machine* (*counts* per row), padded.
 
     Rows hold different numbers of jobs on their machine, so the job sets
     are packed into one ``(rows, A)`` matrix (ascending job order; ``A`` the
-    widest row, at least 1).  Returns ``(jobs, valid, counts)``, ``valid``
-    marking the real entries.
+    widest row, at least 1).  Returns ``(jobs, valid)``, ``valid`` marking
+    the real entries.
     """
-    on_machine = assignments == machines[:, None]
-    counts = on_machine.sum(axis=1)
     width = max(int(counts.max()), 1)
     order = np.argsort(~on_machine, axis=1, kind="stable")
-    return order[:, :width], np.arange(width)[None, :] < counts[:, None], counts
+    return order[:, :width], np.arange(width)[None, :] < counts[:, None]
 
 
 def score_critical_moves_batch(
@@ -265,7 +223,9 @@ def score_critical_moves_batch(
     count, nb_machines = completions.shape
     rows = np.arange(count)
     sources = completions.argmax(axis=1)
-    source_jobs, valid, counts = _machine_jobs_padded(assignments, sources)
+    on_source = assignments == sources[:, None]
+    counts = on_source.sum(axis=1)
+    source_jobs, valid = _machine_jobs_padded(on_source, counts)
     new_source = (
         completions[rows, sources][:, None] - etc[source_jobs, sources[:, None]]
     )  # (R, A)

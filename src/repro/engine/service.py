@@ -34,7 +34,6 @@ from repro.engine.results import SchedulingResult
 from repro.model.fitness import DEFAULT_LAMBDA, FitnessEvaluator, ObjectiveValues
 from repro.model.instance import SchedulingInstance
 from repro.model.schedule import Schedule
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.utils.history import ConvergenceHistory
 from repro.utils.rng import RNGLike
 from repro.utils.timer import Stopwatch
@@ -59,29 +58,15 @@ class EvaluationEngine:
     evaluator:
         Optionally share an existing evaluator (and therefore its counter)
         instead of creating a fresh one.
-    registry:
-        A :class:`~repro.obs.metrics.MetricsRegistry` to charge evaluation
-        counters and evals/sec into; defaults to the no-op
-        :data:`~repro.obs.metrics.NULL_REGISTRY`, so the evaluation hot
-        path stays allocation-free with observability off.
     """
 
-    __slots__ = (
-        "instance",
-        "evaluator",
-        "history",
-        "_stopwatch",
-        "_evals_synced",
-        "_m_evaluations",
-        "_m_evals_per_second",
-    )
+    __slots__ = ("instance", "evaluator", "history", "_stopwatch")
 
     def __init__(
         self,
         instance: SchedulingInstance,
         fitness_weight: float = DEFAULT_LAMBDA,
         evaluator: FitnessEvaluator | None = None,
-        registry: "MetricsRegistry | None" = None,
     ) -> None:
         self.instance = instance
         self.evaluator = (
@@ -89,18 +74,6 @@ class EvaluationEngine:
         )
         self.history = ConvergenceHistory()
         self._stopwatch = Stopwatch()
-        # Registry sync baseline: a shared evaluator carries evaluations
-        # from earlier runs; only this engine's delta is charged.
-        self._evals_synced = self.evaluator.evaluations
-        reg = registry if registry is not None else NULL_REGISTRY
-        self._m_evaluations = reg.counter(
-            "repro_engine_evaluations_total",
-            "Schedule evaluations charged through the evaluation engine.",
-        )
-        self._m_evals_per_second = reg.gauge(
-            "repro_engine_evals_per_second",
-            "Evaluation throughput of the engine's last finished run.",
-        )
 
     # ------------------------------------------------------------------ #
     # Run lifecycle
@@ -147,32 +120,13 @@ class EvaluationEngine:
     # ------------------------------------------------------------------ #
     # Counted evaluation (scalar and batch)
     # ------------------------------------------------------------------ #
-    def _sync_evaluations(self) -> None:
-        """Mirror the evaluator's counter into the registry (delta since last sync).
-
-        Algorithms charge the shared :class:`~repro.model.fitness.
-        FitnessEvaluator` through many paths (engine methods, resident-grid
-        row refreshes, direct ``add_evaluations`` calls); syncing from the
-        one authoritative counter keeps the registry exact without
-        instrumenting every charge site.
-        """
-        current = self.evaluator.evaluations
-        delta = current - self._evals_synced
-        if delta > 0:
-            self._m_evaluations.inc(delta)
-            self._evals_synced = current
-
     def evaluate(self, schedule: Schedule) -> ObjectiveValues:
         """Evaluate one schedule (counts one evaluation)."""
-        values = self.evaluator.evaluate(schedule)
-        self._sync_evaluations()
-        return values
+        return self.evaluator.evaluate(schedule)
 
     def improve(self, schedule: Schedule, local_search, rng: RNGLike = None) -> bool:
         """Apply a local search through the engine's counter."""
-        improved = local_search.improve(schedule, self.evaluator, rng)
-        self._sync_evaluations()
-        return improved
+        return local_search.improve(schedule, self.evaluator, rng)
 
     def improve_batch(
         self,
@@ -188,9 +142,7 @@ class EvaluationEngine:
         :meth:`repro.core.local_search.LocalSearch.improve_batch`); returns
         the per-row improvement mask.
         """
-        mask = local_search.improve_batch(batch, rows, self.evaluator, rng)
-        self._sync_evaluations()
-        return mask
+        return local_search.improve_batch(batch, rows, self.evaluator, rng)
 
     # ------------------------------------------------------------------ #
     # History and results
@@ -218,9 +170,6 @@ class EvaluationEngine:
         metadata: Mapping[str, Any] | None = None,
     ) -> SchedulingResult:
         """Assemble the uniform result record every algorithm returns."""
-        self._sync_evaluations()
-        if self.elapsed > 0:
-            self._m_evals_per_second.set(self.evaluations / self.elapsed)
         return SchedulingResult(
             algorithm=algorithm,
             instance_name=self.instance.name,

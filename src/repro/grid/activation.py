@@ -6,7 +6,7 @@ SchedulerCore` (wall time) run every activation through the same steps:
 for warm remapping), **solve** it (``job_batched`` lines, a timed scheduler
 call, the assignment check), **plan** the shortest-processing-time commit,
 **finish** (``job_assigned`` lines, histograms, the outcome tally) and
-**report** (the ``activation`` trace line, ``repro_activations_total``).
+**report** (the ``activation`` trace line).
 Both apply the :class:`CommitPlan` to a :class:`~repro.grid.park.Park` and
 trace revocations with :meth:`Activator.trace_revocation`; each keeps its
 own arrival sourcing, time, locking and (the live core) shed/degrade/stall
@@ -15,6 +15,7 @@ the live core can solve outside its lock and commit under it.
 
 Every metric family carries a ``domain`` label, ``simulator`` or
 ``service``: the ``source`` field of the domain's trace lines.
+``repro_activations_total`` reads the outcome tally.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class Activator:
     """A driver's activation sequence, outcome tally, trace and metric families.
 
     *domain* (``simulator`` or ``service``) is the trace lines' ``source``
-    and the families' ``domain`` label.  Phase children are made lazily:
-    names partly come from ``last_phases``.
+    and the families' ``domain`` label.  Phase histogram children are made
+    lazily: names partly come from ``last_phases``.
     """
 
     def __init__(
@@ -85,15 +86,12 @@ class Activator:
         #: Activations so far, by outcome; a solved batch counts once its
         #: plan is committed (:meth:`Activation.finish`).
         self.outcomes: dict[str, int] = dict.fromkeys(OUTCOMES, 0)
-        activations = registry.counter(
+        registry.counter(
             "repro_activations_total",
             "Scheduler activations, by clock domain and outcome.",
+            lambda: {(domain, outcome): n for outcome, n in self.outcomes.items()},
             labels=("domain", "outcome"),
         )
-        self._m_activations = {
-            outcome: activations.labels(domain=domain, outcome=outcome)
-            for outcome in OUTCOMES
-        }
         self._m_scheduler_seconds = registry.histogram(
             "repro_activation_scheduler_seconds",
             "Wall-clock seconds one activation's scheduler call took.",
@@ -114,9 +112,7 @@ class Activator:
         With no pending job it is ``idle``; with *backlog* pending jobs but
         no machine up it is ``stalled`` and writes a ``stalled`` line.
         """
-        outcome = "stalled" if backlog else "idle"
-        self.outcomes[outcome] += 1
-        self._m_activations[outcome].inc()
+        self.outcomes["stalled" if backlog else "idle"] += 1
         if backlog and self.trace_log is not None:
             self.trace_log.emit("stalled", source=self.domain, time=now, backlog=backlog)
 
@@ -311,13 +307,11 @@ class Activation:
         self.activator.observe(self)
 
     def report(self, plan: CommitPlan) -> None:
-        """Count the activation in ``repro_activations_total``; write its line.
+        """Write the activation's one ``activation`` trace line, in both domains.
 
-        The one ``activation`` trace line of both domains;
         ``duration_seconds`` runs from the start of the solve to this write.
         """
         activator = self.activator
-        activator._m_activations[self.mode].inc()
         if activator.trace_log is None:
             return
         carried, filled, evaluations = self.reuse

@@ -79,6 +79,10 @@ PERTURBATION_RATE = 0.25
 CAPACITY_SLACK = 1.25
 #: Algorithm 1's initial local-search pass: the carried rows do not need it.
 INITIAL_LOCAL_SEARCH = False
+#: Placement paths of ``repro_scheduler_jobs_total``: ``ServiceStats.<path>_jobs``.
+JOB_PATHS = ("carried", "filled", "degenerate", "degraded")
+#: Solving paths of ``repro_scheduler_batches_total``: ``ServiceStats.<path>_batches``.
+BATCH_PATHS = ("warm", "cold", "degenerate", "degraded")
 
 
 @dataclass
@@ -86,6 +90,10 @@ class ServiceStats:
     """Counters describing what the service reused across activations."""
 
     activations: int = 0
+    #: Activations solved by a warm cMA run.
+    warm_batches: int = 0
+    #: Cold activations (a fresh cMA, or its degenerate fallback).
+    cold_batches: int = 0
     #: Jobs whose assignment was carried over from the previous plan.
     carried_jobs: int = 0
     #: Jobs placed by the fill heuristic (new arrivals + churn orphans).
@@ -105,9 +113,8 @@ class ServiceStats:
     degraded_jobs: int = 0
     #: Times the resident buffers had to grow (first allocation included).
     capacity_reallocations: int = 0
-    #: Cumulative engine evaluations charged by the warm cMA runs (the
-    #: shared evaluator's counter, mirrored here so snapshots and the
-    #: ``activation`` trace line can report per-activation deltas).
+    #: Cumulative evaluations of the warm cMA runs (the shared evaluator's
+    #: count; the ``activation`` line reports each run's change).
     evaluations: int = 0
 
 
@@ -128,9 +135,10 @@ class DynamicSchedulerService:
         time"), an optional iteration cap (deterministic runs) and an
         optional stop after that many iterations without improvement.
     registry:
-        A :class:`~repro.obs.metrics.MetricsRegistry` charged with the
-        warm-start reuse counters (carried/filled/degenerate/degraded jobs,
-        buffer reallocations); defaults to the no-op null registry.
+        A :class:`~repro.obs.metrics.MetricsRegistry` that reads
+        :attr:`stats` (jobs and batches by path, buffer reallocations,
+        engine evaluations) and the last warm run's evals/s; defaults to
+        the no-op null registry.
     """
 
     def __init__(
@@ -156,28 +164,34 @@ class DynamicSchedulerService:
         self._evaluator = FitnessEvaluator(self.config.fitness_weight)
         self._batch: BatchEvaluator | None = None
         self._plan: dict[int, int] = {}
-        self._registry = registry if registry is not None else NULL_REGISTRY
-        jobs = self._registry.counter(
+        self._evals_per_second = 0.0
+        reg = registry if registry is not None else NULL_REGISTRY
+        reg.counter(
             "repro_scheduler_jobs_total",
             "Jobs planned by the warm scheduler, by placement path.",
+            lambda: {(path,): getattr(self.stats, f"{path}_jobs") for path in JOB_PATHS},
             labels=("path",),
         )
-        self._m_jobs = {
-            path: jobs.labels(path=path)
-            for path in ("carried", "filled", "degenerate", "degraded")
-        }
-        batches = self._registry.counter(
+        reg.counter(
             "repro_scheduler_batches_total",
             "Warm-scheduler activations, by solving path.",
+            lambda: {(path,): getattr(self.stats, f"{path}_batches") for path in BATCH_PATHS},
             labels=("path",),
         )
-        self._m_batches = {
-            path: batches.labels(path=path)
-            for path in ("warm", "degenerate", "degraded", "cold")
-        }
-        self._m_reallocations = self._registry.counter(
+        reg.counter(
             "repro_scheduler_reallocations_total",
             "Times the resident population buffers had to grow.",
+            lambda: self.stats.capacity_reallocations,
+        )
+        reg.counter(
+            "repro_engine_evaluations_total",
+            "Schedule evaluations charged through the evaluation engine.",
+            lambda: self.stats.evaluations,
+        )
+        reg.gauge(
+            "repro_engine_evals_per_second",
+            "Evaluation throughput of the engine's last finished run.",
+            lambda: self._evals_per_second,
         )
         #: Wall-clock phase split of the most recent activation
         #: (``warm_remap`` — plan remap, fill heuristic and population
@@ -212,7 +226,9 @@ class DynamicSchedulerService:
         self._plan = {}
         self._batch = None
         self._evaluator = FitnessEvaluator(self.config.fitness_weight)
-        self.stats = ServiceStats()
+        # Zeroed in place: wrappers and the live snapshot hold this object.
+        vars(self.stats).update(vars(ServiceStats()))
+        self._evals_per_second = 0.0
         self.last_phases = {}
 
     # ------------------------------------------------------------------ #
@@ -231,10 +247,9 @@ class DynamicSchedulerService:
         dropped, and their jobs (like new arrivals) are placed by the fill
         heuristic *on top of* the carried per-machine load.
         """
-        nb_jobs = instance.nb_jobs
         job_ids = instance.metadata.get("job_ids")
         machine_ids = instance.metadata.get("machine_ids")
-        plan = np.full(nb_jobs, -1, dtype=np.int64)
+        plan = np.full(instance.nb_jobs, -1, dtype=np.int64)
         if job_ids is not None and machine_ids is not None and self._plan:
             plan = self._remap_plan(
                 np.asarray(job_ids, dtype=np.int64),
@@ -317,20 +332,13 @@ class DynamicSchedulerService:
         self, instance: SchedulingInstance, rows: np.ndarray
     ) -> BatchEvaluator:
         """Reseat the resident buffers on this activation's batch (grow-only)."""
-        weight = self.config.fitness_weight
         if self._batch is None:
-            self._batch = BatchEvaluator(instance, rows, weight=weight)
-            self.stats.capacity_reallocations += 1
-            self._m_reallocations.inc()
-            return self._batch
-        reused = self._batch.reseat(
-            instance,
-            rows,
-            min_jobs=int(math.ceil(instance.nb_jobs * CAPACITY_SLACK)),
-        )
-        if not reused:
-            self.stats.capacity_reallocations += 1
-            self._m_reallocations.inc()
+            self._batch = BatchEvaluator(instance, rows, weight=self.config.fitness_weight)
+            reused = False
+        else:
+            min_jobs = int(math.ceil(instance.nb_jobs * CAPACITY_SLACK))
+            reused = self._batch.reseat(instance, rows, min_jobs=min_jobs)
+        self.stats.capacity_reallocations += int(not reused)
         return self._batch
 
     # ------------------------------------------------------------------ #
@@ -342,12 +350,12 @@ class DynamicSchedulerService:
         Cold, the batch is solved by a fresh cMA (or the degenerate
         fallback) and nothing is remembered.
         """
-        self.stats.activations += 1
         gen = as_generator(rng)
         timer = PhaseTimer()
         self.last_phases = timer.durations
         if not self.warm:
-            self._m_batches["cold"].inc()
+            self.stats.activations += 1
+            self.stats.cold_batches += 1
             with timer.phase("evaluate"):
                 fallback = degenerate_assignment(instance, self.config, gen)
                 if fallback is not None:
@@ -356,28 +364,22 @@ class DynamicSchedulerService:
             return np.array(result.best_schedule.assignment, dtype=np.int64)
 
         fallback = degenerate_assignment(instance, self.config, gen)
+        self.stats.activations += 1
         if fallback is not None:
             self.stats.degenerate_batches += 1
             self.stats.degenerate_jobs += instance.nb_jobs
-            self._m_batches["degenerate"].inc()
-            self._m_jobs["degenerate"].inc(instance.nb_jobs)
             self._remember(instance, fallback)
             return fallback
 
         with timer.phase("warm_remap"):
             plan, carried = self.warm_assignment(instance, gen)
+            batch = self._acquire_batch(instance, self._warm_population(instance, plan, gen))
         nb_carried = int(carried.sum())
+        self.stats.warm_batches += 1
         self.stats.carried_jobs += nb_carried
         self.stats.filled_jobs += instance.nb_jobs - nb_carried
-        self._m_batches["warm"].inc()
-        self._m_jobs["carried"].inc(nb_carried)
-        self._m_jobs["filled"].inc(instance.nb_jobs - nb_carried)
 
         cfg = self.config
-        with timer.phase("warm_remap"):
-            batch = self._acquire_batch(
-                instance, self._warm_population(instance, plan, gen)
-            )
         with timer.phase("evaluate"):
             grid = ResidentGrid(
                 cfg.population_height,
@@ -386,18 +388,17 @@ class DynamicSchedulerService:
                 self._evaluator,
                 scratch_rows=max(cfg.nb_recombinations, cfg.nb_mutations),
             )
-            engine = EvaluationEngine(
-                instance,
-                cfg.fitness_weight,
-                evaluator=self._evaluator,
-                registry=self._registry,
-            )
+            engine = EvaluationEngine(instance, cfg.fitness_weight, evaluator=self._evaluator)
             algorithm = CellularMemeticAlgorithm(instance, cfg, rng=gen, engine=engine)
             algorithm.start(grid=grid, initial_local_search=INITIAL_LOCAL_SEARCH)
             while algorithm.should_continue():
                 algorithm.step()
             result = algorithm.finish()
-        self.stats.evaluations = int(self._evaluator.evaluations)
+        evaluations = int(self._evaluator.evaluations)
+        if result.elapsed_seconds > 0:  # the evaluator counts across runs
+            run = evaluations - self.stats.evaluations
+            self._evals_per_second = run / result.elapsed_seconds
+        self.stats.evaluations = evaluations
         assignment = np.array(result.best_schedule.assignment, dtype=np.int64)
         self._remember(instance, assignment)
         return assignment
@@ -418,16 +419,12 @@ class DynamicSchedulerService:
         self.stats.activations += 1
         self.stats.degraded_batches += 1
         self.stats.degraded_jobs += instance.nb_jobs
-        self._m_batches["degraded"].inc()
-        self._m_jobs["degraded"].inc(instance.nb_jobs)
         gen = as_generator(rng)
         timer = PhaseTimer()
         self.last_phases = timer.durations
         with timer.phase("evaluate"):
-            fallback = degenerate_assignment(instance, self.config, gen)
-            if fallback is not None:
-                assignment = fallback
-            else:
+            assignment = degenerate_assignment(instance, self.config, gen)
+            if assignment is None:
                 schedule = build_schedule("min_min", instance, gen)
                 assignment = np.array(schedule.assignment, dtype=np.int64)
         self._remember(instance, assignment)

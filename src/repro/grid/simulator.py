@@ -249,7 +249,6 @@ class GridSimulator:
         # Positions whose revoked job awaits a RetryPolicy backoff: their
         # delayed TASK_SUBMIT re-admission must not recount as an arrival.
         self._retry_positions: set[int] = set()
-        self._submitted = 0
         # Incremental stopping-rule state: jobs not yet COMPLETED, and the
         # park positions of not-yet-departed machines with a finite leave
         # time (``park.committed`` says which machines ever received a
@@ -290,47 +289,47 @@ class GridSimulator:
         self._membership_dirty = False
         self._ticks_fired = 0
         self._events: EventQueue | None = None
-        # Observability: per-kind event counters are resolved once here, so
-        # the event loop only touches pre-bound children (no-ops under the
-        # null registry).
-        reg = registry if registry is not None else NULL_REGISTRY
         self._trace_log = trace_log
-        events_total = reg.counter(
+        # Tallies the families read: events by kind (first arrivals added at
+        # the end of run()), revocations by cause, retry re-admissions, and
+        # deadline misses (settled when run() ends: planned finishes can
+        # still be revoked or cancelled before).
+        self._event_counts = [0] * len(EventType)
+        self._revoked = {"leave": 0, "breakdown": 0}
+        self._requeued = 0
+        self._missed_deadlines = 0
+        reg = registry if registry is not None else NULL_REGISTRY
+        reg.counter(
             "repro_sim_events_total",
             "Simulation events drained from the event queue, by kind.",
+            lambda: {(kind.name.lower(),): self._event_counts[kind] for kind in EventType},
             labels=("kind",),
         )
-        self._m_events = {
-            kind: events_total.labels(kind=kind.name.lower()) for kind in EventType
-        }
         # The activation steps and report both clock domains share: batch
         # build, timed solve, SPT commit plan, outcome tally, activation
         # families and trace line.
         self._activator = Activator("simulator", reg, trace_log)
-        # Failure-model counters: revocations by cause, retry outcomes,
-        # user cancellations and SLA misses.
-        revocations = reg.counter(
+        reg.counter(
             "repro_sim_revocations_total",
             "In-flight placements revoked, by cause.",
+            lambda: {(cause,): count for cause, count in self._revoked.items()},
             labels=("cause",),
         )
-        self._m_revoked = {
-            cause: revocations.labels(cause=cause) for cause in ("leave", "breakdown")
-        }
-        retries = reg.counter(
+        reg.counter(
             "repro_sim_retries_total",
             "Retry decisions for revoked jobs, by outcome.",
+            lambda: {("requeued",): self._requeued, ("dropped",): self._count(_FAILED)},
             labels=("outcome",),
         )
-        self._m_retry_requeued = retries.labels(outcome="requeued")
-        self._m_retry_dropped = retries.labels(outcome="dropped")
-        self._m_cancelled = reg.counter(
+        reg.counter(
             "repro_sim_cancellations_total",
             "Jobs withdrawn by their user before finishing.",
+            lambda: self._count(_CANCELLED),
         )
-        self._m_deadline_misses = reg.counter(
+        reg.counter(
             "repro_sim_deadline_misses_total",
             "Jobs that finished past their due date or failed with one set.",
+            lambda: self._missed_deadlines,
         )
         if self.recorder is not None:
             self.recorder.on_simulation_start(self.jobs, self.machines, self.config)
@@ -395,6 +394,7 @@ class GridSimulator:
 
         interval = self.config.activation_interval
         arrivals = self._arrivals
+        counts = self._event_counts
         cursor = 0
         while True:
             # The next arrival pops where its TASK_SUBMIT would have, with a
@@ -411,7 +411,7 @@ class GridSimulator:
             event = queue.pop()
             now = event.time
             kind = event.kind
-            self._m_events[kind].inc()
+            counts[kind] += 1
             if kind is EventType.TASK_SUBMIT:
                 self._handle_submit(event.payload, now, adaptive)
             elif kind is EventType.TASK_CANCEL:
@@ -421,7 +421,7 @@ class GridSimulator:
             elif not adaptive:
                 tick = event.payload
                 self._fire_scheduler(now)
-                if self._finished(now):
+                if self._finished(now, cursor):
                     break
                 if tick + 1 >= self.config.max_activations:
                     break  # runaway guard, like the classic loop's cap
@@ -434,13 +434,13 @@ class GridSimulator:
                 self._last_activation = now
                 self._membership_dirty = False
                 self._ticks_fired += 1
-                if self._finished(now):
+                if self._finished(now, cursor):
                     break
                 if self._ticks_fired >= self.config.max_activations:
                     break  # runaway guard
                 self._ensure_wakeup(now)
         # First arrivals count once, in bulk; retries counted as they popped.
-        self._m_events[EventType.TASK_SUBMIT].inc(cursor)
+        counts[EventType.TASK_SUBMIT] += cursor
 
         metrics = self._collect_metrics()
         if self.recorder is not None:
@@ -465,7 +465,6 @@ class GridSimulator:
             return
         else:
             self._pending_positions.add(position)
-            self._submitted += 1
             if self._trace_log is not None:
                 self._trace_log.emit(
                     "job_submitted",
@@ -541,7 +540,6 @@ class GridSimulator:
             return  # not admitted yet — nothing to withdraw
         self._state[position] = _CANCELLED
         self._drop_placement(position)
-        self._m_cancelled.inc()
         if self._trace_log is not None:
             self._trace_log.emit("task_cancel", source="simulator", time=now, job_id=job_id)
 
@@ -566,7 +564,7 @@ class GridSimulator:
             self._drop_placement(position)
             reschedules = int(self._reschedules[position]) + 1
             self._reschedules[position] = reschedules
-            self._m_revoked[cause].inc()
+            self._revoked[cause] += 1
             if retry is None:
                 self._state[position] = _RESUBMITTED
                 self._pending_positions.add(position)
@@ -574,12 +572,11 @@ class GridSimulator:
                 retry_at = now
             elif reschedules > retry.max_attempts:
                 self._state[position] = _FAILED
-                self._m_retry_dropped.inc()
                 retry_at = None
             else:
                 self._state[position] = _RESUBMITTED
                 self._unfinished += 1
-                self._m_retry_requeued.inc()
+                self._requeued += 1
                 delay = retry.delay(job_id, reschedules)
                 if delay <= 0.0:
                     self._pending_positions.add(position)
@@ -674,8 +671,8 @@ class GridSimulator:
         self._unfinished -= placed.size
         self.park.apply(up, plan, activation.jobs)
 
-    def _finished(self, now: float) -> bool:
-        """All jobs settled, no arrivals pending, no revocations to come.
+    def _finished(self, now: float, arrived: int) -> bool:
+        """All jobs settled, all *arrived*, no revocations to come.
 
         O(1 + upcoming leaves/breakdowns) per check, against incremental
         counters: a machine with a future leave or breakdown keeps the
@@ -684,7 +681,7 @@ class GridSimulator:
         """
         if self._unfinished:
             return False
-        if self._submitted < len(self.jobs):
+        if arrived < len(self.jobs):
             return False
         committed = self.park.committed
         if any(
@@ -705,6 +702,10 @@ class GridSimulator:
     # ------------------------------------------------------------------ #
     # Metrics
     # ------------------------------------------------------------------ #
+    def _count(self, code: int) -> int:
+        """How many jobs are in lifecycle state *code*."""
+        return int(np.count_nonzero(self._state == code))
+
     def _collect_metrics(self) -> SimulationMetrics:
         arrivals = np.array(self._arrivals)
         done = self._state == _COMPLETED
@@ -713,7 +714,6 @@ class GridSimulator:
         waiting_times = self._start[done] - arrivals[done]
         horizon = float(completion_times.max()) if completion_times.size else 0.0
         utilizations = self.park.utilization(horizon)
-        failed = self._state == _FAILED
         # SLA outcome over the jobs that carried a due date: a completion
         # past its deadline accrues tardiness; a failed job with a deadline
         # is a miss outright; a cancellation is the user's choice and is
@@ -724,8 +724,8 @@ class GridSimulator:
         has_due = ~np.isnan(due)
         lateness = self._finish - due
         late = done & (lateness > 0.0)
-        missed_due = (has_due & failed) | late
-        missed = int(np.count_nonzero(missed_due))
+        missed_due = (has_due & (self._state == _FAILED)) | late
+        missed = self._missed_deadlines = int(np.count_nonzero(missed_due))
         # Summed sequentially in arrival order, not pairwise.
         total_tardiness = float(np.cumsum(lateness[late])[-1]) if late.any() else 0.0
         max_tardiness = float(lateness[late].max()) if late.any() else 0.0
@@ -740,8 +740,6 @@ class GridSimulator:
                     job_id=job.job_id,
                     tardiness=0.0 if dropped else float(lateness[position]),
                 )
-        if missed:
-            self._m_deadline_misses.inc(missed)
         return SimulationMetrics.from_records(
             policy=self.policy.name,
             response_times=response_times,
@@ -756,8 +754,8 @@ class GridSimulator:
             nb_idle_activations=(
                 self._activator.outcomes["idle"] + self._activator.outcomes["stalled"]
             ),
-            cancelled_jobs=int(np.count_nonzero(self._state == _CANCELLED)),
-            failed_jobs=int(np.count_nonzero(failed)),
+            cancelled_jobs=self._count(_CANCELLED),
+            failed_jobs=self._count(_FAILED),
             missed_deadlines=missed,
             total_tardiness=total_tardiness,
             max_tardiness=max_tardiness,

@@ -1,13 +1,15 @@
 """Observability: metrics registry, Prometheus exposition, trace log.
 
-The unified observability layer every subsystem hangs its counters on:
+The unified observability layer every subsystem reports through:
 
-* :class:`MetricsRegistry` — dependency-free Counter/Gauge/Histogram
-  families with labels, rendered in the Prometheus text exposition format
-  (:mod:`repro.obs.metrics`), validated back by the strict parser in
-  :mod:`repro.obs.exposition`;
+* :class:`MetricsRegistry` — dependency-free metric families with labels,
+  rendered in the Prometheus text exposition format
+  (:mod:`repro.obs.metrics`) and validated back by the strict parser in
+  :mod:`repro.obs.exposition`.  Counters and gauges read their owners'
+  own tallies at scrape time; histograms are observed into;
 * :data:`NULL_REGISTRY` — the no-op default every instrumented constructor
-  takes, so hot paths stay allocation-free with observability off;
+  takes: it ignores registrations, so nothing is read or allocated with
+  observability off;
 * :class:`TraceLog` — structured JSON-lines tracing
   (:mod:`repro.obs.tracelog`), summarized back into per-activation tables
   by :mod:`repro.obs.summarize` (``repro-scheduler obs summarize``);
@@ -23,8 +25,6 @@ from repro.obs.exposition import ParsedFamily, parse_exposition
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -49,8 +49,6 @@ from repro.obs.timeline import (
 from repro.obs.tracelog import TraceLog, read_trace
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",

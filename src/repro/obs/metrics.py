@@ -1,30 +1,35 @@
 """A dependency-free metrics registry with Prometheus text exposition.
 
-The repo's layers (engine, simulator, warm service, live service) each keep
-their own ad-hoc counters; operating the live service needs one place a
-scraper can read them all.  :class:`MetricsRegistry` provides the three
-standard instrument kinds — :class:`Counter`, :class:`Gauge`,
-:class:`Histogram`, each with optional labels — and renders them in the
-Prometheus text exposition format (version 0.0.4), the lingua franca every
-scraper understands.  No client library is imported: the format is a small,
-stable line grammar, and the strict renderer here is pinned by a
-conformance test (see :mod:`repro.obs.exposition` for the matching parser).
+The repo's layers (simulator, warm service, live service, load generator)
+each keep their own counts; operating the live service needs one place a
+scraper can read them all.  :class:`MetricsRegistry` holds metric families
+with optional labels and renders them in the Prometheus text exposition
+format (version 0.0.4), the lingua franca every scraper understands.  No
+client library is imported: the format is a small, stable line grammar,
+and the strict renderer here is pinned by a conformance test (see
+:mod:`repro.obs.exposition` for the matching parser).
 
-Two design points keep instrumentation cheap enough to leave in hot paths:
+Three design points:
 
+* **read, not pushed** — a counter or gauge family registers a
+  zero-argument ``read`` that returns its owner's current value (a number,
+  or a mapping from label-value tuples to numbers).  The owner keeps the
+  one tally its snapshot and trace report too, and :meth:`~MetricsRegistry.
+  render` reads it at scrape time, so ``/metrics`` cannot drift from them
+  and no hot path touches the registry.  Several owners may register one
+  name (same kind and label names); their equal label sets are summed.
+* **observed histograms** — a distribution has no owner tally, so
+  :class:`Histogram` keeps its buckets itself; ``observe`` is the one
+  pushed call, guarded by one lock per family (the live service observes
+  from an executor thread while submissions flow on the event loop).
 * **null default** — every instrumented constructor defaults to
-  :data:`NULL_REGISTRY`, whose instruments are a single shared no-op
-  object.  With observability off, an instrumented call site costs one
-  attribute lookup and an empty call; nothing is allocated.
-* **get-or-create families** — asking a registry twice for the same metric
-  name returns the same family (kind and label names must match), so
-  per-activation objects like :class:`~repro.engine.service.
-  EvaluationEngine` can resolve their instruments at construction time
-  without double-registration errors.
+  :data:`NULL_REGISTRY`, which ignores registrations and hands out one
+  shared no-op histogram, so nothing is allocated or read with
+  observability off.
 
-Instruments are thread-safe (the live service charges them from an executor
-thread while submissions flow on the event loop): one lock per family
-guards its children and their values.
+Reads take no owner lock: an int, a ``len`` or a numpy reduction read
+mid-update is at most a few updates stale, so a scrape never blocks the
+owner and cannot form a lock-order cycle with the owner's lock.
 """
 
 from __future__ import annotations
@@ -32,16 +37,17 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
 ]
+
+#: A counter or gauge reader: a number, or label-value tuples to numbers.
+Read = Callable[[], "float | Mapping[tuple[Any, ...], float]"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -108,7 +114,7 @@ def _render_labels(label_names: tuple[str, ...], label_values: tuple[str, ...]) 
 
 
 class _Metric:
-    """One metric family: a name, a kind, and one child per label-value set."""
+    """One metric family: a name, a kind and its label names."""
 
     kind = "untyped"
 
@@ -116,132 +122,40 @@ class _Metric:
         self.name = _check_name(name)
         self.help = help
         self.label_names = label_names
-        self._lock = threading.Lock()
-        self._children: dict[tuple[str, ...], object] = {}
-        # Unlabeled families act as their own single child.
-        if not label_names:
-            self._children[()] = self._make_child()
 
-    def _make_child(self):  # pragma: no cover - overridden
+    def samples(self) -> Iterator[str]:  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def labels(self, **labels: str):
-        """The child instrument for one concrete label-value assignment."""
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = self._make_child()
-            return child
-
-    def _default_child(self):
-        if self.label_names:
-            raise ValueError(
-                f"metric {self.name!r} has labels {self.label_names}; "
-                "call .labels(...) first"
-            )
-        return self._children[()]
-
-    def _sorted_children(self) -> list[tuple[tuple[str, ...], object]]:
-        with self._lock:
-            return sorted(self._children.items())
 
     def render(self) -> Iterator[str]:
         yield f"# HELP {self.name} {_escape_help(self.help)}"
         yield f"# TYPE {self.name} {self.kind}"
-        for key, child in self._sorted_children():
-            yield from child.render_samples(self.name, self.label_names, key)
+        yield from self.samples()
 
 
-class _CounterChild:
-    __slots__ = ("_lock", "_value")
+class _ReadMetric(_Metric):
+    """A counter or gauge family whose values are read from their owners."""
 
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self._value = 0.0
+    def __init__(
+        self, kind: str, name: str, help: str, label_names: tuple[str, ...]
+    ) -> None:
+        super().__init__(name, help, label_names)
+        self.kind = kind
+        self.reads: list[Read] = []
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def render_samples(self, name, label_names, key) -> Iterator[str]:
-        yield f"{name}{_render_labels(label_names, key)} {_format_value(self._value)}"
-
-
-class Counter(_Metric):
-    """A monotonically increasing count (events, jobs, evaluations)."""
-
-    kind = "counter"
-
-    def _make_child(self) -> _CounterChild:
-        return _CounterChild(self._lock)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
-
-
-class _GaugeChild:
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def render_samples(self, name, label_names, key) -> Iterator[str]:
-        yield f"{name}{_render_labels(label_names, key)} {_format_value(self._value)}"
-
-
-class Gauge(_Metric):
-    """A value that can go up and down (queue depth, current rate)."""
-
-    kind = "gauge"
-
-    def _make_child(self) -> _GaugeChild:
-        return _GaugeChild(self._lock)
-
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
+    def samples(self) -> Iterator[str]:
+        totals: dict[tuple[str, ...], float] = {}
+        for read in tuple(self.reads):
+            values = read()
+            for key, value in values.items() if self.label_names else [((), values)]:
+                key = tuple(map(str, key))
+                if len(key) != len(self.label_names):
+                    raise ValueError(
+                        f"metric {self.name!r} takes labels {self.label_names}, "
+                        f"read {key!r}"
+                    )
+                totals[key] = totals.get(key, 0.0) + value
+        for key, value in sorted(totals.items()):
+            yield f"{self.name}{_render_labels(self.label_names, key)} {_format_value(value)}"
 
 
 class _HistogramChild:
@@ -325,9 +239,39 @@ class Histogram(_Metric):
             bounds = bounds + (math.inf,)
         self.buckets = bounds
         super().__init__(name, help, label_names)
+        self._lock = threading.Lock()
+        self._children: dict[tuple[str, ...], _HistogramChild] = {}
+        # Unlabeled families act as their own single child.
+        if not label_names:
+            self._children[()] = _HistogramChild(self._lock, bounds)
 
-    def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self._lock, self.buckets)
+    def labels(self, **labels: str) -> _HistogramChild:
+        """The child for one concrete label-value assignment."""
+        if set(labels) != set(self.label_names):
+            raise ValueError(
+                f"metric {self.name!r} takes labels {self.label_names}, "
+                f"got {tuple(sorted(labels))}"
+            )
+        key = tuple(str(labels[name]) for name in self.label_names)
+        with self._lock:
+            child = self._children.get(key)
+            if child is None:
+                child = self._children[key] = _HistogramChild(self._lock, self.buckets)
+            return child
+
+    def _default_child(self) -> _HistogramChild:
+        if self.label_names:
+            raise ValueError(
+                f"metric {self.name!r} has labels {self.label_names}; "
+                "call .labels(...) first"
+            )
+        return self._children[()]
+
+    def samples(self) -> Iterator[str]:
+        with self._lock:
+            children = sorted(self._children.items())
+        for key, child in children:
+            yield from child.render_samples(self.name, self.label_names, key)
 
     def observe(self, value: float, exemplar: Any = None) -> None:
         self._default_child().observe(value, exemplar)
@@ -346,42 +290,27 @@ class Histogram(_Metric):
         return self._default_child().exemplar
 
 
-class _NullMetric:
-    """Shared no-op instrument: every operation is an empty call.
-
-    One instance (:data:`_NULL_METRIC`) stands in for every counter, gauge
-    and histogram of :data:`NULL_REGISTRY`, so instrumenting a hot path
-    costs an attribute lookup and a call — no allocation, no branching at
-    the call sites.
-    """
+class _NullHistogram:
+    """Shared no-op histogram: ``labels`` returns itself, ``observe`` is empty."""
 
     __slots__ = ()
 
-    def labels(self, **labels: str) -> "_NullMetric":
+    def labels(self, **labels: str) -> "_NullHistogram":
         return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
 
     def observe(self, value: float, exemplar: Any = None) -> None:
         pass
 
 
-_NULL_METRIC = _NullMetric()
+_NULL_HISTOGRAM = _NullHistogram()
 
 
 class MetricsRegistry:
     """A process-local collection of metric families.
 
-    Families are created on first use and shared on every later request
-    for the same name (the kind and label names must match — asking for a
-    counter where a gauge is registered is a programming error worth
+    A family is created by its first registration and shared by every later
+    one for the same name (the kind and label names must match — asking for
+    a counter where a gauge is registered is a programming error worth
     failing loudly on).  :meth:`render` produces the Prometheus text
     exposition (families sorted by name, label sets sorted within each
     family) that ``GET /metrics`` serves.
@@ -394,32 +323,34 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: dict[str, _Metric] = {}
 
-    def _get_or_create(self, cls, name: str, help: str, label_names, **kwargs):
-        labels = _check_labels(label_names)
+    def _family(self, kind: str, name: str, labels: Sequence[str], make) -> Any:
+        label_names = _check_labels(labels)
         with self._lock:
             family = self._families.get(name)
-            if family is not None:
-                if not isinstance(family, cls) or type(family) is not cls:
-                    raise ValueError(
-                        f"metric {name!r} already registered as {family.kind}"
-                    )
-                if family.label_names != labels:
-                    raise ValueError(
-                        f"metric {name!r} already registered with labels "
-                        f"{family.label_names}, requested {labels}"
-                    )
-                return family
-            family = cls(name, help, labels, **kwargs)
-            self._families[name] = family
+            if family is None:
+                family = self._families[name] = make(label_names)
+            elif family.kind != kind:
+                raise ValueError(f"metric {name!r} already registered as {family.kind}")
+            elif family.label_names != label_names:
+                raise ValueError(
+                    f"metric {name!r} already registered with labels "
+                    f"{family.label_names}, requested {label_names}"
+                )
             return family
 
-    def counter(self, name: str, help: str, labels: Sequence[str] = ()) -> Counter:
-        """Get or create a counter family."""
-        return self._get_or_create(Counter, name, help, labels)
+    def _read(self, kind: str, name: str, help: str, read: Read, labels) -> None:
+        family = self._family(
+            kind, name, labels, lambda names: _ReadMetric(kind, name, help, names)
+        )
+        family.reads.append(read)
 
-    def gauge(self, name: str, help: str, labels: Sequence[str] = ()) -> Gauge:
-        """Get or create a gauge family."""
-        return self._get_or_create(Gauge, name, help, labels)
+    def counter(self, name: str, help: str, read: Read, labels: Sequence[str] = ()) -> None:
+        """Register *read* as one owner's share of a counter family."""
+        self._read("counter", name, help, read, labels)
+
+    def gauge(self, name: str, help: str, read: Read, labels: Sequence[str] = ()) -> None:
+        """Register *read* as one owner's share of a gauge family."""
+        self._read("gauge", name, help, read, labels)
 
     def histogram(
         self,
@@ -429,7 +360,9 @@ class MetricsRegistry:
         buckets: Sequence[float] | None = None,
     ) -> Histogram:
         """Get or create a histogram family."""
-        return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
+        return self._family(
+            "histogram", name, labels, lambda names: Histogram(name, help, names, buckets)
+        )
 
     def render(self) -> str:
         """The Prometheus text exposition (format version 0.0.4)."""
@@ -471,21 +404,18 @@ class _NullRegistry(MetricsRegistry):
 
     enabled = False
 
-    def __init__(self) -> None:
-        super().__init__()
+    def counter(self, name, help, read, labels=()):  # type: ignore[override]
+        pass
 
-    def counter(self, name, help, labels=()):  # type: ignore[override]
-        return _NULL_METRIC
-
-    def gauge(self, name, help, labels=()):  # type: ignore[override]
-        return _NULL_METRIC
+    def gauge(self, name, help, read, labels=()):  # type: ignore[override]
+        pass
 
     def histogram(self, name, help, labels=(), buckets=None):  # type: ignore[override]
-        return _NULL_METRIC
+        return _NULL_HISTOGRAM
 
     def render(self) -> str:
         return ""
 
 
-#: The shared null registry: instruments resolve to one no-op object.
+#: The shared null registry: registrations are ignored, histograms are no-ops.
 NULL_REGISTRY = _NullRegistry()

@@ -67,8 +67,8 @@ class LoadGenerator:
     profile:
         The :class:`~repro.core.config.LoadProfile` shaping the rate.
     registry:
-        A :class:`~repro.obs.metrics.MetricsRegistry` the generator reports
-        through: submissions by outcome and its own max lag (the
+        A :class:`~repro.obs.metrics.MetricsRegistry` that reads the
+        generator's counts: submissions by outcome and its own max lag (the
         generator's health gauge — lag rivaling the inter-arrival gaps
         means the offered rate was not met); defaults to the no-op null
         registry.
@@ -83,17 +83,22 @@ class LoadGenerator:
     ) -> None:
         self.trace = trace
         self.profile = profile if profile is not None else LoadProfile()
+        #: The current run's submissions by outcome and largest send lag:
+        #: what its :class:`LoadReport` and the registry both read.
+        self.accepted = 0
+        self.shed = 0
+        self.max_lag_seconds = 0.0
         reg = registry if registry is not None else NULL_REGISTRY
-        submissions = reg.counter(
+        reg.counter(
             "repro_loadgen_submissions_total",
             "Load-generator submissions by outcome.",
+            lambda: {("accepted",): self.accepted, ("shed",): self.shed},
             labels=("outcome",),
         )
-        self._m_accepted = submissions.labels(outcome="accepted")
-        self._m_shed = submissions.labels(outcome="shed")
-        self._m_max_lag = reg.gauge(
+        reg.gauge(
             "repro_loadgen_max_lag_seconds",
             "Largest planned-vs-actual send lag of the open-loop generator.",
+            lambda: self.max_lag_seconds,
         )
 
     def planned_offsets(self) -> np.ndarray:
@@ -113,27 +118,23 @@ class LoadGenerator:
         workloads = self.trace.job_workloads
         loop = asyncio.get_running_loop()
         started = loop.time()
-        accepted = 0
-        shed = 0
-        max_lag = 0.0
+        self.accepted = self.shed = 0
+        self.max_lag_seconds = 0.0
         for offset, workload in zip(offsets, workloads):
             target = started + float(offset)
             delay = target - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            elif -delay > max_lag:
-                max_lag = -delay
-                self._m_max_lag.set(max_lag)
+            elif -delay > self.max_lag_seconds:
+                self.max_lag_seconds = -delay
             if await submit(float(workload)) is None:
-                shed += 1
-                self._m_shed.inc()
+                self.shed += 1
             else:
-                accepted += 1
-                self._m_accepted.inc()
+                self.accepted += 1
         return LoadReport(
             planned=int(offsets.size),
-            accepted=accepted,
-            shed=shed,
+            accepted=self.accepted,
+            shed=self.shed,
             duration_seconds=loop.time() - started,
-            max_lag_seconds=max_lag,
+            max_lag_seconds=self.max_lag_seconds,
         )

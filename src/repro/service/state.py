@@ -6,9 +6,10 @@ turns the backlog into batch :class:`~repro.model.instance.
 SchedulingInstance`\\ s against a static machine park, runs the configured
 batch scheduler (normally the warm
 :class:`~repro.grid.service.DynamicSchedulerService`), commits the plan to
-its machine park, and keeps the operational counters the metrics snapshot
-reports; build, solve, check and the SPT commit plan are the activation
-steps the simulator runs too (:mod:`repro.grid.activation`).
+its machine park, and keeps the one set of operational counts that the
+snapshot and ``/metrics`` both read; build, solve, check and the SPT commit
+plan are the activation steps the simulator runs too
+(:mod:`repro.grid.activation`).
 Keeping it synchronous and clock-injected is what makes the overload
 behaviour *testable*: the unit tests drive every interleaving of
 submissions and activations with a :class:`~repro.service.clock.
@@ -120,17 +121,16 @@ class ServiceSnapshot:
     p50_latency: float
     p95_latency: float
     p99_latency: float
-    #: Failure-model additions (defaults keep older constructors working).
-    cancelled: int = 0
-    machines_up: int = 0
-    machines_total: int = 0
-    breakdowns: int = 0
-    repairs: int = 0
+    cancelled: int
+    machines_up: int
+    machines_total: int
+    breakdowns: int
+    repairs: int
     #: Activations that found work but no machine up: the batch was
     #: re-queued untouched (no job is ever lost to a broken park).
-    stalled_activations: int = 0
+    stalled_activations: int
     #: Planned jobs a breakdown took back and re-queued.
-    revoked: int = 0
+    revoked: int
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly form (what the TCP ``metrics`` op returns).
@@ -170,11 +170,10 @@ class SchedulerCore:
     rng:
         Seed/generator for the scheduler's stochastic parts.
     registry:
-        A :class:`~repro.obs.metrics.MetricsRegistry` the core charges its
-        operational metrics into (submissions by outcome, queue depth,
-        mode transitions, scheduling-latency histograms); defaults to the
-        no-op null registry, so the submit/activate hot paths stay
-        allocation-free with observability off.  Exposed as
+        A :class:`~repro.obs.metrics.MetricsRegistry` that reads the core's
+        own counts when scraped (submissions by outcome, machine faults,
+        machines up, queue depth, mode transitions) and holds the job-latency
+        histogram; defaults to the no-op null registry.  Exposed as
         :attr:`registry` — the server's ``GET /metrics`` renders it.
     trace_log:
         A :class:`~repro.obs.tracelog.TraceLog` receiving one ``activation``
@@ -218,7 +217,10 @@ class SchedulerCore:
 
         self.mode = "normal"
         self.accepted = 0
-        self.shed = 0
+        #: Submissions refused at a full queue, and queued ones shed by
+        #: :meth:`abort`; :attr:`shed` is their sum.
+        self.shed_on_submit = 0
+        self.aborted = 0
         self.scheduled = 0
         self.cancelled = 0
         self.peak_backlog = 0
@@ -226,6 +228,8 @@ class SchedulerCore:
         self.repairs = 0
         #: Planned jobs a breakdown took back and re-queued.
         self.revoked = 0
+        #: Overload mode transitions, by name.
+        self.transitions = {"degrade": 0, "recover": 0}
 
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.trace_log = trace_log
@@ -233,40 +237,40 @@ class SchedulerCore:
         #: event; the episode ends at the next accepted submission), so an
         #: overload burst traces as one event, not thousands.
         self._shedding = False
-        submissions = self.registry.counter(
+        # The families read the counts above when scraped, without the lock.
+        self.registry.counter(
             "repro_service_submissions_total",
             "Submissions by outcome (aborted = shed at shutdown).",
+            lambda: {
+                ("accepted",): self.accepted,
+                ("shed",): self.shed_on_submit,
+                ("aborted",): self.aborted,
+                ("cancelled",): self.cancelled,
+            },
             labels=("outcome",),
         )
-        self._m_submissions = {
-            outcome: submissions.labels(outcome=outcome)
-            for outcome in ("accepted", "shed", "aborted", "cancelled")
-        }
-        machine_faults = self.registry.counter(
+        self.registry.counter(
             "repro_service_machine_faults_total",
             "Chaos-injected machine availability flips, by kind.",
+            lambda: {("breakdown",): self.breakdowns, ("repair",): self.repairs},
             labels=("kind",),
         )
-        self._m_faults = {
-            kind: machine_faults.labels(kind=kind)
-            for kind in ("breakdown", "repair")
-        }
-        self._m_machines_up = self.registry.gauge(
-            "repro_service_machines_up", "Machines currently accepting work."
+        self.registry.gauge(
+            "repro_service_machines_up",
+            "Machines currently accepting work.",
+            lambda: int(self.park.up.sum()),
         )
-        self._m_machines_up.set(len(self.machines))
-        self._m_queue_depth = self.registry.gauge(
-            "repro_service_queue_depth", "Current submission-queue depth."
+        self.registry.gauge(
+            "repro_service_queue_depth",
+            "Current submission-queue depth.",
+            lambda: len(self._queue),
         )
-        transitions = self.registry.counter(
+        self.registry.counter(
             "repro_service_mode_transitions_total",
             "Overload mode transitions of the degrade/recover hysteresis.",
+            lambda: {(name,): count for name, count in self.transitions.items()},
             labels=("transition",),
         )
-        self._m_transitions = {
-            transition: transitions.labels(transition=transition)
-            for transition in ("degrade", "recover")
-        }
         buckets = self.config.latency_buckets
         self._m_job_latency = self.registry.histogram(
             "repro_service_job_latency_seconds",
@@ -286,6 +290,11 @@ class SchedulerCore:
         return self.clock.now() - self._epoch
 
     @property
+    def shed(self) -> int:
+        """Submissions shed, at a full queue or by :meth:`abort`."""
+        return self.shed_on_submit + self.aborted
+
+    @property
     def backlog(self) -> int:
         """Current submission-queue depth."""
         with self._lock:
@@ -301,7 +310,7 @@ class SchedulerCore:
         now = self._now()
         with self._lock:
             if len(self._queue) >= self.config.queue_capacity:
-                self.shed += 1
+                self.shed_on_submit += 1
                 # First shed of an episode: trace it once, not per job.
                 episode_start = not self._shedding
                 self._shedding = True
@@ -311,8 +320,7 @@ class SchedulerCore:
                 job_id = next(self._ids)
                 self._queue.append(GridJob(job_id=job_id, workload=workload, arrival_time=now))
                 self.accepted += 1
-                depth = len(self._queue)
-                self.peak_backlog = max(self.peak_backlog, depth)
+                self.peak_backlog = max(self.peak_backlog, len(self._queue))
                 episode_start = False
                 self._shedding = False
                 if self.trace_log is not None:
@@ -325,17 +333,9 @@ class SchedulerCore:
                         job_id=job_id,
                         attempt=1,
                     )
-        # Metrics happen outside the lock (metric children have their own
-        # lock), and so does the shed line, which no other line depends on.
-        self._m_queue_depth.set(depth)
-        if job_id is None:
-            self._m_submissions["shed"].inc()
-            if episode_start and self.trace_log is not None:
-                self.trace_log.emit(
-                    "shed", source="service", time=now, backlog=depth
-                )
-            return None
-        self._m_submissions["accepted"].inc()
+        # The shed line goes out after the lock: no other line depends on it.
+        if episode_start and self.trace_log is not None:
+            self.trace_log.emit("shed", source="service", time=now, backlog=depth)
         return job_id
 
     def cancel(self, job_id: int) -> bool:
@@ -353,12 +353,9 @@ class SchedulerCore:
                 if job.job_id == job_id:
                     del self._queue[index]
                     self.cancelled += 1
-                    depth = len(self._queue)
                     break
             else:
                 return False
-        self._m_queue_depth.set(depth)
-        self._m_submissions["cancelled"].inc()
         if self.trace_log is not None:
             self.trace_log.emit(
                 "task_cancel", source="service", time=now, job_id=job_id
@@ -387,7 +384,6 @@ class SchedulerCore:
             raise ValueError(
                 f"machine index must be in [0, {len(self.machines)}), got {index}"
             )
-        kind = "repair" if up else "breakdown"
         with self._lock:
             if self.park.up[index] == up:
                 return False
@@ -399,18 +395,13 @@ class SchedulerCore:
                 self.breakdowns += 1
             if self.trace_log is not None:
                 self.trace_log.emit(
-                    f"machine_{kind}",
+                    "machine_repair" if up else "machine_breakdown",
                     source="service",
                     time=now,
                     machine_id=self.machines[index].machine_id,
                 )
             if not up:
                 self._revoke([index], now)
-            up_count = int(self.park.up.sum())
-            depth = len(self._queue)
-        self._m_faults[kind].inc()
-        self._m_machines_up.set(up_count)
-        self._m_queue_depth.set(depth)
         return True
 
     def _revoke(self, indices: Sequence[int], now: float) -> None:
@@ -496,6 +487,8 @@ class SchedulerCore:
             elif self.mode == "degraded" and len(batch) <= self.config.effective_recover_threshold:
                 self.mode = "normal"
                 transition = "recover"
+            if transition is not None:
+                self.transitions[transition] += 1
             mode = self.mode
             attempts = (
                 [self._attempts.get(job.job_id, 1) for job in batch]
@@ -513,16 +506,8 @@ class SchedulerCore:
                 attempts,
             )
 
-        self._m_queue_depth.set(0)
-        if transition is not None:
-            self._m_transitions[transition].inc()
-            if self.trace_log is not None:
-                self.trace_log.emit(
-                    "degrade" if transition == "degrade" else "recover",
-                    source="service",
-                    time=now,
-                    backlog=len(batch),
-                )
+        if transition is not None and self.trace_log is not None:
+            self.trace_log.emit(transition, source="service", time=now, backlog=len(batch))
         try:
             activation.solve(self.scheduler, self.rng, mode)
         except BaseException:
@@ -530,9 +515,7 @@ class SchedulerCore:
             # the front of the queue, ahead of what arrived meanwhile.
             with self._lock:
                 self._queue = batch + self._queue
-                depth = len(self._queue)
-                self.peak_backlog = max(self.peak_backlog, depth)
-            self._m_queue_depth.set(depth)
+                self.peak_backlog = max(self.peak_backlog, len(self._queue))
             raise
         with self._lock:
             # Planned work starts no earlier than its plan exists: the queue
@@ -552,8 +535,6 @@ class SchedulerCore:
             activation.finish(plan)
             # A machine that broke during the solve takes its share back.
             self._revoke(up[~self.park.up[up]].tolist(), done)
-            depth = len(self._queue)
-        self._m_queue_depth.set(depth)
         for latency in latencies:
             self._m_job_latency.observe(latency)
         activation.report(plan)
@@ -591,10 +572,7 @@ class SchedulerCore:
         with self._lock:
             remainder = tuple(job.job_id for job in self._queue)
             self._queue = []
-            self.shed += len(remainder)
-        self._m_queue_depth.set(0)
-        if remainder:
-            self._m_submissions["aborted"].inc(len(remainder))
+            self.aborted += len(remainder)
         return remainder
 
     # ------------------------------------------------------------------ #

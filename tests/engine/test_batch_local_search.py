@@ -156,9 +156,10 @@ class TestScanParity:
                 scores[i], moved_makespans(instance, batch.assignments[row]), atol=TOL, rtol=0
             )
 
+    @pytest.mark.parametrize("nb_machines", (1, 2, 6))
     @pytest.mark.parametrize("seed", range(3))
-    def test_score_moves_for_jobs_batch_matches_makespan_if_moved(self, seed):
-        instance = random_instance(seed)
+    def test_score_moves_for_jobs_batch_matches_makespan_if_moved(self, seed, nb_machines):
+        instance = random_instance(seed, nb_machines=nb_machines)
         batch = BatchEvaluator.random(instance, 8, rng=seed)
         rng = np.random.default_rng(seed + 20)
         jobs = rng.integers(0, instance.nb_jobs, size=8)

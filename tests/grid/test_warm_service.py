@@ -333,11 +333,14 @@ class TestServiceReset:
         assert service.plan
         assert service.batch is not None
         assert service.stats.activations == 1
+        held = service.stats  # as a wrapper built around the service would
 
         service.reset()
         assert service.plan == {}
         assert service.batch is None
-        assert service.stats.activations == 0
+        assert service.stats.activations == 0 == held.activations
+        service.schedule(instance, rng=2)
+        assert held.activations == 1 and held.warm_batches == 1
 
     def test_reset_service_replays_like_a_fresh_one(self):
         """reset() is equivalent to building a new service (same seed, same plan)."""

@@ -16,13 +16,14 @@ from repro.obs.exposition import parse_sample_line
 
 def _registry_with_everything() -> MetricsRegistry:
     registry = MetricsRegistry()
-    registry.counter("repro_plain_total", "A plain counter.").inc(3)
-    labeled = registry.counter(
-        "repro_labeled_total", "Counter with labels.", labels=("outcome", "mode")
+    registry.counter("repro_plain_total", "A plain counter.", lambda: 3)
+    registry.counter(
+        "repro_labeled_total",
+        "Counter with labels.",
+        lambda: {("accepted", "normal"): 5, ("shed", "degraded"): 2},
+        labels=("outcome", "mode"),
     )
-    labeled.labels(outcome="accepted", mode="normal").inc(5)
-    labeled.labels(outcome="shed", mode="degraded").inc(2)
-    registry.gauge("repro_depth", "A gauge.").set(17.5)
+    registry.gauge("repro_depth", "A gauge.", lambda: 17.5)
     histogram = registry.histogram(
         "repro_lat_seconds", "A histogram.", buckets=(0.01, 0.1, 1.0)
     )
@@ -53,9 +54,8 @@ def test_render_parse_round_trip():
 
 def test_label_value_escaping_round_trips():
     registry = MetricsRegistry()
-    family = registry.counter("repro_escape_total", "Escapes.", labels=("name",))
     hostile = 'quote " backslash \\ newline \n end'
-    family.labels(name=hostile).inc()
+    registry.counter("repro_escape_total", "Escapes.", lambda: {(hostile,): 1}, labels=("name",))
     text = registry.render()
     # The rendered document stays one-line-per-sample...
     sample_lines = [l for l in text.splitlines() if not l.startswith("#")]
@@ -70,12 +70,13 @@ def test_label_value_escaping_round_trips():
 
 def test_special_float_values_render_and_parse():
     registry = MetricsRegistry()
-    gauge = registry.gauge("repro_special", "Specials.")
+    current = [0.0]
+    registry.gauge("repro_special", "Specials.", lambda: current[0])
     for raw, expected in ((math.inf, math.inf), (-math.inf, -math.inf)):
-        gauge.set(raw)
+        current[0] = raw
         value = parse_exposition(registry.render())["repro_special"].value()
         assert value == expected
-    gauge.set(math.nan)
+    current[0] = math.nan
     value = parse_exposition(registry.render())["repro_special"].value()
     assert math.isnan(value)
 

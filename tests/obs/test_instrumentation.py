@@ -1,4 +1,4 @@
-"""The instrumented layers charge the registry and trace log correctly.
+"""The instrumented layers report through the registry and trace log correctly.
 
 Deterministic, no event loop: the live core runs on a
 :class:`~repro.service.clock.FakeClock`, the simulator on simulated time.
@@ -9,6 +9,7 @@ it — and the trace events against what actually happened.
 
 import io
 import json
+import math
 
 import numpy as np
 
@@ -29,18 +30,6 @@ def make_machines(count=4, mips=1000.0):
 
 def trace_events(buffer: io.StringIO) -> list[dict]:
     return [json.loads(line) for line in buffer.getvalue().splitlines()]
-
-
-class TestEngineInstrumentation:
-    def test_evaluations_flow_into_the_registry(self, tiny_instance):
-        registry = MetricsRegistry()
-        engine = EvaluationEngine(tiny_instance, registry=registry)
-        batch = BatchEvaluator.random(tiny_instance, 8, rng=3)
-        for row in range(len(batch)):
-            engine.evaluate(batch.view(row))
-        value = registry.get_sample_value("repro_engine_evaluations_total")
-        # The registry mirrors the engine's own cumulative counter exactly.
-        assert value == float(engine.evaluator.evaluations) == 8.0
 
 
 class TestCoreInstrumentation:
@@ -185,6 +174,24 @@ class TestWarmServiceInstrumentation:
         # The engine metrics rode along through the same registry.
         assert sample("repro_engine_evaluations_total") == float(stats.evaluations)
         parse_exposition(registry.render())
+
+    def test_evals_per_second_reads_the_last_run_alone(self, tiny_instance, monkeypatch):
+        # Every run lasts half a second, whatever the box's speed.
+        monkeypatch.setattr(EvaluationEngine, "elapsed", property(lambda engine: 0.5))
+        registry = MetricsRegistry()
+        service = DynamicSchedulerService(
+            max_seconds=math.inf, max_iterations=3, registry=registry
+        )
+        readings = []
+        for _ in range(6):
+            # The instance carries no job ids, so no plan carries over and
+            # every activation repeats the same run.
+            before = service.stats.evaluations
+            service.schedule(tiny_instance, rng=5)
+            evaluations = service.stats.evaluations - before
+            readings.append(registry.get_sample_value("repro_engine_evals_per_second"))
+            assert readings[-1] == evaluations / 0.5 > 0.0
+        assert readings == readings[:1] * 6
 
 
 class TestSimulatorInstrumentation:

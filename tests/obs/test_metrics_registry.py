@@ -8,25 +8,32 @@ import pytest
 from repro.obs import DEFAULT_BUCKETS, MetricsRegistry, NULL_REGISTRY
 
 
-def test_counter_counts_and_rejects_decrease():
-    registry = MetricsRegistry()
-    counter = registry.counter("repro_test_total", "A test counter.")
-    counter.inc()
-    counter.inc(2.5)
-    assert counter.value == 3.5
-    with pytest.raises(ValueError):
-        counter.inc(-1.0)
+class Owner:
+    """Something that keeps its own count, as every instrumented layer does."""
+
+    def __init__(self):
+        self.jobs = 0
 
 
-def test_gauge_set_inc_dec():
+def test_counter_reads_its_owner_at_render_time():
     registry = MetricsRegistry()
-    gauge = registry.gauge("repro_test_depth", "A test gauge.")
-    gauge.set(7.0)
-    gauge.inc(3.0)
-    gauge.dec()
-    assert gauge.value == 9.0
-    gauge.set(-2.0)
-    assert gauge.value == -2.0
+    owner = Owner()
+    registry.counter("repro_test_total", "A test counter.", lambda: owner.jobs)
+    assert registry.get_sample_value("repro_test_total") == 0.0
+    owner.jobs += 3
+    # Nothing was pushed: the render reads the owner's count as it is now.
+    assert registry.get_sample_value("repro_test_total") == 3.0
+    assert "# TYPE repro_test_total counter" in registry.render()
+
+
+def test_gauge_reads_the_current_value():
+    registry = MetricsRegistry()
+    depth = [7.0]
+    registry.gauge("repro_test_depth", "A test gauge.", lambda: depth[0])
+    assert registry.get_sample_value("repro_test_depth") == 7.0
+    depth[0] = -2.0
+    assert registry.get_sample_value("repro_test_depth") == -2.0
+    assert "# TYPE repro_test_depth gauge" in registry.render()
 
 
 def test_histogram_buckets_sum_count():
@@ -59,76 +66,102 @@ def test_histogram_default_buckets_and_validation():
         registry.histogram("repro_empty_seconds", "Bad.", buckets=())
 
 
-def test_labels_create_children_and_validate():
+def test_labeled_reads_render_sorted_and_validate():
     registry = MetricsRegistry()
-    family = registry.counter(
-        "repro_jobs_total", "Jobs by path.", labels=("path",)
+    registry.counter(
+        "repro_jobs_total",
+        "Jobs by path.",
+        lambda: {("warm",): 3, ("cold",): 1},
+        labels=("path",),
     )
-    family.labels(path="warm").inc(3)
-    family.labels(path="cold").inc()
     assert registry.get_sample_value("repro_jobs_total", {"path": "warm"}) == 3.0
     assert registry.get_sample_value("repro_jobs_total", {"path": "cold"}) == 1.0
+    lines = [line for line in registry.render().splitlines() if not line.startswith("#")]
+    assert lines == ['repro_jobs_total{path="cold"} 1.0', 'repro_jobs_total{path="warm"} 3.0']
+    # A read keyed by the wrong number of label values is a programming error.
+    registry.counter("repro_bad_total", "Bad.", lambda: {("a", "b"): 1}, labels=("path",))
+    with pytest.raises(ValueError):
+        registry.render()
+
+
+def test_histogram_labels_create_children_and_validate():
+    registry = MetricsRegistry()
+    family = registry.histogram("repro_lat_seconds", "By path.", labels=("path",))
+    family.labels(path="warm").observe(0.5)
     # Same label set -> same child.
     assert family.labels(path="warm") is family.labels(path="warm")
     # Wrong label names are a programming error.
     with pytest.raises(ValueError):
         family.labels(mode="warm")
-    # Direct inc on a labeled family must go through .labels(...).
+    # Direct observe on a labeled family must go through .labels(...).
     with pytest.raises(ValueError):
-        family.inc()
+        family.observe(1.0)
 
 
-def test_get_or_create_same_family_and_mismatch_errors():
+def test_owners_of_one_name_sum_and_mismatches_fail():
     registry = MetricsRegistry()
-    first = registry.counter("repro_twice_total", "Once.")
-    second = registry.counter("repro_twice_total", "Twice.")
-    assert first is second
+    owners = [Owner(), Owner()]
+    owners[0].jobs, owners[1].jobs = 2, 5
+    for owner in owners:
+        registry.counter(
+            "repro_twice_total",
+            "Summed.",
+            lambda owner=owner: {("x",): owner.jobs, (str(owner.jobs),): 1},
+            labels=("label",),
+        )
+    assert registry.get_sample_value("repro_twice_total", {"label": "x"}) == 7.0
+    assert registry.get_sample_value("repro_twice_total", {"label": "2"}) == 1.0
+    assert registry.get_sample_value("repro_twice_total", {"label": "5"}) == 1.0
     with pytest.raises(ValueError):
-        registry.gauge("repro_twice_total", "Different kind.")
+        registry.gauge("repro_twice_total", "Different kind.", lambda: 0)
     with pytest.raises(ValueError):
-        registry.counter("repro_twice_total", "Different labels.", labels=("x",))
+        registry.counter("repro_twice_total", "Different labels.", lambda: 0)
+    first = registry.histogram("repro_once_seconds", "Once.")
+    assert registry.histogram("repro_once_seconds", "Twice.") is first
 
 
 def test_invalid_names_rejected():
     registry = MetricsRegistry()
     with pytest.raises(ValueError):
-        registry.counter("0bad", "Starts with a digit.")
+        registry.counter("0bad", "Starts with a digit.", lambda: 0)
     with pytest.raises(ValueError):
-        registry.counter("bad-name", "Dash is not allowed.")
+        registry.counter("bad-name", "Dash is not allowed.", lambda: 0)
     with pytest.raises(ValueError):
-        registry.counter("repro_ok_total", "Bad label.", labels=("0bad",))
+        registry.counter("repro_ok_total", "Bad label.", lambda: {}, labels=("0bad",))
     with pytest.raises(ValueError):
-        registry.counter("repro_ok_total", "Reserved label.", labels=("__x",))
+        registry.counter("repro_ok_total", "Reserved label.", lambda: {}, labels=("__x",))
 
 
-def test_null_registry_is_allocation_free_noop():
-    counter = NULL_REGISTRY.counter("repro_anything_total", "Ignored.")
-    gauge = NULL_REGISTRY.gauge("repro_anything", "Ignored.")
+def test_null_registry_ignores_registrations():
+    def never():
+        raise AssertionError("the null registry must not read")
+
+    NULL_REGISTRY.counter("repro_anything_total", "Ignored.", never)
+    NULL_REGISTRY.gauge("repro_anything", "Ignored.", never)
     histogram = NULL_REGISTRY.histogram("repro_anything_seconds", "Ignored.")
-    # One shared no-op instrument, labels included.
-    assert counter is gauge is histogram
-    assert counter.labels(outcome="x") is counter
-    counter.inc()
-    gauge.set(3.0)
-    gauge.dec()
+    # One shared no-op histogram, labels included.
+    assert histogram is NULL_REGISTRY.histogram("repro_other_seconds", "Ignored.")
+    assert histogram.labels(outcome="x") is histogram
     histogram.observe(0.5)
     assert NULL_REGISTRY.render() == ""
     assert NULL_REGISTRY.enabled is False
     assert MetricsRegistry().enabled is True
 
 
-def test_thread_safety_under_concurrent_increments():
+def test_thread_safety_under_concurrent_observations():
     registry = MetricsRegistry()
-    counter = registry.counter("repro_race_total", "Raced.", labels=("worker",))
+    by_worker = registry.histogram(
+        "repro_race_worker_seconds", "Raced.", labels=("worker",), buckets=(0.5, 1.0)
+    )
     histogram = registry.histogram(
         "repro_race_seconds", "Raced.", buckets=(0.5, 1.0)
     )
     rounds = 2_000
 
     def work(worker: int) -> None:
-        child = counter.labels(worker=str(worker))
+        child = by_worker.labels(worker=str(worker))
         for _ in range(rounds):
-            child.inc()
+            child.observe(0.25)
             histogram.observe(0.25)
 
     threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
@@ -137,7 +170,8 @@ def test_thread_safety_under_concurrent_increments():
     for thread in threads:
         thread.join()
     for worker in range(4):
-        assert counter.labels(worker=str(worker)).value == rounds
+        assert by_worker.labels(worker=str(worker)).count == rounds
+    # All four threads observed into the one unlabeled child.
     assert histogram.count == 4 * rounds
     assert registry.get_sample_value(
         "repro_race_seconds_bucket", {"le": "0.5"}

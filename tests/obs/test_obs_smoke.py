@@ -123,7 +123,10 @@ def test_live_scrape_under_load_and_trace_account(tmp_path):
 
         report = await load_task
         for _ in range(100):
-            if server.snapshot().backlog == 0:
+            # An empty queue can still have a batch in flight: wait until
+            # every accepted job is planned, so the scrape below sees it.
+            current = server.snapshot()
+            if current.backlog == 0 and current.scheduled == current.accepted:
                 break
             await asyncio.sleep(0.1)
 

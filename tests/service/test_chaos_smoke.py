@@ -12,10 +12,14 @@ The assertions are the chaos acceptance criteria: faults really happened,
 the injector's always-ends-healthy guarantee held (every breakdown paired
 with a repair, full park up at the end), the service recovered to normal
 mode with an empty queue, and — the exactly-once invariant under fire —
-no accepted job was lost or double-scheduled.
+no accepted job was lost or double-scheduled.  Folding the run's trace
+log recounts the final snapshot.
 """
 
 import asyncio
+import io
+import json
+from collections import Counter
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.core.config import (
 )
 from repro.grid.service import DynamicSchedulerService
 from repro.grid.workload import StaticResourceModel
+from repro.obs import TraceLog, build_timelines
 from repro.service import (
     FaultInjector,
     LoadGenerator,
@@ -41,7 +46,7 @@ CAPACITY = 256
 MACHINES = 4
 
 
-def make_server():
+def make_server(trace_log=None):
     config = ServiceConfig(
         queue_capacity=CAPACITY,
         degrade_threshold=128,
@@ -57,12 +62,16 @@ def make_server():
         max_iterations=10,
         max_stagnant_iterations=3,
     )
-    return SchedulerServer(SchedulerCore(machines, scheduler, config, rng=11))
+    return SchedulerServer(
+        SchedulerCore(machines, scheduler, config, rng=11, trace_log=trace_log)
+    )
 
 
 def test_chaos_faults_recover_without_losing_jobs():
+    buffer = io.StringIO()
+
     async def run():
-        server = make_server()
+        server = make_server(TraceLog(buffer))
         await server.start()
 
         # ~3 s of wall-clock open-loop load (6 simulated seconds at 2x)
@@ -108,3 +117,14 @@ def test_chaos_faults_recover_without_losing_jobs():
     assert final.accepted == report.accepted
     assert final.scheduled == final.accepted
     assert final.cancelled == 0
+
+    # The trace alone recounts the snapshot.
+    events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    terminals = Counter(timeline.terminal for timeline in build_timelines(events))
+    names = Counter(event["event"] for event in events)
+    assert names["job_submitted"] == final.accepted
+    assert terminals["planned"] == final.scheduled
+    assert terminals["cancelled"] == final.cancelled
+    assert names["job_revoked"] == final.revoked
+    assert names["machine_breakdown"] == final.breakdowns
+    assert names["machine_repair"] == final.repairs

@@ -257,8 +257,7 @@ class TestTraceCommand:
         out = tmp_path / "recorded.npz"
         code = main(
             [
-                "trace",
-                "record",
+                "simulate",
                 "--policy",
                 "mct",
                 "--rate",
@@ -329,8 +328,7 @@ class TestTraceCommand:
         out = tmp_path / "rec.npz"
         main(
             [
-                "trace",
-                "record",
+                "simulate",
                 "--policy",
                 "min_min",
                 "--rate",
