@@ -273,9 +273,12 @@ def _time_event_core() -> dict[str, dict[str, float]]:
     pending backlog / membership change under a min-interval guard, with a
     max-interval fallback.  The stream is work-dominated (utilization ~1),
     so both drivers must land on near-identical stream makespans — the
-    activation count and the wall-clock are where they differ.
+    activation count and the wall-clock are where they differ.  Ingest is
+    timed too: generating the trace, and ``from_trace`` per driver.
     """
+    stopwatch = Stopwatch()
     trace = generate_trace(EVENT_TRACE, seed=EVENT_SEED)
+    generate_seconds = stopwatch.elapsed
     results: dict[str, dict[str, float]] = {}
     for name, activation in (("periodic", None), ("adaptive", EVENT_ADAPTIVE)):
         config = SimulationConfig(
@@ -283,20 +286,23 @@ def _time_event_core() -> dict[str, dict[str, float]]:
             max_activations=10_000_000,
             activation=activation,
         )
+        stopwatch = Stopwatch()
         simulator = GridSimulator.from_trace(
             trace, HeuristicBatchPolicy("mct"), config, rng=EVENT_SEED
         )
+        from_trace_seconds = stopwatch.elapsed
         stopwatch = Stopwatch()
         metrics = simulator.run()
         elapsed = stopwatch.elapsed
         results[name] = {
+            "from_trace_seconds": from_trace_seconds,
             "wall_seconds": elapsed,
             "activations": float(metrics.nb_activations),
             "idle_activations": float(metrics.nb_idle_activations),
             "stream_makespan": metrics.makespan,
             "completed_jobs": float(metrics.completed_jobs),
         }
-    results["jobs"] = {"count": float(trace.nb_jobs)}
+    results["jobs"] = {"count": float(trace.nb_jobs), "generate_seconds": generate_seconds}
     return results
 
 
@@ -432,11 +438,13 @@ def test_engine_throughput(record_output, record_json):
         f"{EVENT_TRACE.nb_machines} machines, MCT policy, "
         f"periodic interval {EVENT_INTERVAL:.0f}s vs adaptive backlog "
         f"{EVENT_ADAPTIVE.backlog_threshold}):",
+        f"  trace generated in {event_core['jobs']['generate_seconds']:.3f}s",
     ]
     for name in ("periodic", "adaptive"):
         row = event_core[name]
         lines.append(
-            f"  {name:8s}: wall {row['wall_seconds']:7.2f}s"
+            f"  {name:8s}: from_trace {row['from_trace_seconds']:6.3f}s"
+            f"  wall {row['wall_seconds']:7.2f}s"
             f"  activations {row['activations']:8.0f}"
             f"  (+{row['idle_activations']:.0f} idle)"
             f"  stream makespan {row['stream_makespan']:14.1f}"
@@ -491,6 +499,7 @@ def test_engine_throughput(record_output, record_json):
                 },
                 "event_core": {
                     "jobs": event_core["jobs"]["count"],
+                    "generate_seconds": event_core["jobs"]["generate_seconds"],
                     "machines": EVENT_TRACE.nb_machines,
                     "activation_interval": EVENT_INTERVAL,
                     "backlog_threshold": EVENT_ADAPTIVE.backlog_threshold,

@@ -126,7 +126,7 @@ from repro.model.generator import ETCGeneratorConfig
 from repro.model.io import load_etc_file
 from repro.traces import (
     ReplayArena,
-    TraceRecorder,
+    Trace,
     arena_table,
     generate_trace,
     load_trace,
@@ -758,7 +758,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
             activation_interval=args.interval, activation=_activation_policy(args)
         ),
         rng=args.seed,
-        recorder=None if args.out is None else TraceRecorder(),
     )
     metrics = simulator.run()
     print(
@@ -768,7 +767,21 @@ def _command_simulate(args: argparse.Namespace) -> int:
         )
     )
     if args.out is not None:
-        trace = simulator.recorder.trace(name=f"recorded-{args.policy}")
+        # Provenance lets a replay default to the recorded cadence and be
+        # checked against the recorded makespan and flowtime.
+        trace = Trace.from_simulation(
+            simulator.jobs,
+            simulator.machines,
+            name=f"recorded-{args.policy}",
+            metadata={
+                "source": "recorded",
+                "activation_interval": simulator.config.activation_interval,
+                "commit_horizon": simulator.config.commit_horizon,
+                "policy": metrics.policy,
+                "stream_makespan": metrics.makespan,
+                "total_flowtime": metrics.total_flowtime,
+            },
+        )
         path = trace.save(args.out)
         print(format_mapping(trace.describe(), title=f"Recorded trace -> {path}"))
     return 0

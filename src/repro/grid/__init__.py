@@ -10,7 +10,7 @@ in for the external grid-simulator packages the paper defers to future work
 
 from repro.core.config import ActivationPolicy
 from repro.grid.events import Event, EventQueue, EventType
-from repro.grid.job import GridJob, JobRecord, JobState
+from repro.grid.job import GridJob, JobRecord, JobState, JobTable
 from repro.grid.machine import GridMachine, execution_times_matrix
 from repro.grid.metrics import ActivationRecord, MachineEvent, SimulationMetrics
 from repro.grid.park import Park
@@ -38,6 +38,7 @@ __all__ = [
     "GridJob",
     "JobRecord",
     "JobState",
+    "JobTable",
     "GridMachine",
     "execution_times_matrix",
     "ActivationRecord",

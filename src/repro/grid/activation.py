@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.grid.job import GridJob
+from repro.grid.job import JobTable
 from repro.grid.machine import GridMachine
 from repro.model.instance import SchedulingInstance
 from repro.obs.phases import PhaseTimer
@@ -119,13 +119,13 @@ class Activator:
     def build(
         self,
         now: float,
-        jobs: Sequence[GridJob],
+        jobs: JobTable,
         machines: Sequence[GridMachine],
         busy_until: np.ndarray,
-        etc_of: Callable[[Sequence[GridJob], Sequence[GridMachine]], np.ndarray],
+        etc_of: Callable[[JobTable, Sequence[GridMachine]], np.ndarray],
         attempts: Sequence[int] | None = None,
     ) -> "Activation":
-        """Open the next activation on a non-empty batch.
+        """Open the next activation on a non-empty batch, *jobs* in batch order.
 
         ``etc_of`` is the driver's :func:`~repro.grid.machine.
         execution_times_matrix`; ``attempts`` the traced attempts (default 1).
@@ -137,7 +137,7 @@ class Activator:
                 ready_times=np.maximum(0.0, busy_until - now),
                 name=f"batch@t={now:.2f}",
                 metadata={
-                    "job_ids": np.array([job.job_id for job in jobs], dtype=np.int64),
+                    "job_ids": jobs.ids,
                     "machine_ids": np.array(
                         [machine.machine_id for machine in machines], dtype=np.int64
                     ),
@@ -199,7 +199,7 @@ class Activation:
     activator: Activator
     seq: int
     now: float
-    jobs: Sequence[GridJob]
+    jobs: JobTable
     machines: Sequence[GridMachine]
     instance: SchedulingInstance
     timer: PhaseTimer
@@ -227,8 +227,8 @@ class Activation:
             log.emit_many(
                 "job_batched",
                 [
-                    dict(source=source, time=now, job_id=job.job_id, seq=seq, attempt=attempt)
-                    for job, attempt in zip(self.jobs, self.attempts)
+                    dict(source=source, time=now, job_id=job_id, seq=seq, attempt=attempt)
+                    for job_id, attempt in zip(self.jobs.ids.tolist(), self.attempts)
                 ],
             )
             stats = getattr(scheduler, "stats", None)
@@ -345,9 +345,10 @@ class Activation:
             return
         source, seq = self.activator.domain, self.seq
         stamps = [plan.time] * len(plan.rows) if times is None else times.tolist()
+        job_ids = self.jobs.ids.tolist()
         records = []
         for row, column, time in zip(plan.rows.tolist(), plan.columns.tolist(), stamps):
-            record = {"source": source, "time": time, "job_id": self.jobs[row].job_id}
+            record = {"source": source, "time": time, "job_id": job_ids[row]}
             if times is None:
                 record["seq"] = seq
             record["machine_id"] = self.machines[column].machine_id

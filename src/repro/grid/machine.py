@@ -6,6 +6,11 @@ that makes some job/machine combinations relatively faster or slower than
 the pure MIPS ratio predicts.  Machines can join and leave the grid while
 the simulation runs (the paper's "resources could dynamically be
 added/dropped from the Grid").
+
+Execution times come in bulk only: :func:`execution_times_matrix` builds
+one activation's ETC matrix from a :class:`~repro.grid.job.JobTable` batch.
+Whether a machine is up at a given instant is tracked by the
+:class:`~repro.grid.park.Park` it belongs to.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.grid.job import GridJob
-from repro.utils.rng import RNGLike
+from repro.grid.job import JobTable
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = ["GridMachine", "execution_times_matrix", "affinity_factors"]
@@ -26,13 +30,10 @@ __all__ = ["GridMachine", "execution_times_matrix", "affinity_factors"]
 # Deterministic per-(job, machine) affinity noise
 # --------------------------------------------------------------------------- #
 # The *inconsistent* grid scenarios need execution-time noise that is a pure
-# function of the (job_id, machine_id) pair: repeated queries must agree, and
-# the scalar `GridMachine.execution_time` path must agree bit-for-bit with the
-# batched `execution_times_matrix` hot path.  A counter-based construction —
-# SplitMix64 finalizer on a pair key, Box-Muller to a standard normal — gives
-# exactly that with whole-matrix numpy expressions (a per-pair
-# `np.random.Generator`, the previous implementation, costs a generator
-# construction per query and cannot be vectorized).
+# function of the (job_id, machine_id) pair: any batch holding the pair must
+# see the same factor, whatever else the batch holds.  A counter-based
+# construction — SplitMix64 finalizer on a pair key, Box-Muller to a standard
+# normal — gives exactly that with whole-matrix numpy expressions.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MACHINE_SALT = np.uint64(0xD1342543DE82EF95)
 _STREAM_SALT = np.uint64(0x2545F4914F6CDD1D)
@@ -71,26 +72,23 @@ def affinity_factors(
 
 
 def execution_times_matrix(
-    jobs: Sequence[GridJob], machines: Sequence["GridMachine"]
+    jobs: JobTable, machines: Sequence["GridMachine"]
 ) -> np.ndarray:
     """``(jobs, machines)`` expected execution times in one array expression.
 
-    The batched :meth:`GridMachine.execution_time`: the base matrix is the
-    ``workload / mips`` outer quotient, and machines with a positive
-    ``affinity_spread`` are multiplied by their deterministic per-pair
-    log-normal factors.  This is the simulator's ETC constructor — one call
-    per activation instead of a ``jobs x machines`` scalar double loop.
+    The base matrix is the ``workload / mips`` outer quotient of the batch
+    table's workloads, and machines with a positive ``affinity_spread`` are
+    multiplied by their deterministic per-pair log-normal factors.  This is
+    the ETC constructor of every activation, in both clock domains.
     """
-    workloads = np.array([job.workload for job in jobs], dtype=float)
     mips = np.array([machine.mips for machine in machines], dtype=float)
-    etc = workloads[:, None] / mips[None, :]
+    etc = jobs.workloads[:, None] / mips[None, :]
     spreads = np.array([machine.affinity_spread for machine in machines], dtype=float)
     if np.any(spreads > 0):
-        job_ids = np.array([job.job_id for job in jobs], dtype=np.uint64)
         machine_ids = np.array(
             [machine.machine_id for machine in machines], dtype=np.uint64
         )
-        etc *= affinity_factors(job_ids, machine_ids, spreads)
+        etc *= affinity_factors(jobs.ids, machine_ids, spreads)
     return etc
 
 
@@ -151,33 +149,3 @@ class GridMachine:
                     f"repair_time must be after breakdown_time, got {up} <= {down}"
                 )
             previous_up = up
-
-    def execution_time(self, job: GridJob, rng: RNGLike = None) -> float:
-        """Expected execution time of *job* on this machine.
-
-        With ``affinity_spread == 0`` this is simply ``workload / mips``;
-        otherwise a log-normal factor with the configured spread is applied,
-        derived deterministically from the (job, machine) id pair so repeated
-        queries agree — and so the scalar path matches
-        :func:`execution_times_matrix` exactly.
-        """
-        base = job.workload / self.mips
-        if self.affinity_spread <= 0:
-            return base
-        factor = affinity_factors(
-            np.array([job.job_id], dtype=np.uint64),
-            np.array([self.machine_id], dtype=np.uint64),
-            np.array([self.affinity_spread]),
-        )
-        return base * float(factor[0, 0])
-
-    def is_available(self, time: float) -> bool:
-        """Whether the machine is part of the grid at simulated *time*."""
-        if time < self.join_time:
-            return False
-        if self.leave_time is not None and time >= self.leave_time:
-            return False
-        for down, up in self.breakdowns:
-            if down <= time < up:
-                return False
-        return True

@@ -85,8 +85,7 @@ class MachineEvent:
     The simulator emits these as an explicit, chronologically ordered log
     (capacity-adding events before capacity-removing ones at equal times,
     ties broken by machine id) — the machine-availability counterpart of the
-    per-job completion records, and the event stream the trace recorder
-    (:mod:`repro.traces`) captures.
+    per-job completion records.
     """
 
     time: float

@@ -16,25 +16,29 @@ job runs on its machine "unless it drops from the Grid"), and takes back
 one placement with :meth:`Park.release` when its user cancels it.  A
 placement taken back leaves its queue, so its credit is taken back exactly
 once.
+
+A placement names its job by an opaque *key* the committer chooses: the
+simulator uses the job's row in its job table, the live core the submitted
+:class:`~repro.grid.job.GridJob` itself.  The park only stores keys, hands
+them back and compares them for equality.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.grid.activation import CommitPlan
-from repro.grid.job import GridJob
 
 __all__ = ["Park", "Placement"]
 
 
 class Placement(NamedTuple):
-    """A job committed to a machine: its planned start and finish times."""
+    """A job committed to a machine: its key, planned start and finish times."""
 
-    job: GridJob
+    key: Any
     start: float
     finish: float
 
@@ -50,13 +54,13 @@ class Park:
         self.committed = np.zeros(size, dtype=bool)
         self.queues: list[deque[Placement]] = [deque() for _ in range(size)]
 
-    def apply(self, positions: np.ndarray, plan: CommitPlan, jobs: Sequence[GridJob]) -> None:
+    def apply(self, positions: np.ndarray, plan: CommitPlan, keys: Sequence[Any]) -> None:
         """Commit *plan*, whose columns are the park *positions*.
 
-        *jobs* are the batch's jobs by plan row.  Each machine that receives
-        work first drops the placements settled by the plan's time.
+        *keys* are the batch's job keys by plan row.  Each machine that
+        receives work first drops the placements settled by the plan's time.
         """
-        rows = map(jobs.__getitem__, plan.rows.tolist())
+        rows = map(keys.__getitem__, plan.rows.tolist())
         placements = list(map(Placement, rows, plan.starts.tolist(), plan.finishes.tolist()))
         where = positions.tolist()
         counts = plan.jobs.tolist()
@@ -89,8 +93,8 @@ class Park:
         self.busy_until[position] = min(float(self.busy_until[position]), now)
         return revoked
 
-    def release(self, position: int, job_id: int, now: float) -> Placement | None:
-        """Take back job *job_id*'s placement on *position* if it is unfinished.
+    def release(self, position: int, key: Any, now: float) -> Placement | None:
+        """Take back the placement of job *key* on *position* if it is unfinished.
 
         The machine is released from the new queue tail on; the other
         placements keep their committed times.  Returns the placement, or
@@ -98,7 +102,7 @@ class Park:
         """
         queue = self.queues[position]
         for placement in queue:
-            if placement.job.job_id == job_id:
+            if placement.key == key:
                 break
         else:
             return None

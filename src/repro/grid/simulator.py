@@ -6,15 +6,19 @@ scheduler is activated on the jobs that are currently pending, treating the
 busy time already committed on every machine as its *ready time* (exactly
 the role ``ready_m`` plays in the static ETC model).
 
-Simulated time advances event to event over one typed
+The simulator holds its jobs as one :class:`~repro.grid.job.JobTable` in
+arrival order (ties keep the caller's order): a trace's job arrays as they
+are, or a ``GridJob`` list converted once.  A job's *position* is its row
+in that table.  Simulated time advances event to event over one typed
 :class:`~repro.grid.events.EventQueue` (see that module for the event
 vocabulary and the deterministic tie-breaking rules), merged with the
-arrival-sorted job list:
+table's arrival column:
 
-* **arrivals** — a cursor walks ``self.jobs`` and admits each job to the
-  pending pool exactly once, popping where its ``TASK_SUBMIT`` would: after
-  the membership events of its instant, before everything else there.  Only
-  a revoked job's delayed re-admission is a heap ``TASK_SUBMIT``.
+* **arrivals** — a cursor walks the arrival column and admits each job to
+  the pending pool exactly once, popping where its ``TASK_SUBMIT`` would:
+  after the membership events of its instant, before everything else
+  there.  Only a revoked job's delayed re-admission is a heap
+  ``TASK_SUBMIT``.
 * ``MACHINE_JOIN`` / ``MACHINE_LEAVE`` — membership changes are popped
   exactly once at their own simulated times (the event log is timestamped
   accordingly).  A leave revokes the placements still outstanding on the
@@ -34,8 +38,8 @@ arrival-sorted job list:
   the machine credited only for the work it actually ran) unless it
   already finished.
 * ``SCHEDULER_TICK`` — one scheduler activation, through the steps the
-  live service shares (:mod:`repro.grid.activation`): pending jobs that
-  have arrived are assembled into a static
+  live service shares (:mod:`repro.grid.activation`): the table rows of
+  the pending jobs are assembled into a static
   :class:`~repro.model.instance.SchedulingInstance` (one vectorized
   :func:`~repro.grid.machine.execution_times_matrix` call; the metadata
   carries stable job/machine ids for stateful policies), the configured
@@ -43,13 +47,13 @@ arrival-sorted job list:
   assignment, and the jobs are committed to their machines' queues in
   shortest-processing-time order.
 
-Per-job state lives in arrays indexed by arrival position (state code,
-machine, start, finish, reschedules), so a commit is a handful of fancy
-writes; :attr:`GridSimulator.records` builds :class:`~repro.grid.job.
-JobRecord` snapshots from them on lookup.  Per-machine state — membership,
-busy tracks, credit and the queues of in-flight placements — lives in
-:attr:`GridSimulator.park`, the :class:`~repro.grid.park.Park` the live
-service commits to as well.
+Per-job state lives in arrays indexed by position (state code, machine,
+start, finish, reschedules), so a commit is a handful of fancy writes; no
+per-job object exists until :attr:`GridSimulator.records` builds a
+:class:`~repro.grid.job.JobRecord` snapshot on lookup.  Per-machine state —
+membership, busy tracks, credit and the queues of in-flight placements,
+keyed by position — lives in :attr:`GridSimulator.park`, the
+:class:`~repro.grid.park.Park` the live service commits to as well.
 
 Who places the ticks is the :class:`~repro.core.config.ActivationPolicy` of
 the :class:`SimulationConfig`.  The default **periodic** driver chains
@@ -70,7 +74,7 @@ metrics (the paper's argument is precisely that a 90-second — here sub-second
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +82,7 @@ import numpy as np
 from repro.core.config import ActivationPolicy, RetryPolicy
 from repro.grid.activation import Activation, Activator, CommitPlan
 from repro.grid.events import EventQueue, EventType
-from repro.grid.job import GridJob, JobRecord, JobState
+from repro.grid.job import GridJob, JobRecord, JobState, JobTable
 from repro.grid.machine import GridMachine, execution_times_matrix
 from repro.grid.metrics import ActivationRecord, MachineEvent, SimulationMetrics
 from repro.grid.park import Park
@@ -160,8 +164,8 @@ _MEMBERSHIP = {
 class _JobRecords(Mapping):
     """Read-only ``job_id -> JobRecord`` view of a simulator's job arrays.
 
-    Each lookup builds a fresh snapshot in O(1); iteration follows arrival
-    order.
+    Each lookup finds the job's position through the table's id index and
+    builds a fresh snapshot; iteration follows arrival order.
     """
 
     def __init__(self, simulator: "GridSimulator") -> None:
@@ -169,7 +173,7 @@ class _JobRecords(Mapping):
 
     def __getitem__(self, job_id: int) -> JobRecord:
         sim = self._simulator
-        position = sim._job_position[job_id]
+        position = sim.jobs.position(job_id)
         machine = int(sim._machine[position])
         start = float(sim._start[position])
         finish = float(sim._finish[position])
@@ -183,7 +187,7 @@ class _JobRecords(Mapping):
         )
 
     def __iter__(self) -> Iterator[int]:
-        return (job.job_id for job in self._simulator.jobs)
+        return iter(self._simulator.jobs.ids.tolist())
 
     def __len__(self) -> int:
         return len(self._simulator.jobs)
@@ -194,37 +198,27 @@ class GridSimulator:
 
     def __init__(
         self,
-        jobs: list[GridJob],
+        jobs: JobTable | Sequence[GridJob],
         machines: list[GridMachine],
         policy: BatchSchedulingPolicy,
         config: SimulationConfig | None = None,
         rng: RNGLike = None,
-        recorder: object | None = None,
         registry: object | None = None,
         trace_log: object | None = None,
     ) -> None:
         if not machines:
             raise ValueError("the grid needs at least one machine")
-        self.jobs = sorted(jobs, key=lambda job: job.arrival_time)
+        #: The jobs in arrival order, as a table whose rows read as
+        #: ``GridJob`` views; a job's row is its position.
+        self.jobs: JobTable = JobTable.of(jobs).in_arrival_order()
         self.machines = list(machines)
         self.policy = policy
         self.config = config if config is not None else SimulationConfig()
         self.rng = as_generator(rng)
-        # Duck-typed capture hook (the TraceRecorder of repro.traces — the
-        # grid layer never imports upward): it sees the workload and machine
-        # park on entry and the finished metrics (with the machine event
-        # log) on exit, which is everything a replayable trace needs.
-        self.recorder = recorder
 
-        self._job_position: dict[int, int] = {
-            job.job_id: position for position, job in enumerate(self.jobs)
-        }
-        if len(self._job_position) != len(self.jobs):
-            raise ValueError("job ids must be unique")
-        # Per-job state by arrival position: lifecycle code, machine id
-        # (-1: none), planned start and finish (NaN: none), reschedules.
+        # Per-job state by position: lifecycle code, machine id (-1: none),
+        # planned start and finish (NaN: none), reschedules.
         nb_jobs = len(self.jobs)
-        self._arrivals = [float(job.arrival_time) for job in self.jobs]
         self._state = np.zeros(nb_jobs, dtype=np.int8)
         self._machine = np.full(nb_jobs, -1, dtype=np.int64)
         self._start = np.full(nb_jobs, math.nan)
@@ -255,7 +249,7 @@ class GridSimulator:
         # commit: the departed-machine log must stay faithful, so a leave on
         # a machine that did work is always processed, one that never did
         # may fall after the stream drains).
-        self._unfinished = len(self.jobs)
+        self._unfinished = nb_jobs
         self._pending_leaves: set[int] = {
             position
             for position, machine in enumerate(self.machines)
@@ -272,11 +266,11 @@ class GridSimulator:
         # Unprocessed cancel events by job position: a cancel landing
         # before its job's committed finish can still withdraw it, so the
         # stream is not done until those events drain or are provably moot.
-        self._pending_cancels: dict[int, float] = {
-            position: job.cancel_time
-            for position, job in enumerate(self.jobs)
-            if job.cancel_time is not None
-        }
+        cancels = self.jobs.cancel_times
+        cancelled = np.flatnonzero(cancels < math.inf)
+        self._pending_cancels: dict[int, float] = dict(
+            zip(cancelled.tolist(), cancels[cancelled].tolist())
+        )
         # Explicit machine join/leave event log (chronological in the final
         # metrics): each membership event is popped — and logged — exactly
         # once, at its own simulated time.
@@ -331,8 +325,6 @@ class GridSimulator:
             "Jobs that finished past their due date or failed with one set.",
             lambda: self._missed_deadlines,
         )
-        if self.recorder is not None:
-            self.recorder.on_simulation_start(self.jobs, self.machines, self.config)
 
     # ------------------------------------------------------------------ #
     # Trace-driven construction
@@ -344,24 +336,23 @@ class GridSimulator:
         policy: BatchSchedulingPolicy,
         config: SimulationConfig | None = None,
         rng: RNGLike = None,
-        recorder: object | None = None,
         registry: object | None = None,
         trace_log: object | None = None,
     ) -> "GridSimulator":
         """A simulator whose arrival source is a recorded or synthetic trace.
 
-        *trace* is any object exposing ``to_jobs()`` / ``to_machines()``
-        (the :class:`~repro.traces.format.Trace` artifact).  Replaying a
-        recorded trace with the same policy and seed reproduces the live
-        simulation's stream makespan and flowtime bit-exactly.
+        *trace* is any object exposing a ``jobs`` table and
+        ``to_machines()`` (the :class:`~repro.traces.format.Trace`
+        artifact); its job arrays become the simulator's jobs as they are.
+        Replaying a recorded trace with the same policy and seed reproduces
+        the live simulation bit-exactly.
         """
         return cls(
-            trace.to_jobs(),
+            trace.jobs,
             trace.to_machines(),
             policy,
             config=config,
             rng=rng,
-            recorder=recorder,
             registry=registry,
             trace_log=trace_log,
         )
@@ -393,7 +384,8 @@ class GridSimulator:
             queue.push(0.0, EventType.SCHEDULER_TICK, 0)
 
         interval = self.config.activation_interval
-        arrivals = self._arrivals
+        # Python floats: the cursor compares one per event.
+        arrivals = self.jobs.arrivals.tolist()
         counts = self._event_counts
         cursor = 0
         while True:
@@ -442,10 +434,7 @@ class GridSimulator:
         # First arrivals count once, in bulk; retries counted as they popped.
         counts[EventType.TASK_SUBMIT] += cursor
 
-        metrics = self._collect_metrics()
-        if self.recorder is not None:
-            self.recorder.on_simulation_end(metrics)
-        return metrics
+        return self._collect_metrics()
 
     # ------------------------------------------------------------------ #
     # Event handlers
@@ -470,7 +459,7 @@ class GridSimulator:
                     "job_submitted",
                     source="simulator",
                     time=now,
-                    job_id=self.jobs[position].job_id,
+                    job_id=int(self.jobs.ids[position]),
                     attempt=1,
                 )
         if adaptive:
@@ -523,7 +512,6 @@ class GridSimulator:
             return
         if code == _COMPLETED and self._finish[position] <= now:
             return  # finished before the user got to it
-        job_id = self.jobs[position].job_id
         if position in self._pending_positions:
             self._pending_positions.discard(position)
             self._unfinished -= 1
@@ -535,12 +523,13 @@ class GridSimulator:
             # machine only for the work it actually ran (the commit already
             # settled the exactly-once `_unfinished` bookkeeping).
             machine = self._machine_position[int(self._machine[position])]
-            self.park.release(machine, job_id, now)
+            self.park.release(machine, position, now)
         else:
             return  # not admitted yet — nothing to withdraw
         self._state[position] = _CANCELLED
         self._drop_placement(position)
         if self._trace_log is not None:
+            job_id = int(self.jobs.ids[position])
             self._trace_log.emit("task_cancel", source="simulator", time=now, job_id=job_id)
 
     def _drop_placement(self, position: int) -> None:
@@ -559,8 +548,8 @@ class GridSimulator:
         """
         retry = self.config.retry
         for placement in self.park.revoke(machine, now):
-            job_id = placement.job.job_id
-            position = self._job_position[job_id]
+            position = placement.key
+            job_id = int(self.jobs.ids[position])
             self._drop_placement(position)
             reschedules = int(self._reschedules[position]) + 1
             self._reschedules[position] = reschedules
@@ -613,19 +602,18 @@ class GridSimulator:
     def _fire_scheduler(self, now: float) -> None:
         """One activation: build the batch instance, schedule it, commit it.
 
-        The batch is the pending jobs in arrival order, on the machines in
-        the park in park order.
+        The batch is the pending jobs' table rows in arrival order, on the
+        machines in the park in park order.
         """
-        positions = sorted(self._pending_positions)
-        pending = [self.jobs[position] for position in positions]
+        positions = np.array(sorted(self._pending_positions), dtype=np.int64)
         up = np.flatnonzero(self.park.up)
-        if not pending or not up.size:
-            self._activator.skip(now, len(pending))
+        if not positions.size or not up.size:
+            self._activator.skip(now, positions.size)
             return
 
+        pending = self.jobs.take(positions)
         available = [self.machines[machine] for machine in up.tolist()]
         busy_until = self.park.busy_until[up]
-        positions = np.array(positions, dtype=np.int64)
         attempts = (
             (self._reschedules[positions] + 1).tolist()
             if self._trace_log is not None
@@ -636,7 +624,7 @@ class GridSimulator:
         )
         activation.solve(self.policy, self.rng)
         plan = activation.plan(busy_until, now, self.config.commit_horizon)
-        self._commit(activation, plan, positions[plan.rows], up)
+        self._commit(activation, plan, positions, up)
         activation.finish(plan)
         # The plan is committed at this instant, so the lifecycle lines go
         # out eagerly with the *planned* timestamps; a later job_revoked line
@@ -656,20 +644,21 @@ class GridSimulator:
         activation.report(plan)
 
     def _commit(
-        self, activation: Activation, plan: CommitPlan, placed: np.ndarray, up: np.ndarray
+        self, activation: Activation, plan: CommitPlan, positions: np.ndarray, up: np.ndarray
     ) -> None:
         """Apply a commit plan: job state arrays, then the park.
 
-        *placed* holds the job position of each placement and *up* the park
-        position of each column.
+        *positions* holds the job position of each batch row, the key of
+        its placement, and *up* the park position of each column.
         """
+        placed = positions[plan.rows]
         self._state[placed] = _COMPLETED
         self._machine[placed] = activation.instance.metadata["machine_ids"][plan.columns]
         self._start[placed] = plan.starts
         self._finish[placed] = plan.finishes
         self._pending_positions.difference_update(placed.tolist())
         self._unfinished -= placed.size
-        self.park.apply(up, plan, activation.jobs)
+        self.park.apply(up, plan, positions.tolist())
 
     def _finished(self, now: float, arrived: int) -> bool:
         """All jobs settled, all *arrived*, no revocations to come.
@@ -707,7 +696,7 @@ class GridSimulator:
         return int(np.count_nonzero(self._state == code))
 
     def _collect_metrics(self) -> SimulationMetrics:
-        arrivals = np.array(self._arrivals)
+        arrivals = self.jobs.arrivals
         done = self._state == _COMPLETED
         completion_times = self._finish[done]
         response_times = completion_times - arrivals[done]
@@ -718,10 +707,8 @@ class GridSimulator:
         # past its deadline accrues tardiness; a failed job with a deadline
         # is a miss outright; a cancellation is the user's choice and is
         # neither.
-        due = np.array(
-            [math.nan if job.due_date is None else job.due_date for job in self.jobs]
-        )
-        has_due = ~np.isnan(due)
+        due = self.jobs.due_dates
+        has_due = due < math.inf
         lateness = self._finish - due
         late = done & (lateness > 0.0)
         missed_due = (has_due & (self._state == _FAILED)) | late
@@ -731,13 +718,12 @@ class GridSimulator:
         max_tardiness = float(lateness[late].max()) if late.any() else 0.0
         if self._trace_log is not None:
             for position in np.flatnonzero(missed_due).tolist():
-                job = self.jobs[position]
                 dropped = not late[position]
                 self._trace_log.emit(
                     "job_deadline_missed",
                     source="simulator",
-                    time=job.due_date if dropped else float(self._finish[position]),
-                    job_id=job.job_id,
+                    time=float(due[position] if dropped else self._finish[position]),
+                    job_id=int(self.jobs.ids[position]),
                     tardiness=0.0 if dropped else float(lateness[position]),
                 )
         return SimulationMetrics.from_records(

@@ -65,7 +65,7 @@ import numpy as np
 
 from repro.core.config import ServiceConfig
 from repro.grid.activation import Activator
-from repro.grid.job import GridJob
+from repro.grid.job import GridJob, JobTable
 from repro.grid.machine import GridMachine, execution_times_matrix
 from repro.grid.metrics import latency_percentiles
 from repro.grid.park import Park
@@ -411,7 +411,7 @@ class SchedulerCore:
         batch a job again before its ``job_revoked`` line is written.
         """
         jobs = [
-            placement.job for index in indices for placement in self.park.revoke(index, now)
+            placement.key for index in indices for placement in self.park.revoke(index, now)
         ]
         self._queue[:0] = sorted(jobs, key=lambda job: job.job_id)
         self.scheduled -= len(jobs)
@@ -499,7 +499,7 @@ class SchedulerCore:
             # machine gets no new work.
             activation = self._activator.build(
                 now,
-                batch,
+                JobTable.of(batch),
                 [self.machines[i] for i in up.tolist()],
                 self.park.busy_until[up],
                 execution_times_matrix,

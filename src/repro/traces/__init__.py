@@ -6,8 +6,8 @@ affinity seeds — so the simulator's workloads can be recorded, generated,
 versioned, shared and replayed:
 
 * :mod:`repro.traces.format` — the versioned :class:`Trace` schema
-  (compressed ``.npz`` + JSON header) and the :class:`TraceRecorder` that
-  captures any live :class:`~repro.grid.simulator.GridSimulator` run;
+  (compressed ``.npz`` + JSON header); :meth:`Trace.from_simulation`
+  records any :class:`~repro.grid.simulator.GridSimulator` run;
 * :mod:`repro.traces.generators` — deterministic scenario families
   (calm / bursty MMPP / diurnal / heavy-tailed / flash-crowd) built on
   ``SeedSequence.spawn`` substreams;
@@ -18,7 +18,7 @@ versioned, shared and replayed:
   significance tests against the best policy.
 """
 
-from repro.traces.format import TRACE_FORMAT_VERSION, Trace, TraceRecorder, load_trace, save_trace
+from repro.traces.format import TRACE_FORMAT_VERSION, Trace, load_trace, save_trace
 from repro.traces.generators import (
     TRACE_GENERATORS,
     generate_trace,
@@ -40,7 +40,6 @@ from repro.traces.report import PolicyReport, arena_rows, arena_table, summarize
 __all__ = [
     "TRACE_FORMAT_VERSION",
     "Trace",
-    "TraceRecorder",
     "load_trace",
     "save_trace",
     "TRACE_GENERATORS",

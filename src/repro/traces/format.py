@@ -1,22 +1,23 @@
 """The versioned trace schema: dynamic workloads as first-class artifacts.
 
 A :class:`Trace` freezes everything a dynamic simulation consumes — the job
-arrival stream (ids, sizes, arrival times), the machine park (ids, MIPS,
-join/leave windows, ETC affinity spreads) and a JSON-friendly metadata
-header (scenario family, generator seed, format version) — into one
-structure-of-arrays record.  Replaying a trace with the same policy and
-seed reproduces the live simulation bit-exactly, because the simulator is a
-pure function of ``(jobs, machines, policy, config, rng)`` and a trace
-round-trips all of them except the policy.
+arrival stream (ids, sizes, arrival times, due dates, cancel times), the
+machine park (ids, MIPS, join/leave windows, breakdown windows, ETC affinity
+spreads) and a JSON-friendly metadata header (scenario family, generator
+seed, format version) — into one structure-of-arrays record.  Its job arrays
+are a :class:`~repro.grid.job.JobTable` (:attr:`Trace.jobs`), which checks
+them and which the simulator takes as its jobs without a copy.
+
+Replaying a trace with the same policy, configuration and seed reproduces
+the recorded simulation bit-exactly, because the simulator is a pure
+function of its job table in arrival order, its machines, the policy, the
+configuration and the seed, and a trace round-trips the table and the
+machines.  :meth:`Trace.from_simulation` records a simulator's table in
+that order (``simulate --out`` saves any run this way).
 
 Persistence is a single compressed ``.npz`` file: the arrays are stored
 natively and the header travels as one JSON string under the ``header``
 key, so a trace can be inspected with nothing but numpy and ``json``.
-
-:class:`TraceRecorder` is the capture side: pass one as the ``recorder``
-argument of :class:`~repro.grid.simulator.GridSimulator` and any live
-simulation becomes a saved artifact, including the ordered machine
-join/leave event log the simulator emits in its metrics.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.grid.job import GridJob
+from repro.grid.job import GridJob, JobTable
 from repro.grid.machine import GridMachine
-from repro.grid.metrics import MachineEvent, SimulationMetrics
+from repro.grid.metrics import MachineEvent
 
-__all__ = ["TRACE_FORMAT_VERSION", "Trace", "TraceRecorder", "load_trace", "save_trace"]
+__all__ = ["TRACE_FORMAT_VERSION", "Trace", "load_trace", "save_trace"]
 
 #: Version of the on-disk schema; bumped on any incompatible layout change.
 #: Version 2 added the failure model: per-job due dates and cancellation
@@ -63,6 +64,9 @@ _ARRAY_FIELDS = {
     "repair_times": np.float64,
 }
 
+#: The job arrays of a trace, in :class:`~repro.grid.job.JobTable` column order.
+_JOB_FIELDS = ("job_ids", "job_workloads", "job_arrivals", "job_due_dates", "job_cancel_times")
+
 #: The arrays a version-1 file is required to carry; the version-2 failure
 #: arrays are synthesized as "never" when absent.
 _V1_ARRAY_FIELDS = (
@@ -87,8 +91,9 @@ class Trace:
         Human-readable label (stored in the header, reported in tables).
     job_ids, job_workloads, job_arrivals:
         Per-job stable id, size in millions of instructions, and arrival
-        time; rows are sorted by arrival time (ties keep id order), the
-        order the simulator consumes them in.
+        time; rows are sorted by arrival time, the order the simulator
+        consumes them in (it keeps the rows of tied arrivals in trace
+        order).
     machine_ids, machine_mips, machine_joins, machine_leaves,
     machine_affinity_spreads:
         Per-machine stable id, capacity, membership window (``inf`` leave
@@ -110,6 +115,9 @@ class Trace:
         JSON-serializable provenance: scenario family and config for
         synthetic traces, the recording policy for captured ones, the
         generator seed, free-form notes.
+    jobs:
+        The five job arrays as one :class:`~repro.grid.job.JobTable`,
+        built (and checked) at construction; not a constructor argument.
     """
 
     name: str
@@ -127,14 +135,17 @@ class Trace:
     breakdown_times: np.ndarray | None = None
     repair_times: np.ndarray | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
+    jobs: JobTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # The job table checks every per-job rule and holds the job arrays.
         # Absent failure arrays get the version-1 semantics: no deadlines,
         # no cancellations, no breakdowns.
-        nb_jobs = np.asarray(self.job_ids).size
-        for field_name in ("job_due_dates", "job_cancel_times"):
-            if getattr(self, field_name) is None:
-                object.__setattr__(self, field_name, np.full(nb_jobs, _NEVER))
+        jobs = JobTable(*(getattr(self, name) for name in _JOB_FIELDS))
+        object.__setattr__(self, "jobs", jobs)
+        columns = (jobs.ids, jobs.workloads, jobs.arrivals, jobs.due_dates, jobs.cancel_times)
+        for field_name, column in zip(_JOB_FIELDS, columns):
+            object.__setattr__(self, field_name, column)
         for field_name in ("breakdown_machine_ids", "breakdown_times", "repair_times"):
             if getattr(self, field_name) is None:
                 object.__setattr__(self, field_name, np.empty(0))
@@ -143,10 +154,7 @@ class Trace:
             if value.ndim != 1:
                 raise ValueError(f"{field_name} must be one-dimensional")
             object.__setattr__(self, field_name, value)
-        jobs, machines = self.job_ids.size, self.machine_ids.size
-        for field_name in ("job_workloads", "job_arrivals", "job_due_dates", "job_cancel_times"):
-            if getattr(self, field_name).size != jobs:
-                raise ValueError(f"{field_name} must have one entry per job")
+        machines = self.machine_ids.size
         for field_name in (
             "machine_mips",
             "machine_joins",
@@ -157,14 +165,8 @@ class Trace:
                 raise ValueError(f"{field_name} must have one entry per machine")
         if machines == 0:
             raise ValueError("a trace needs at least one machine")
-        if np.unique(self.job_ids).size != jobs:
-            raise ValueError("job ids must be unique")
         if np.unique(self.machine_ids).size != machines:
             raise ValueError("machine ids must be unique")
-        if jobs and (
-            np.any(self.job_workloads <= 0) or np.any(self.job_arrivals < 0)
-        ):
-            raise ValueError("job workloads must be positive, arrivals non-negative")
         if np.any(np.diff(self.job_arrivals) < 0):
             raise ValueError("jobs must be sorted by arrival time")
         if np.any(self.machine_mips <= 0):
@@ -175,11 +177,6 @@ class Trace:
             raise ValueError("machine membership windows must be valid")
         if np.any(self.machine_affinity_spreads < 0):
             raise ValueError("affinity spreads must be non-negative")
-        if np.any(self.job_due_dates < self.job_arrivals):
-            raise ValueError("due dates must be at or after the job's arrival")
-        finite_cancel = np.isfinite(self.job_cancel_times)
-        if np.any(self.job_cancel_times[finite_cancel] <= self.job_arrivals[finite_cancel]):
-            raise ValueError("cancel times must be strictly after the job's arrival")
         if not (
             self.breakdown_machine_ids.size
             == self.breakdown_times.size
@@ -209,23 +206,8 @@ class Trace:
         return float(self.job_arrivals[-1]) if self.nb_jobs else 0.0
 
     def to_jobs(self) -> list[GridJob]:
-        """Materialize the arrival stream as simulator jobs (arrival order)."""
-        return [
-            GridJob(
-                job_id=int(i),
-                workload=float(w),
-                arrival_time=float(t),
-                due_date=float(due) if np.isfinite(due) else None,
-                cancel_time=float(cancel) if np.isfinite(cancel) else None,
-            )
-            for i, w, t, due, cancel in zip(
-                self.job_ids,
-                self.job_workloads,
-                self.job_arrivals,
-                self.job_due_dates,
-                self.job_cancel_times,
-            )
-        ]
+        """The arrival stream as one ``GridJob`` per row (arrival order)."""
+        return list(self.jobs)
 
     def to_machines(self) -> list[GridMachine]:
         """Materialize the machine park in its recorded order."""
@@ -286,13 +268,18 @@ class Trace:
     @classmethod
     def from_simulation(
         cls,
-        jobs: Sequence[GridJob],
+        jobs: JobTable | Sequence[GridJob],
         machines: Sequence[GridMachine],
         name: str = "recorded",
         metadata: dict[str, Any] | None = None,
     ) -> "Trace":
-        """Freeze a simulator's workload and machine park into a trace."""
-        ordered = sorted(jobs, key=lambda job: (job.arrival_time, job.job_id))
+        """Freeze a simulator's workload and machine park into a trace.
+
+        The jobs are recorded in the simulator's order: by arrival, ties in
+        the order given (:meth:`~repro.grid.job.JobTable.in_arrival_order`),
+        so a replay batches tied jobs as the recorded run did.
+        """
+        table = JobTable.of(jobs).in_arrival_order()
         breakdown_rows = [
             (machine.machine_id, down, up)
             for machine in machines
@@ -300,40 +287,22 @@ class Trace:
         ]
         return cls(
             name=name,
-            job_ids=np.array([job.job_id for job in ordered], dtype=np.int64),
-            job_workloads=np.array([job.workload for job in ordered]),
-            job_arrivals=np.array([job.arrival_time for job in ordered]),
-            machine_ids=np.array(
-                [machine.machine_id for machine in machines], dtype=np.int64
-            ),
-            machine_mips=np.array([machine.mips for machine in machines]),
-            machine_joins=np.array([machine.join_time for machine in machines]),
-            machine_leaves=np.array(
-                [
-                    _NEVER if machine.leave_time is None else machine.leave_time
-                    for machine in machines
-                ]
-            ),
-            machine_affinity_spreads=np.array(
-                [machine.affinity_spread for machine in machines]
-            ),
-            job_due_dates=np.array(
-                [
-                    _NEVER if job.due_date is None else job.due_date
-                    for job in ordered
-                ]
-            ),
-            job_cancel_times=np.array(
-                [
-                    _NEVER if job.cancel_time is None else job.cancel_time
-                    for job in ordered
-                ]
-            ),
-            breakdown_machine_ids=np.array(
-                [row[0] for row in breakdown_rows], dtype=np.int64
-            ),
-            breakdown_times=np.array([row[1] for row in breakdown_rows]),
-            repair_times=np.array([row[2] for row in breakdown_rows]),
+            job_ids=table.ids,
+            job_workloads=table.workloads,
+            job_arrivals=table.arrivals,
+            machine_ids=[machine.machine_id for machine in machines],
+            machine_mips=[machine.mips for machine in machines],
+            machine_joins=[machine.join_time for machine in machines],
+            machine_leaves=[
+                _NEVER if machine.leave_time is None else machine.leave_time
+                for machine in machines
+            ],
+            machine_affinity_spreads=[machine.affinity_spread for machine in machines],
+            job_due_dates=table.due_dates,
+            job_cancel_times=table.cancel_times,
+            breakdown_machine_ids=[row[0] for row in breakdown_rows],
+            breakdown_times=[row[1] for row in breakdown_rows],
+            repair_times=[row[2] for row in breakdown_rows],
             metadata=dict(metadata or {}),
         )
 
@@ -419,64 +388,3 @@ def load_trace(path: str | Path) -> Trace:
         metadata=dict(header.get("metadata", {})),
         **arrays,
     )
-
-
-class TraceRecorder:
-    """Captures a live :class:`~repro.grid.simulator.GridSimulator` run.
-
-    Pass an instance as the simulator's ``recorder`` argument; after
-    ``run()`` the recorder holds everything needed to rebuild the workload
-    (:meth:`trace`) plus the run's metrics — including the ordered machine
-    join/leave event log — for cross-checking a later replay.
-
-    >>> recorder = TraceRecorder()
-    >>> GridSimulator(jobs, machines, policy, recorder=recorder).run()
-    >>> recorder.trace(name="captured").save("captured.npz")
-    """
-
-    def __init__(self) -> None:
-        self.jobs: list[GridJob] | None = None
-        self.machines: list[GridMachine] | None = None
-        self.config = None
-        self.metrics: SimulationMetrics | None = None
-
-    # Hook protocol (called by the simulator) ---------------------------- #
-    def on_simulation_start(self, jobs, machines, config) -> None:
-        self.jobs = list(jobs)
-        self.machines = list(machines)
-        self.config = config
-
-    def on_simulation_end(self, metrics: SimulationMetrics) -> None:
-        self.metrics = metrics
-
-    # Capture ------------------------------------------------------------ #
-    @property
-    def started(self) -> bool:
-        return self.jobs is not None
-
-    def trace(
-        self, name: str = "recorded", metadata: dict[str, Any] | None = None
-    ) -> Trace:
-        """The captured workload as a trace artifact.
-
-        Provenance (the recording policy and activation interval, plus the
-        finished run's makespan/flowtime when available) is folded into the
-        metadata so a replay can be cross-checked against the original.
-        """
-        if not self.started:
-            raise ValueError(
-                "nothing captured yet: attach the recorder to a GridSimulator "
-                "(recorder=...) and run it first"
-            )
-        provenance: dict[str, Any] = {"source": "recorded"}
-        if self.config is not None:
-            provenance["activation_interval"] = self.config.activation_interval
-            provenance["commit_horizon"] = self.config.commit_horizon
-        if self.metrics is not None:
-            provenance["policy"] = self.metrics.policy
-            provenance["stream_makespan"] = self.metrics.makespan
-            provenance["total_flowtime"] = self.metrics.total_flowtime
-        provenance.update(metadata or {})
-        return Trace.from_simulation(
-            self.jobs, self.machines, name=name, metadata=provenance
-        )

@@ -265,7 +265,7 @@ class _CreditTrackingSimulator(GridSimulator):
             and record.completion_time > now
         ):
             for entry in self.park.queues[record.machine_id]:
-                if entry.job.job_id == job.job_id:
+                if entry.key == position:
                     self.processed_ledger += max(
                         0.0, min(entry.finish, now) - entry.start
                     )

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.grid.job import GridJob, JobRecord, JobState
-from repro.grid.machine import GridMachine
+from repro.grid.job import GridJob, JobRecord, JobState, JobTable
+from repro.grid.machine import GridMachine, execution_times_matrix
+
+
+def one_job(job_id, workload):
+    """A one-job table arriving at 0."""
+    return JobTable(ids=[job_id], workloads=[workload], arrivals=[0.0])
 
 
 class TestGridJob:
@@ -45,23 +50,15 @@ class TestJobRecord:
 class TestGridMachine:
     def test_execution_time_is_workload_over_mips(self):
         machine = GridMachine(machine_id=0, mips=10.0)
-        assert machine.execution_time(GridJob(0, 50.0, 0.0)) == pytest.approx(5.0)
+        etc = execution_times_matrix(one_job(0, 50.0), [machine])
+        assert etc[0, 0] == pytest.approx(5.0)
 
     def test_affinity_spread_perturbs_deterministically(self):
         machine = GridMachine(machine_id=0, mips=10.0, affinity_spread=0.5)
-        job = GridJob(3, 50.0, 0.0)
-        assert machine.execution_time(job) == machine.execution_time(job)
-        assert machine.execution_time(job) != pytest.approx(5.0)
-
-    def test_availability_window(self):
-        machine = GridMachine(machine_id=0, mips=1.0, join_time=10.0, leave_time=20.0)
-        assert not machine.is_available(5.0)
-        assert machine.is_available(15.0)
-        assert not machine.is_available(20.0)
-
-    def test_always_available_without_leave_time(self):
-        machine = GridMachine(machine_id=0, mips=1.0)
-        assert machine.is_available(1e9)
+        job = one_job(3, 50.0)
+        etc = execution_times_matrix(job, [machine])[0, 0]
+        assert execution_times_matrix(job, [machine])[0, 0] == etc
+        assert etc != pytest.approx(5.0)
 
     def test_leave_before_join_rejected(self):
         with pytest.raises(ValueError):

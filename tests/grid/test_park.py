@@ -3,16 +3,16 @@
 import numpy as np
 
 from repro.grid.activation import CommitPlan
-from repro.grid.job import GridJob
 from repro.grid.park import Park
 
-JOBS = [GridJob(job_id=k, workload=1.0, arrival_time=0.0) for k in range(4)]
+#: Placement keys by plan row: the park treats them as opaque.
+JOBS = [f"job-{k}" for k in range(4)]
 
 
 def commit(time, placements, nb_columns=1):
     """A plan of ``(column, start, finish)`` placements, grouped by column.
 
-    Row *k* of the plan is placement *k*, so ``JOBS[k]`` is its job.
+    Row *k* of the plan is placement *k*, so ``JOBS[k]`` is its key.
     """
     columns = np.array([column for column, _, _ in placements], dtype=np.int64)
     starts = np.array([start for _, start, _ in placements], dtype=float)
@@ -32,7 +32,7 @@ def commit(time, placements, nb_columns=1):
 
 
 def queued(park, position):
-    return [placement.job.job_id for placement in park.queues[position]]
+    return [JOBS.index(placement.key) for placement in park.queues[position]]
 
 
 def two_jobs_on_one_machine():
@@ -71,7 +71,7 @@ class TestPark:
     def test_revoking_twice_credits_once(self):
         park = two_jobs_on_one_machine()
         revoked = park.revoke(0, 6.0)
-        assert [placement.job.job_id for placement in revoked] == [1]
+        assert [placement.key for placement in revoked] == [JOBS[1]]
         # The machine keeps job 0 and the 2 s it ran of job 1.
         assert (park.busy_time[0], park.completed[0], park.busy_until[0]) == (6.0, 1, 6.0)
         assert queued(park, 0) == [0]
@@ -81,8 +81,8 @@ class TestPark:
     def test_releasing_a_settled_placement_changes_nothing(self):
         park = two_jobs_on_one_machine()
         before = (park.busy_time.copy(), park.completed.copy(), park.busy_until.copy())
-        assert park.release(0, 0, 5.0) is None  # finished at 4
-        assert park.release(0, 3, 5.0) is None  # never placed here
+        assert park.release(0, JOBS[0], 5.0) is None  # finished at 4
+        assert park.release(0, JOBS[3], 5.0) is None  # never placed here
         after = (park.busy_time, park.completed, park.busy_until)
         for old, new in zip(before, after):
             np.testing.assert_array_equal(old, new)
@@ -90,8 +90,8 @@ class TestPark:
 
     def test_release_frees_the_machine_from_the_new_tail(self):
         park = two_jobs_on_one_machine()
-        released = park.release(0, 1, 2.0)
-        assert released.job.job_id == 1
+        released = park.release(0, JOBS[1], 2.0)
+        assert released.key == JOBS[1]
         assert queued(park, 0) == [0]
         assert (park.busy_time[0], park.completed[0], park.busy_until[0]) == (4.0, 1, 4.0)
 

@@ -312,7 +312,7 @@ class TestBreakdown:
     def test_breakdown_revokes_unfinished_work_and_requeues_it(self):
         clock = FakeClock()
         core = self.spread(clock)
-        assert [placement.job.job_id for placement in core.park.queues[1]] == [1]
+        assert [placement.key.job_id for placement in core.park.queues[1]] == [1]
         clock.advance(0.25)
         assert core.break_machine(1)
         assert not core.break_machine(1)  # already down

@@ -278,6 +278,21 @@ class TestTraceCommand:
         trace = load_trace(out)
         assert trace.metadata["policy"] == "mct"
         assert trace.nb_jobs >= 1
+        # The provenance a replay is checked against: the recorded cadence
+        # and the run's stream makespan and flowtime, which the replay
+        # reproduces bit for bit.
+        assert trace.metadata["source"] == "recorded"
+        assert trace.metadata["commit_horizon"] is None
+        from repro.grid import GridSimulator, HeuristicBatchPolicy, SimulationConfig
+
+        replayed = GridSimulator.from_trace(
+            trace,
+            HeuristicBatchPolicy("mct"),
+            SimulationConfig(activation_interval=trace.metadata["activation_interval"]),
+            rng=4,
+        ).run()
+        assert trace.metadata["stream_makespan"] == replayed.makespan
+        assert trace.metadata["total_flowtime"] == replayed.total_flowtime
 
     def test_replay_prints_the_arena_table(self, tmp_path, capsys):
         out = tmp_path / "arena.npz"

@@ -1,5 +1,6 @@
-"""Tests for the versioned trace schema, persistence, and the recorder."""
+"""Tests for the versioned trace schema, persistence, and recorded runs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +18,6 @@ from repro.grid import (
 from repro.traces.format import (
     TRACE_FORMAT_VERSION,
     Trace,
-    TraceRecorder,
     load_trace,
     save_trace,
 )
@@ -81,9 +81,8 @@ class TestTraceSchema:
         ],
     )
     def test_invalid_traces_rejected(self, mutation):
-        base = make_trace().__dict__ | mutation
         with pytest.raises(ValueError):
-            Trace(**base)
+            dataclasses.replace(make_trace(), **mutation)
 
     def test_empty_machine_park_rejected(self):
         with pytest.raises(ValueError):
@@ -187,27 +186,25 @@ def _workload():
     return jobs, machines
 
 
-class TestRecorder:
-    def test_empty_recorder_rejects_trace(self):
-        with pytest.raises(ValueError, match="nothing captured"):
-            TraceRecorder().trace()
+def _recorded(simulator: GridSimulator, name: str = "recorded") -> Trace:
+    """The trace of a simulator's workload, as ``simulate --out`` saves it."""
+    return Trace.from_simulation(simulator.jobs, simulator.machines, name=name)
 
+
+class TestRecorder:
     def test_recorder_captures_workload_and_metrics(self):
         jobs, machines = _workload()
-        recorder = TraceRecorder()
-        metrics = GridSimulator(
+        simulator = GridSimulator(
             jobs,
             machines,
             HeuristicBatchPolicy("mct"),
             SimulationConfig(activation_interval=4.0),
             rng=1,
-            recorder=recorder,
-        ).run()
-        trace = recorder.trace(name="captured")
+        )
+        metrics = simulator.run()
+        trace = _recorded(simulator, name="captured")
         assert trace.nb_jobs == len(jobs)
         assert trace.nb_machines == len(machines)
-        assert trace.metadata["policy"] == "mct"
-        assert trace.metadata["stream_makespan"] == metrics.makespan
         # The affinity spread (the ETC seed of the inconsistent scenarios)
         # survives capture.
         assert trace.machine_affinity_spreads[0] == 0.2
@@ -219,13 +216,10 @@ class TestRecorder:
         """Record a live run, replay the trace: identical stream metrics."""
         jobs, machines = _workload()
         config = SimulationConfig(activation_interval=4.0, commit_horizon=4.0)
-        recorder = TraceRecorder()
-        live = GridSimulator(
-            jobs, machines, HeuristicBatchPolicy("min_min"), config, rng=7,
-            recorder=recorder,
-        ).run()
+        simulator = GridSimulator(jobs, machines, HeuristicBatchPolicy("min_min"), config, rng=7)
+        live = simulator.run()
         replayed = GridSimulator.from_trace(
-            recorder.trace(), HeuristicBatchPolicy("min_min"), config, rng=7
+            _recorded(simulator), HeuristicBatchPolicy("min_min"), config, rng=7
         ).run()
         assert replayed.makespan == live.makespan
         assert replayed.total_flowtime == live.total_flowtime
@@ -246,14 +240,11 @@ class TestRecorder:
 
         jobs, machines = _workload()
         config = SimulationConfig(activation_interval=4.0, commit_horizon=4.0)
-        recorder = TraceRecorder()
-        live = GridSimulator(
-            jobs, machines, HeuristicBatchPolicy("min_min"), config, rng=7,
-            recorder=recorder,
-        ).run()
+        simulator = GridSimulator(jobs, machines, HeuristicBatchPolicy("min_min"), config, rng=7)
+        live = simulator.run()
         buffer = io.StringIO()
         replayed = GridSimulator.from_trace(
-            recorder.trace(), HeuristicBatchPolicy("min_min"), config, rng=7,
+            _recorded(simulator), HeuristicBatchPolicy("min_min"), config, rng=7,
             trace_log=TraceLog(buffer),
         ).run()
         assert replayed.makespan == live.makespan
@@ -270,14 +261,48 @@ class TestRecorder:
         """The bit-exactness guarantee holds through the on-disk format."""
         jobs, machines = _workload()
         config = SimulationConfig(activation_interval=4.0)
-        recorder = TraceRecorder()
-        live = GridSimulator(
-            jobs, machines, HeuristicBatchPolicy("sufferage"), config, rng=3,
-            recorder=recorder,
-        ).run()
-        path = recorder.trace().save(tmp_path / "run")
+        simulator = GridSimulator(
+            jobs, machines, HeuristicBatchPolicy("sufferage"), config, rng=3
+        )
+        live = simulator.run()
+        path = _recorded(simulator).save(tmp_path / "run")
         replayed = GridSimulator.from_trace(
             load_trace(path), HeuristicBatchPolicy("sufferage"), config, rng=3
         ).run()
         assert replayed.makespan == live.makespan
         assert replayed.total_flowtime == live.total_flowtime
+
+    def test_tied_arrivals_replay_in_the_recorded_order(self):
+        """Jobs tied on arrival are batched, and recorded, in the caller's order."""
+        jobs = [GridJob(1, 300.0, 0.0), GridJob(0, 100.0, 0.0), GridJob(2, 200.0, 0.0)]
+        machines = [GridMachine(0, mips=10.0), GridMachine(1, mips=5.0)]
+        config = SimulationConfig(activation_interval=4.0)
+        simulator = GridSimulator(jobs, machines, HeuristicBatchPolicy("mct"), config, rng=1)
+        live = simulator.run()
+        trace = _recorded(simulator)
+        assert trace.job_ids.tolist() == [1, 0, 2]
+        replayed = GridSimulator.from_trace(
+            trace, HeuristicBatchPolicy("mct"), config, rng=1
+        ).run()
+        assert live.makespan == replayed.makespan == 50.0
+        assert replayed.total_flowtime == live.total_flowtime
+
+    @pytest.mark.parametrize("heuristic", ["mct", "min_min", "olb", "sufferage"])
+    def test_shuffled_ids_on_tied_arrivals_replay_bit_exact(self, heuristic):
+        rng = np.random.default_rng(12)
+        machines = [GridMachine(k, mips=float(mips)) for k, mips in enumerate((10, 5, 7))]
+        config = SimulationConfig(activation_interval=4.0)
+        for _ in range(25):
+            ids = rng.permutation(12).tolist()
+            arrivals = rng.integers(0, 4, size=12).astype(float) * 2.0
+            workloads = rng.uniform(50.0, 400.0, size=12).tolist()
+            jobs = [GridJob(i, w, t) for i, w, t in zip(ids, workloads, arrivals.tolist())]
+            simulator = GridSimulator(
+                jobs, machines, HeuristicBatchPolicy(heuristic), config, rng=1
+            )
+            live = simulator.run()
+            replayed = GridSimulator.from_trace(
+                _recorded(simulator), HeuristicBatchPolicy(heuristic), config, rng=1
+            ).run()
+            assert replayed.makespan == live.makespan
+            assert replayed.total_flowtime == live.total_flowtime
