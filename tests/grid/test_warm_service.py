@@ -116,10 +116,25 @@ class TestOffModeTrajectory:
         budget binds long before the wall clock, so they do not depend on
         the machine.
         """
-        jobs = PoissonArrivalModel(rate=0.8, duration=30.0, heterogeneity="lo").generate(
-            rng=6
-        )
-        machines = StaticResourceModel(nb_machines=3, heterogeneity="lo").generate(rng=6)
+        # The recorded stream, from raw draws: Poisson arrivals at 0.8/s up
+        # to 30 s, then lo-heterogeneity sizes from the same generator, and
+        # three lo-heterogeneity machines from a fresh one on the same seed.
+        gen = np.random.default_rng(6)
+        arrivals = []
+        time = 0.0
+        while True:
+            time += float(gen.exponential(1.0 / 0.8))
+            if time > 30.0:
+                break
+            arrivals.append(time)
+        sizes = gen.uniform(1.0, 100.0, len(arrivals)) * 1e3
+        jobs = [
+            GridJob(job_id, float(size), arrival)
+            for job_id, (arrival, size) in enumerate(zip(arrivals, sizes))
+        ]
+        mips = np.random.default_rng(6).uniform(1.0, 10.0, 3) * 10.0
+        machines = [GridMachine(machine_id, float(m)) for machine_id, m in enumerate(mips)]
+        assert len(jobs) == 29
         cold = GridSimulator(
             jobs,
             machines,

@@ -51,6 +51,18 @@ class TestEveryFamily:
         assert np.all(trace.machine_affinity_spreads == 0.3)
         assert trace.metadata["family"] == family
         assert trace.metadata["seed"] == 5
+        # Job ids run 0..n-1 in arrival order (the arrivals are sorted).
+        np.testing.assert_array_equal(trace.job_ids, np.arange(trace.nb_jobs))
+
+    def test_rate_controls_count(self, family):
+        low = generate_trace(TraceConfig(family=family, **{**FAST, "rate": 0.5}), seed=2)
+        high = generate_trace(TraceConfig(family=family, **{**FAST, "rate": 5.0}), seed=2)
+        assert high.nb_jobs > low.nb_jobs
+
+    def test_without_churn_every_machine_stays(self, family):
+        trace = generate_trace(TraceConfig(family=family, **FAST), seed=2)
+        assert np.all(trace.machine_joins == 0.0)
+        assert np.all(np.isinf(trace.machine_leaves))
 
     def test_simulation_consumes_trace(self, family):
         from repro.grid import GridSimulator, HeuristicBatchPolicy, SimulationConfig
@@ -134,9 +146,31 @@ def test_unknown_extra_knob_rejected(family):
         )
 
 
-def test_unknown_family_rejected_by_config():
-    with pytest.raises(ValueError, match="family"):
-        TraceConfig(family="tsunami")
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"family": "tsunami"},
+        {"rate": 0.0},
+        {"job_heterogeneity": "medium"},
+        {"machine_heterogeneity": "medium"},
+    ],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_unknown_family_rejected_by_config(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        TraceConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "knob, column",
+    [("job_heterogeneity", "job_workloads"), ("machine_heterogeneity", "machine_mips")],
+)
+def test_heterogeneity_scales_sizes_and_mips(knob, column):
+    """hi draws larger job sizes / machine capacities than lo."""
+    config = TraceConfig(duration=100.0, rate=2.0, nb_machines=30)
+    hi = generate_trace(config.evolve(**{knob: "hi"}), seed=4)
+    lo = generate_trace(config.evolve(**{knob: "lo"}), seed=4)
+    assert getattr(hi, column).mean() > getattr(lo, column).mean()
 
 
 class TestRescaleTrace:
