@@ -15,17 +15,15 @@ rolling commit horizon so consecutive activations overlap and the warm
 service's plan carrying is exercised for real.
 """
 
+from repro.core.config import TraceConfig
 from repro.experiments.reporting import format_table
 from repro.grid import (
-    BurstyArrivalModel,
-    ChurningResourceModel,
     GridSimulator,
     HeuristicBatchPolicy,
-    PoissonArrivalModel,
     SimulationConfig,
-    StaticResourceModel,
     WarmCMAPolicy,
 )
+from repro.traces import generate_trace
 
 from .conftest import run_once
 
@@ -46,44 +44,32 @@ def _policies():
 
 
 def _run_simulations(seed=2007):
-    jobs = PoissonArrivalModel(rate=1.5, duration=60.0, heterogeneity="hi").generate(rng=seed)
-    machines = StaticResourceModel(nb_machines=8, heterogeneity="hi").generate(rng=seed)
+    trace = generate_trace(TraceConfig(duration=60.0, rate=1.5, nb_machines=8), seed=seed)
     metrics = {}
     for policy in _policies():
-        simulator = GridSimulator(
-            jobs, machines, policy, SimulationConfig(activation_interval=15.0), rng=seed
+        simulator = GridSimulator.from_trace(
+            trace, policy, SimulationConfig(activation_interval=15.0), rng=seed
         )
         metrics[policy.name] = simulator.run()
     return metrics
 
 
 def _run_scenarios(seed=2007):
-    """Bursty arrivals and churning resources under a rolling horizon."""
+    """Flash-crowd arrivals and a churning park under a rolling horizon."""
     # Small (lo) jobs on fast (hi) machines keep the stream makespan within
     # a few dozen activation intervals, so the rolling-horizon simulations
     # stay benchmark-sized.
+    lo_jobs = TraceConfig(duration=60.0, rate=1.0, nb_machines=8, job_heterogeneity="lo")
     scenarios = {
-        "bursty": (
-            BurstyArrivalModel(
-                burst_interval=25.0, burst_size_mean=15.0, nb_bursts=3, heterogeneity="lo"
-            ).generate(rng=seed),
-            StaticResourceModel(nb_machines=8, heterogeneity="hi").generate(rng=seed),
-        ),
-        "churning": (
-            PoissonArrivalModel(rate=1.0, duration=60.0, heterogeneity="lo").generate(
-                rng=seed
-            ),
-            ChurningResourceModel(
-                nb_machines=8, heterogeneity="hi", churn_fraction=0.3, horizon=150.0
-            ).generate(rng=seed),
-        ),
+        "bursty": lo_jobs.evolve(family="flash_crowd"),
+        "churning": lo_jobs.evolve(churn_fraction=0.3),
     }
     results = {}
-    for scenario, (jobs, machines) in scenarios.items():
+    for scenario, config in scenarios.items():
+        trace = generate_trace(config, seed=seed)
         for policy in _policies():
-            simulator = GridSimulator(
-                jobs,
-                machines,
+            simulator = GridSimulator.from_trace(
+                trace,
                 policy,
                 SimulationConfig(activation_interval=10.0, commit_horizon=10.0),
                 rng=seed,

@@ -69,13 +69,7 @@ from repro.core.local_search import get_local_search
 from repro.core.termination import TerminationCriteria
 from repro.engine import BatchEvaluator
 from repro.experiments.runner import cma_spec
-from repro.grid import (
-    GridSimulator,
-    PoissonArrivalModel,
-    SimulationConfig,
-    StaticResourceModel,
-    WarmCMAPolicy,
-)
+from repro.grid import GridSimulator, SimulationConfig, WarmCMAPolicy
 from repro.grid.scheduler import HeuristicBatchPolicy
 from repro.islands import IslandModel
 from repro.model.benchmark import generate_braun_like_instance
@@ -228,11 +222,11 @@ def _time_dynamic_scheduling() -> dict[str, dict[str, float]]:
     ``DYNAMIC_REPETITIONS`` times, alternating with the other, and reports
     the median of its runs' timings.
     """
-    jobs = PoissonArrivalModel(rate=DYNAMIC_RATE, duration=DYNAMIC_DURATION).generate(
-        rng=DYNAMIC_SEED
-    )
-    machines = StaticResourceModel(nb_machines=DYNAMIC_MACHINES).generate(
-        rng=DYNAMIC_SEED
+    trace = generate_trace(
+        TraceConfig(
+            duration=DYNAMIC_DURATION, rate=DYNAMIC_RATE, nb_machines=DYNAMIC_MACHINES
+        ),
+        seed=DYNAMIC_SEED,
     )
     config = SimulationConfig(
         activation_interval=DYNAMIC_INTERVAL, commit_horizon=DYNAMIC_INTERVAL
@@ -242,7 +236,7 @@ def _time_dynamic_scheduling() -> dict[str, dict[str, float]]:
         for name, warm in (("cold", False), ("warm", True)):
             policy = WarmCMAPolicy(warm=warm, **DYNAMIC_BUDGET)
             runs[name].append(
-                GridSimulator(jobs, machines, policy, config, rng=DYNAMIC_SEED).run()
+                GridSimulator.from_trace(trace, policy, config, rng=DYNAMIC_SEED).run()
             )
     results: dict[str, dict[str, float]] = {}
     for name, repeats in runs.items():
@@ -419,7 +413,7 @@ def test_engine_throughput(record_output, record_json):
         )
     lines += [
         "",
-        f"dynamic scheduling (Poisson rate {DYNAMIC_RATE}/s for {DYNAMIC_DURATION:.0f}s, "
+        f"dynamic scheduling (calm trace, {DYNAMIC_RATE}/s for {DYNAMIC_DURATION:.0f}s, "
         f"{DYNAMIC_MACHINES} machines, rolling horizon {DYNAMIC_INTERVAL:.0f}s, "
         f"equal per-activation budget, median of {DYNAMIC_REPETITIONS} runs):",
     ]

@@ -36,7 +36,6 @@ from repro.core.config import (
 )
 from repro.experiments.reporting import format_table
 from repro.grid.service import DynamicSchedulerService
-from repro.grid.workload import StaticResourceModel
 from repro.obs import (
     MetricsRegistry,
     TraceLog,
@@ -77,7 +76,7 @@ def _overload_trace(seed=2007):
     return rescale_trace(trace, _COMPRESSION)
 
 
-def _make_server(seed, registry=None, trace_log=None):
+def _make_server(trace, seed, registry=None, trace_log=None):
     config = ServiceConfig(
         queue_capacity=_CAPACITY,
         degrade_threshold=48,
@@ -87,7 +86,6 @@ def _make_server(seed, registry=None, trace_log=None):
             backlog_threshold=16, min_interval=_MIN_INTERVAL, max_interval=0.25
         ),
     )
-    machines = StaticResourceModel(nb_machines=8).generate(rng=seed)
     scheduler = DynamicSchedulerService(
         max_seconds=0.03,
         max_iterations=10,
@@ -95,14 +93,19 @@ def _make_server(seed, registry=None, trace_log=None):
         registry=registry,
     )
     core = SchedulerCore(
-        machines, scheduler, config, rng=seed, registry=registry, trace_log=trace_log
+        trace.to_machines(),
+        scheduler,
+        config,
+        rng=seed,
+        registry=registry,
+        trace_log=trace_log,
     )
     return SchedulerServer(core)
 
 
 def _run_at(trace, multiplier, seed=2007, registry=None, trace_log=None):
     async def run():
-        server = _make_server(seed, registry=registry, trace_log=trace_log)
+        server = _make_server(trace, seed, registry=registry, trace_log=trace_log)
         await server.start()
         generator = LoadGenerator(
             trace, LoadProfile(multiplier=multiplier), registry=registry

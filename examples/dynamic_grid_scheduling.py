@@ -7,9 +7,9 @@ last activation.  This example simulates exactly that with the library's
 discrete-event grid simulator:
 
 * a Poisson stream of parameter-sweep style jobs (the Monte-Carlo workload
-  of the paper's Section 2),
-* a heterogeneous machine park in which some machines join late and leave
-  early (grid churn),
+  of the paper's Section 2) on a heterogeneous machine park in which some
+  machines join late and leave early (grid churn), both drawn as one
+  ``calm`` scenario trace,
 * three scheduling policies driving the batch activations — the cMA, Min-Min
   and opportunistic load balancing — compared on stream makespan, mean
   response time, utilization and scheduling overhead.
@@ -19,26 +19,23 @@ Run with:  python examples/dynamic_grid_scheduling.py
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.config import TraceConfig
 from repro.experiments.reporting import format_table
-from repro.grid import (
-    ChurningResourceModel,
-    GridSimulator,
-    HeuristicBatchPolicy,
-    PoissonArrivalModel,
-    SimulationConfig,
-    WarmCMAPolicy,
-)
+from repro.grid import GridSimulator, HeuristicBatchPolicy, SimulationConfig, WarmCMAPolicy
+from repro.traces import generate_trace
 
 
 def main() -> None:
     seed = 11
-    jobs = PoissonArrivalModel(rate=2.0, duration=90.0, heterogeneity="hi").generate(rng=seed)
-    machines = ChurningResourceModel(
-        nb_machines=12, heterogeneity="hi", churn_fraction=0.25, horizon=200.0
-    ).generate(rng=seed)
-    print(f"Workload: {len(jobs)} jobs over 90 simulated seconds")
-    churny = sum(1 for m in machines if m.leave_time is not None)
-    print(f"Machine park: {len(machines)} machines ({churny} with limited membership)")
+    trace = generate_trace(
+        TraceConfig(duration=90.0, rate=2.0, nb_machines=12, churn_fraction=0.25),
+        seed=seed,
+    )
+    print(f"Workload: {trace.nb_jobs} jobs over 90 simulated seconds")
+    churny = int(np.isfinite(trace.machine_leaves).sum())
+    print(f"Machine park: {trace.nb_machines} machines ({churny} with limited membership)")
     print()
 
     policies = [
@@ -49,9 +46,8 @@ def main() -> None:
 
     rows = []
     for policy in policies:
-        simulator = GridSimulator(
-            jobs,
-            machines,
+        simulator = GridSimulator.from_trace(
+            trace,
             policy,
             SimulationConfig(activation_interval=15.0),
             rng=seed,

@@ -16,8 +16,9 @@ be driven without writing Python:
     Run K islands of one algorithm — in-process or one worker process per
     island — with periodic best-row migration along a chosen topology.
 ``repro-scheduler simulate``
-    Run the dynamic-grid simulation with a chosen batch scheduling policy;
-    ``--out FILE`` also captures the run as a replayable trace artifact.
+    Run the dynamic-grid simulation of a generated ``calm`` trace with a
+    chosen batch scheduling policy; ``--out FILE`` also captures the run as
+    a replayable trace artifact.
 ``repro-scheduler trace``
     Generate and replay dynamic workload traces: ``trace generate``
     produces a synthetic scenario family (calm / bursty / diurnal /
@@ -26,13 +27,13 @@ be driven without writing Python:
     budget, optionally one worker process per policy.
 ``repro-scheduler serve``
     Stand the warm scheduler up as a live wall-clock service behind the
-    TCP/JSON line protocol, with a bounded submission queue and
-    shed/degrade overload handling.
+    TCP/JSON line protocol, on a generated trace's machine park, with a
+    bounded submission queue and shed/degrade overload handling.
 ``repro-scheduler loadgen``
     Replay a trace family open-loop against a live service (an in-process
-    one by default, or ``--connect host:port``) at a shaped rate
-    multiplier, and print the load report next to the service's final
-    metrics snapshot.  ``--soak`` replays a multi-minute ramp
+    one on the trace's own park by default, or ``--connect host:port``) at
+    a shaped rate multiplier, and print the load report next to the
+    service's final metrics snapshot.  ``--soak`` replays a multi-minute ramp
     (``REPRO_SOAK_SECONDS``); ``--metrics-port``/``--trace-out`` turn the
     observability layer on.
 ``repro-scheduler obs``
@@ -53,16 +54,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro.baselines import (
-    GAConfig,
-    GenerationalGA,
-    PanmicticMA,
-    SimulatedAnnealingScheduler,
-    SteadyStateGA,
-    StruggleGA,
-    TabuSearchScheduler,
-)
-from repro.core import CellularMemeticAlgorithm, CMAConfig, IslandConfig, TerminationCriteria
+from repro.core import IslandConfig, TerminationCriteria
 from repro.core.config import (
     ACTIVATION_MODES,
     EMIGRANT_SELECTIONS,
@@ -76,7 +68,6 @@ from repro.core.config import (
     ServiceConfig,
     TraceConfig,
 )
-from repro.engine.service import EvaluationEngine
 from repro.experiments.reporting import format_mapping, format_table
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -99,12 +90,7 @@ from repro.experiments.tables import (
     table1_configuration,
 )
 from repro.experiments.tuning import ALL_SWEEPS, TuningSettings
-from repro.grid import (
-    GridSimulator,
-    PoissonArrivalModel,
-    SimulationConfig,
-    StaticResourceModel,
-)
+from repro.grid import GridMachine, GridSimulator, SimulationConfig
 from repro.grid.service import DynamicSchedulerService
 from repro.heuristics import build_schedule, list_heuristics
 from repro.obs import (
@@ -137,21 +123,11 @@ from repro.utils.validation import check_positive
 
 __all__ = ["build_parser", "main"]
 
-#: Algorithms addressable from ``repro-scheduler solve --algorithm``.
-ALGORITHMS = (
-    "cma",
-    "braun_ga",
-    "carretero_xhafa_ga",
-    "struggle_ga",
-    "panmictic_ma",
-    "simulated_annealing",
-    "tabu_search",
-)
-
 TABLES = ("table1", "table2", "table3", "table4", "table5", "robustness")
 
-#: Spec builders addressable from ``repro-scheduler islands --algorithm``.
-ISLAND_SPECS = {
+#: Spec builders addressable from ``solve --algorithm`` and
+#: ``islands --algorithm``: both run the configs the tables and sweeps run.
+ALGORITHMS = {
     "cma": cma_spec,
     "braun_ga": braun_ga_spec,
     "carretero_xhafa_ga": steady_state_ga_spec,
@@ -240,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_instance_arguments(islands)
     islands.add_argument(
-        "--algorithm", choices=sorted(ISLAND_SPECS), default="cma",
+        "--algorithm", choices=ALGORITHMS, default="cma",
         help="what runs inside every island",
     )
     islands.add_argument("--islands", type=int, default=4, help="number of islands (default 4)")
@@ -371,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--seed", type=int, default=2007)
 
     def add_service_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--machines", type=int, default=8, help="size of the machine park")
+        sub.add_argument(
+            "--machines", type=int, default=8,
+            help="machine park size of the generated trace (default 8; "
+            "a replayed --trace brings its own park)",
+        )
         sub.add_argument(
             "--capacity", type=int, default=4096,
             help="submission-queue bound; arrivals beyond it are shed (default 4096)",
@@ -541,38 +521,6 @@ def _load_instance(args: argparse.Namespace):
     )
 
 
-def _build_algorithm(name: str, instance, termination, seed: int):
-    # Every CLI run is constructed through one shared evaluation engine, so
-    # the printed evaluation counts, timings and history all come from the
-    # same per-run service regardless of the algorithm chosen.
-    engine = EvaluationEngine(instance)
-    if name == "cma":
-        return CellularMemeticAlgorithm(
-            instance, CMAConfig.paper_defaults(termination), rng=seed, engine=engine
-        )
-    if name == "braun_ga":
-        return GenerationalGA(
-            instance,
-            GAConfig.fast_defaults(),
-            termination=termination,
-            rng=seed,
-            engine=engine,
-        )
-    if name == "carretero_xhafa_ga":
-        return SteadyStateGA(instance, termination=termination, rng=seed, engine=engine)
-    if name == "struggle_ga":
-        return StruggleGA(instance, termination=termination, rng=seed, engine=engine)
-    if name == "panmictic_ma":
-        return PanmicticMA(instance, termination=termination, rng=seed, engine=engine)
-    if name == "simulated_annealing":
-        return SimulatedAnnealingScheduler(
-            instance, termination=termination, rng=seed, engine=engine
-        )
-    if name == "tabu_search":
-        return TabuSearchScheduler(instance, termination=termination, rng=seed, engine=engine)
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
 # --------------------------------------------------------------------------- #
 # Subcommand implementations
 # --------------------------------------------------------------------------- #
@@ -581,8 +529,8 @@ def _command_solve(args: argparse.Namespace) -> int:
     termination = TerminationCriteria(
         max_seconds=args.seconds, max_iterations=args.iterations
     )
-    algorithm = _build_algorithm(args.algorithm, instance, termination, args.seed)
-    result = algorithm.run()
+    spec = ALGORITHMS[args.algorithm]()
+    result = spec.build(instance, termination, rng=args.seed).run()
     print(
         format_mapping(
             {
@@ -686,7 +634,7 @@ def _command_islands(args: argparse.Namespace) -> int:
         emigrant_selection=args.selection,
         workers=args.workers,
     )
-    spec = ISLAND_SPECS[args.algorithm]()
+    spec = ALGORITHMS[args.algorithm]()
     model = IslandModel(instance, spec, config, termination, rng=args.seed)
     result = model.run()
 
@@ -745,14 +693,14 @@ def _activation_policy(args: argparse.Namespace) -> ActivationPolicy | None:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    jobs = PoissonArrivalModel(rate=args.rate, duration=args.duration).generate(rng=args.seed)
-    machines = StaticResourceModel(nb_machines=args.machines).generate(rng=args.seed)
     policy = policy_spec_from_name(
         args.policy, max_seconds=args.budget, max_stagnant_iterations=args.stagnation
     ).build()
-    simulator = GridSimulator(
-        jobs,
-        machines,
+    simulator = GridSimulator.from_trace(
+        generate_trace(
+            TraceConfig(duration=args.duration, rate=args.rate, nb_machines=args.machines),
+            seed=args.seed,
+        ),
         policy,
         SimulationConfig(
             activation_interval=args.interval, activation=_activation_policy(args)
@@ -855,8 +803,10 @@ _TRACE_COMMANDS = {
 }
 
 
-def _service_core(args: argparse.Namespace) -> SchedulerCore:
-    """The shared ``serve``/``loadgen`` core: machine park + warm scheduler.
+def _service_core(
+    args: argparse.Namespace, machines: Sequence[GridMachine]
+) -> SchedulerCore:
+    """The shared ``serve``/``loadgen`` core: the warm scheduler on *machines*.
 
     ``--metrics-port``/``--trace-out`` turn observability on: one shared
     :class:`~repro.obs.MetricsRegistry` is threaded through the warm
@@ -891,7 +841,6 @@ def _service_core(args: argparse.Namespace) -> SchedulerCore:
     observed = args.metrics_port is not None or args.trace_out
     registry = MetricsRegistry() if observed else None
     trace_log = TraceLog(args.trace_out) if args.trace_out else None
-    machines = StaticResourceModel(nb_machines=args.machines).generate(rng=args.seed)
     scheduler = DynamicSchedulerService(
         max_seconds=args.budget,
         max_iterations=25,
@@ -909,7 +858,9 @@ def _service_core(args: argparse.Namespace) -> SchedulerCore:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    core = _service_core(args)
+    # serve replays nothing: its park is a generated trace's.
+    trace = generate_trace(TraceConfig(nb_machines=args.machines), seed=args.seed)
+    core = _service_core(args, trace.to_machines())
 
     async def run() -> None:
         server = SchedulerServer(
@@ -981,7 +932,8 @@ def _command_loadgen(args: argparse.Namespace) -> int:
         return report, snapshot
 
     async def run_local():
-        core = _service_core(args)
+        # The park the trace's load was drawn for.
+        core = _service_core(args, trace.to_machines())
         generator = LoadGenerator(trace, profile, registry=core.registry)
         server = SchedulerServer(core, metrics_port=args.metrics_port)
         await server.start()

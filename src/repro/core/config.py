@@ -937,15 +937,6 @@ class LoadProfile:
         check_positive("base_multiplier", self.base_multiplier)
         check_probability("step_at", self.step_at)
 
-    def multiplier_at(self, fraction: float) -> float:
-        """The rate multiplier at *fraction* (in ``[0, 1]``) of the stream."""
-        fraction = min(1.0, max(0.0, float(fraction)))
-        if self.shape == "constant":
-            return self.multiplier
-        if self.shape == "step":
-            return self.base_multiplier if fraction < self.step_at else self.multiplier
-        return self.base_multiplier + fraction * (self.multiplier - self.base_multiplier)
-
     def wall_offsets(self, arrivals: "np.ndarray") -> "np.ndarray":
         """Planned wall-clock submission offsets for sorted trace *arrivals*.
 

@@ -114,11 +114,6 @@ class ExperimentSettings:
         return replace(self, **changes)
 
     @classmethod
-    def laptop_scale(cls) -> "ExperimentSettings":
-        """Defaults used by the test-suite and the benchmark harness."""
-        return cls()
-
-    @classmethod
     def paper_scale(cls) -> "ExperimentSettings":
         """The paper's protocol: 512 × 16 instances, 10 runs of 90 seconds."""
         return cls(

@@ -21,14 +21,6 @@ from repro.grid.scheduler import (
 )
 from repro.grid.service import DynamicSchedulerService, ServiceStats, WarmCMAPolicy
 from repro.grid.simulator import GridSimulator, SimulationConfig
-from repro.grid.workload import (
-    ArrivalModel,
-    BurstyArrivalModel,
-    ChurningResourceModel,
-    PoissonArrivalModel,
-    ResourceModel,
-    StaticResourceModel,
-)
 
 __all__ = [
     "ActivationPolicy",
@@ -53,10 +45,4 @@ __all__ = [
     "WarmCMAPolicy",
     "GridSimulator",
     "SimulationConfig",
-    "ArrivalModel",
-    "PoissonArrivalModel",
-    "BurstyArrivalModel",
-    "ResourceModel",
-    "StaticResourceModel",
-    "ChurningResourceModel",
 ]

@@ -106,13 +106,6 @@ class Schedule:
         return arr
 
     @classmethod
-    def from_assignment(
-        cls, instance: SchedulingInstance, assignment: np.ndarray | Iterable[int]
-    ) -> "Schedule":
-        """Build a schedule from an explicit assignment vector."""
-        return cls(instance, assignment)
-
-    @classmethod
     def random(cls, instance: SchedulingInstance, rng: RNGLike = None) -> "Schedule":
         """Build a uniformly random schedule."""
         gen = as_generator(rng)

@@ -1,5 +1,8 @@
 """Deterministic scenario-family generators for synthetic arrival traces.
 
+:func:`generate_trace` is the one generator of synthetic job streams and
+machine parks: ``simulate``, ``serve``, ``loadgen`` and ``trace generate``,
+the replay arena, the benchmarks and the examples all draw through it.
 Each family maps a :class:`~repro.core.config.TraceConfig` plus a seed to a
 :class:`~repro.traces.format.Trace` through independent substreams derived
 with ``SeedSequence.spawn`` (:func:`repro.utils.rng.spawn_seed_sequences`):
@@ -49,7 +52,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.config import TRACE_FAMILIES, TraceConfig
-from repro.grid.workload import TASK_SIZE_HIGH, sample_mips, sample_workloads
 from repro.traces.format import Trace
 from repro.utils.rng import RNGLike, as_generator, spawn_seed_sequences
 
@@ -177,6 +179,29 @@ def _flash_crowd_arrivals(
 # --------------------------------------------------------------------------- #
 # Job sizes and machine park
 # --------------------------------------------------------------------------- #
+#: Upper bound of the uniform job-size draw (x1e3 MI) per hi/lo task
+#: heterogeneity — the single source of the ETC benchmark's size ranges.
+TASK_SIZE_HIGH = {"hi": 3000.0, "lo": 100.0}
+
+#: Upper bound of the uniform capacity draw (x10 MIPS) per hi/lo machine
+#: heterogeneity.
+MACHINE_MIPS_HIGH = {"hi": 1000.0, "lo": 10.0}
+
+
+def sample_workloads(
+    count: int, heterogeneity: str, rng: np.random.Generator
+) -> np.ndarray:
+    """Job sizes following the hi/lo task-heterogeneity ranges of the benchmark."""
+    high = TASK_SIZE_HIGH[heterogeneity]
+    return rng.uniform(1.0, high, size=count) * 1e3  # millions of instructions
+
+
+def sample_mips(count: int, heterogeneity: str, rng: np.random.Generator) -> np.ndarray:
+    """Machine capacities following the hi/lo machine-heterogeneity ranges."""
+    high = MACHINE_MIPS_HIGH[heterogeneity]
+    return rng.uniform(1.0, high, size=count) * 10.0  # MIPS
+
+
 def _pareto_sizes(
     count: int, config: TraceConfig, gen: np.random.Generator
 ) -> np.ndarray:

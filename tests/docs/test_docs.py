@@ -53,6 +53,22 @@ def test_checker_catches_failing_examples(check_docs, tmp_path):
     assert len(problems) == 1
 
 
+def test_checker_catches_stale_imports(check_docs, tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "```python\n"
+        "from repro.grid import GridSimulator, PoissonArrivalModel\n"
+        "from repro.traces import generate_trace\n"
+        "import repro.grid.workload\n"
+        "jobs = PoissonArrivalModel().generate(rng=7)\n"
+        "```\n"
+    )
+    problems = check_docs.run_examples(page)
+    assert len(problems) == 2
+    assert "PoissonArrivalModel from repro.grid" in problems[0]
+    assert "repro.grid.workload" in problems[1]
+
+
 @pytest.mark.parametrize(
     "path",
     sorted((REPO_ROOT / "examples").glob("*.py")),

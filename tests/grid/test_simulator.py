@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.config import ActivationPolicy
+from repro.core.config import ActivationPolicy, TraceConfig
 from repro.grid.job import GridJob, JobState
 from repro.grid.machine import GridMachine
 from repro.grid.scheduler import HeuristicBatchPolicy
 from repro.grid.service import WarmCMAPolicy
 from repro.grid.simulator import GridSimulator, SimulationConfig
-from repro.grid.workload import PoissonArrivalModel, StaticResourceModel
 from repro.model.instance import SchedulingInstance
+from repro.traces import generate_trace
 
 
 def simple_jobs(count=10, workload=100.0, spacing=1.0):
@@ -283,15 +283,23 @@ class TestMachineEventLog:
         assert [(e.time, e.event) for e in churny] == [(3.0, "join"), (7.0, "leave")]
 
 
-class TestEndToEndWithModels:
+class TestEndToEndWithTraces:
     def test_generated_workload_completes_with_cma_policy(self):
-        jobs = PoissonArrivalModel(rate=0.8, duration=30.0, heterogeneity="lo").generate(rng=6)
-        machines = StaticResourceModel(nb_machines=3, heterogeneity="lo").generate(rng=6)
+        trace = generate_trace(
+            TraceConfig(
+                duration=30.0,
+                rate=0.8,
+                nb_machines=3,
+                job_heterogeneity="lo",
+                machine_heterogeneity="lo",
+            ),
+            seed=6,
+        )
         policy = WarmCMAPolicy(warm=False, max_seconds=0.05, max_iterations=5)
-        metrics = GridSimulator(
-            jobs, machines, policy, SimulationConfig(activation_interval=10.0), rng=6
+        metrics = GridSimulator.from_trace(
+            trace, policy, SimulationConfig(activation_interval=10.0), rng=6
         ).run()
-        assert metrics.completed_jobs == len(jobs)
+        assert metrics.completed_jobs == trace.nb_jobs
         assert metrics.policy == "cma"
         assert metrics.nb_activations >= 1
 

@@ -14,7 +14,7 @@ Covers the correctness properties the service promises:
 import numpy as np
 import pytest
 
-from repro.core.config import CMAConfig
+from repro.core.config import CMAConfig, TraceConfig
 from repro.engine.batch import BatchEvaluator
 from repro.grid import (
     DynamicSchedulerService,
@@ -22,13 +22,12 @@ from repro.grid import (
     GridMachine,
     GridSimulator,
     HeuristicBatchPolicy,
-    PoissonArrivalModel,
     SimulationConfig,
-    StaticResourceModel,
     WarmCMAPolicy,
 )
 from repro.heuristics.base import build_schedule
 from repro.model.instance import SchedulingInstance
+from repro.traces import generate_trace
 
 
 def batch_instance(job_ids, machine_ids, rng_seed=5, name="batch"):
@@ -241,9 +240,10 @@ class TestDegenerateBatches:
 
 class TestWarmPolicyEndToEnd:
     def test_rolling_horizon_simulation_completes_with_churn(self):
-        jobs = PoissonArrivalModel(rate=1.0, duration=30.0, heterogeneity="lo").generate(
-            rng=9
-        )
+        jobs = generate_trace(
+            TraceConfig(duration=30.0, rate=1.0, nb_machines=3, job_heterogeneity="lo"),
+            seed=9,
+        ).jobs
         machines = [
             GridMachine(machine_id=0, mips=40.0),
             GridMachine(machine_id=1, mips=30.0),

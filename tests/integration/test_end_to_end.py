@@ -20,6 +20,7 @@ from repro import (
     build_schedule,
 )
 from repro.baselines import GAConfig, GenerationalGA, StruggleGA, StruggleGAConfig
+from repro.core.config import TraceConfig
 from repro.experiments import (
     ExperimentSettings,
     cma_spec,
@@ -29,12 +30,11 @@ from repro.experiments import (
 from repro.grid import (
     GridSimulator,
     HeuristicBatchPolicy,
-    PoissonArrivalModel,
     SimulationConfig,
-    StaticResourceModel,
     WarmCMAPolicy,
 )
 from repro.model.io import load_instance, save_instance
+from repro.traces import generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -85,36 +85,44 @@ class TestStaticPipeline:
         assert schedule_a.makespan == pytest.approx(schedule_b.makespan)
 
 
+def lo_trace(duration, rate, nb_machines, seed):
+    """A calm stream of lo-heterogeneity jobs on a lo-heterogeneity park."""
+    return generate_trace(
+        TraceConfig(
+            duration=duration,
+            rate=rate,
+            nb_machines=nb_machines,
+            job_heterogeneity="lo",
+            machine_heterogeneity="lo",
+        ),
+        seed=seed,
+    )
+
+
 class TestDynamicPipeline:
     def test_cma_policy_dynamic_simulation(self):
-        jobs = PoissonArrivalModel(rate=1.0, duration=40.0, heterogeneity="lo").generate(rng=4)
-        machines = StaticResourceModel(nb_machines=4, heterogeneity="lo").generate(rng=4)
-        cma_metrics = GridSimulator(
-            jobs,
-            machines,
+        trace = lo_trace(duration=40.0, rate=1.0, nb_machines=4, seed=4)
+        cma_metrics = GridSimulator.from_trace(
+            trace,
             WarmCMAPolicy(warm=False, max_seconds=0.05, max_iterations=8),
             SimulationConfig(activation_interval=10.0),
             rng=4,
         ).run()
-        olb_metrics = GridSimulator(
-            jobs,
-            machines,
+        olb_metrics = GridSimulator.from_trace(
+            trace,
             HeuristicBatchPolicy("olb"),
             SimulationConfig(activation_interval=10.0),
             rng=4,
         ).run()
-        assert cma_metrics.completed_jobs == len(jobs)
-        assert olb_metrics.completed_jobs == len(jobs)
+        assert cma_metrics.completed_jobs == trace.nb_jobs
+        assert olb_metrics.completed_jobs == trace.nb_jobs
         # The metaheuristic batch scheduler should not lose to blind load
         # balancing on the batch makespan metric.
         assert cma_metrics.makespan <= olb_metrics.makespan * 1.05
 
     def test_activation_records_expose_scheduler_cost(self):
-        jobs = PoissonArrivalModel(rate=0.5, duration=30.0, heterogeneity="lo").generate(rng=5)
-        machines = StaticResourceModel(nb_machines=3, heterogeneity="lo").generate(rng=5)
-        metrics = GridSimulator(
-            jobs,
-            machines,
+        metrics = GridSimulator.from_trace(
+            lo_trace(duration=30.0, rate=0.5, nb_machines=3, seed=5),
             WarmCMAPolicy(warm=False, max_seconds=0.02, max_iterations=3),
             SimulationConfig(activation_interval=10.0),
             rng=5,

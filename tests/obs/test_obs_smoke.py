@@ -23,7 +23,6 @@ from repro.core.config import (
     TraceConfig,
 )
 from repro.grid.service import DynamicSchedulerService
-from repro.grid.workload import StaticResourceModel
 from repro.obs import (
     MetricsRegistry,
     TraceLog,
@@ -54,7 +53,7 @@ def overload_trace():
     return rescale_trace(trace, 2.0)
 
 
-def make_server(registry, trace_log):
+def make_server(trace, registry, trace_log):
     config = ServiceConfig(
         queue_capacity=CAPACITY,
         degrade_threshold=24,
@@ -64,7 +63,6 @@ def make_server(registry, trace_log):
             backlog_threshold=12, min_interval=0.15, max_interval=0.25
         ),
     )
-    machines = StaticResourceModel(nb_machines=8).generate(rng=11)
     scheduler = DynamicSchedulerService(
         max_seconds=0.05,
         max_iterations=10,
@@ -72,7 +70,7 @@ def make_server(registry, trace_log):
         registry=registry,
     )
     core = SchedulerCore(
-        machines,
+        trace.to_machines(),
         scheduler,
         config,
         rng=11,
@@ -106,12 +104,13 @@ def test_live_scrape_under_load_and_trace_account(tmp_path):
     trace_log = TraceLog(trace_path)
 
     async def run():
-        server = make_server(registry, trace_log)
+        trace = overload_trace()
+        server = make_server(trace, registry, trace_log)
         await server.start()
         assert server.metrics_address is not None
 
         generator = LoadGenerator(
-            overload_trace(), LoadProfile(multiplier=2.0), registry=registry
+            trace, LoadProfile(multiplier=2.0), registry=registry
         )
         load_task = asyncio.create_task(generator.run(server.submit))
         # Scrape mid-load, like a real Prometheus cadence would.

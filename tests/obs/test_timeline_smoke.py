@@ -22,7 +22,6 @@ from repro.core.config import (
     TraceConfig,
 )
 from repro.grid.service import DynamicSchedulerService
-from repro.grid.workload import StaticResourceModel
 from repro.obs import (
     TraceLog,
     attribution_rows,
@@ -50,7 +49,7 @@ def burst_trace():
     return rescale_trace(trace, 2.0)
 
 
-def make_server(trace_log):
+def make_server(trace, trace_log):
     config = ServiceConfig(
         queue_capacity=256,
         activation_interval=0.25,
@@ -58,13 +57,14 @@ def make_server(trace_log):
             backlog_threshold=12, min_interval=0.1, max_interval=0.25
         ),
     )
-    machines = StaticResourceModel(nb_machines=4).generate(rng=5)
     scheduler = DynamicSchedulerService(
         max_seconds=0.03,
         max_iterations=10,
         max_stagnant_iterations=3,
     )
-    core = SchedulerCore(machines, scheduler, config, rng=5, trace_log=trace_log)
+    core = SchedulerCore(
+        trace.to_machines(), scheduler, config, rng=5, trace_log=trace_log
+    )
     return SchedulerServer(core)
 
 
@@ -73,9 +73,10 @@ def test_live_job_tracing_reconciles_with_the_loadgen_report(tmp_path, capsys):
     trace_log = TraceLog(trace_path)
 
     async def run():
-        server = make_server(trace_log)
+        trace = burst_trace()
+        server = make_server(trace, trace_log)
         await server.start()
-        generator = LoadGenerator(burst_trace(), LoadProfile(multiplier=1.0))
+        generator = LoadGenerator(trace, LoadProfile(multiplier=1.0))
         report = await generator.run(server.submit)
         for _ in range(100):
             if server.snapshot().backlog == 0:

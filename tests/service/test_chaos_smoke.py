@@ -30,7 +30,6 @@ from repro.core.config import (
     TraceConfig,
 )
 from repro.grid.service import DynamicSchedulerService
-from repro.grid.workload import StaticResourceModel
 from repro.obs import TraceLog, build_timelines
 from repro.service import (
     FaultInjector,
@@ -46,7 +45,7 @@ CAPACITY = 256
 MACHINES = 4
 
 
-def make_server(trace_log=None):
+def make_server(trace, trace_log=None):
     config = ServiceConfig(
         queue_capacity=CAPACITY,
         degrade_threshold=128,
@@ -56,14 +55,15 @@ def make_server(trace_log=None):
             backlog_threshold=8, min_interval=0.1, max_interval=0.25
         ),
     )
-    machines = StaticResourceModel(nb_machines=MACHINES).generate(rng=11)
     scheduler = DynamicSchedulerService(
         max_seconds=0.05,
         max_iterations=10,
         max_stagnant_iterations=3,
     )
     return SchedulerServer(
-        SchedulerCore(machines, scheduler, config, rng=11, trace_log=trace_log)
+        SchedulerCore(
+            trace.to_machines(), scheduler, config, rng=11, trace_log=trace_log
+        )
     )
 
 
@@ -71,9 +71,6 @@ def test_chaos_faults_recover_without_losing_jobs():
     buffer = io.StringIO()
 
     async def run():
-        server = make_server(TraceLog(buffer))
-        await server.start()
-
         # ~3 s of wall-clock open-loop load (6 simulated seconds at 2x)
         # with aggressive fault pressure underneath: every non-anchor
         # machine breaks about once a second and stays down ~0.3 s.
@@ -81,6 +78,8 @@ def test_chaos_faults_recover_without_losing_jobs():
             TraceConfig(family="calm", duration=6.0, rate=10.0, nb_machines=MACHINES),
             seed=20070325,
         )
+        server = make_server(trace, TraceLog(buffer))
+        await server.start()
         generator = LoadGenerator(trace, LoadProfile(multiplier=2.0))
         injector = FaultInjector(server.core, mtbf=1.0, mttr=0.3, seed=3)
         chaos_task = asyncio.create_task(injector.run(3.5))

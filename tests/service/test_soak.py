@@ -33,7 +33,6 @@ from repro.core.config import (
     TraceConfig,
 )
 from repro.grid.service import DynamicSchedulerService
-from repro.grid.workload import StaticResourceModel
 from repro.service import LoadGenerator, SchedulerCore, SchedulerServer
 from repro.traces import generate_trace, rescale_trace
 
@@ -64,7 +63,7 @@ def overload_trace():
     return rescale_trace(trace, 2.0)
 
 
-def make_server():
+def make_server(trace):
     config = ServiceConfig(
         queue_capacity=CAPACITY,
         degrade_threshold=32,
@@ -74,22 +73,24 @@ def make_server():
             backlog_threshold=16, min_interval=MIN_INTERVAL, max_interval=0.25
         ),
     )
-    machines = StaticResourceModel(nb_machines=8).generate(rng=11)
     scheduler = DynamicSchedulerService(
         max_seconds=0.05,
         max_iterations=10,
         max_stagnant_iterations=3,
     )
-    return SchedulerServer(SchedulerCore(machines, scheduler, config, rng=11))
+    return SchedulerServer(
+        SchedulerCore(trace.to_machines(), scheduler, config, rng=11)
+    )
 
 
 def test_soak_overload_shed_degrade_and_recover():
     async def run():
-        server = make_server()
+        trace = overload_trace()
+        server = make_server(trace)
         await server.start()
 
         # ~6 s of wall-clock open-loop load: the 12 s rescaled trace at 2x.
-        generator = LoadGenerator(overload_trace(), LoadProfile(multiplier=2.0))
+        generator = LoadGenerator(trace, LoadProfile(multiplier=2.0))
         report = await generator.run(server.submit)
 
         # The generator observed real backpressure, open-loop: it never
@@ -152,8 +153,6 @@ def test_sustained_soak_ramp_through_nominal_load():
     seconds = float(os.environ["REPRO_SOAK_SECONDS"])
 
     async def run():
-        server = make_server()
-        await server.start()
         trace = generate_trace(
             TraceConfig(
                 family="calm",
@@ -163,6 +162,8 @@ def test_sustained_soak_ramp_through_nominal_load():
             ),
             seed=20070325,
         )
+        server = make_server(trace)
+        await server.start()
         generator = LoadGenerator(trace, LoadProfile.soak())
         report = await generator.run(server.submit)
         for _ in range(200):

@@ -212,6 +212,31 @@ class TestSimulateCommand:
         code = main(["simulate", "--policy", "nonsense", "--duration", "5"])
         assert code == 2
 
+    def test_out_saves_the_generated_calm_trace(self, tmp_path, capsys):
+        """simulate replays generate_trace's calm stream and park as drawn."""
+        out = tmp_path / "run.npz"
+        code = main(
+            [
+                "simulate", "--policy", "mct", "--rate", "2", "--duration", "15",
+                "--machines", "3", "--seed", "4", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        from repro.core.config import TraceConfig
+        from repro.traces import generate_trace, load_trace
+
+        saved = load_trace(out)
+        drawn = generate_trace(
+            TraceConfig(family="calm", duration=15.0, rate=2.0, nb_machines=3), seed=4
+        )
+        for column in (
+            "job_ids", "job_workloads", "job_arrivals", "machine_ids", "machine_mips",
+            "machine_joins", "machine_leaves", "machine_affinity_spreads",
+        ):
+            np.testing.assert_array_equal(
+                getattr(saved, column), getattr(drawn, column), err_msg=column
+            )
+
 
 class TestTraceCommand:
     def test_requires_subcommand(self):
@@ -496,6 +521,40 @@ class TestLoadgenCommand:
         )
         assert code == 0
         assert "open-loop load" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["generated", "saved"])
+    def test_local_core_runs_on_the_trace_park(self, source, tmp_path, monkeypatch, capsys):
+        """The in-process service schedules onto the park its trace was drawn for."""
+        import repro.cli as cli
+        from repro.core.config import TraceConfig
+        from repro.traces import generate_trace, load_trace
+
+        cores = []
+        build = cli._service_core
+
+        def spy(*args, **kwargs):
+            cores.append(build(*args, **kwargs))
+            return cores[-1]
+
+        monkeypatch.setattr(cli, "_service_core", spy)
+        run = ["loadgen", "--interval", "0.05", "--budget", "0.02", "--abort"]
+        if source == "generated":
+            trace = generate_trace(
+                TraceConfig(family="calm", duration=0.3, rate=20.0, nb_machines=3), seed=5
+            )
+            run += ["--duration", "0.3", "--rate", "20", "--machines", "3", "--seed", "5"]
+        else:
+            out = tmp_path / "t.npz"
+            main(["trace", "generate", "--duration", "0.3", "--rate", "20",
+                  "--machines", "3", "--seed", "4", "--out", str(out)])
+            trace = load_trace(out)
+            run += ["--trace", str(out)]
+        assert main(run) == 0
+        capsys.readouterr()
+        (core,) = cores
+        np.testing.assert_array_equal(
+            [machine.mips for machine in core.machines], trace.machine_mips
+        )
 
     def test_bad_connect_address_is_reported(self, capsys):
         code = main(

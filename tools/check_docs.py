@@ -8,7 +8,9 @@ Guards ``docs/*.md`` (and the README) against rot:
 * **examples** — every fenced ```python block containing ``>>>`` prompts is
   executed with :mod:`doctest`.  Blocks within one file share a namespace,
   in order, so later examples can build on earlier ones exactly as a reader
-  would run them.
+  would run them.  The other python blocks are not run (they may lean on
+  names a reader supplies), but every ``repro`` name they import must
+  still exist.
 
 Run from the repository root (CI does)::
 
@@ -19,7 +21,9 @@ Exits non-zero listing every failure; prints a one-line summary otherwise.
 
 from __future__ import annotations
 
+import ast
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -74,17 +78,50 @@ def check_links(path: Path) -> list[str]:
     return problems
 
 
+def _missing_imports(name: str, block: str) -> list[str]:
+    """The ``repro`` imports of one python block that no longer resolve."""
+    try:
+        tree = ast.parse(block)
+    except SyntaxError as error:
+        return [f"{name}: python block does not parse: {error}"]
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imports = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module, attribute in imports:
+            if module.partition(".")[0] != "repro":
+                continue
+            try:
+                loaded = importlib.import_module(module)
+                if attribute not in (None, "*") and not hasattr(loaded, attribute):
+                    # `from package import submodule` loads the submodule.
+                    importlib.import_module(f"{module}.{attribute}")
+            except ImportError:
+                target = module if attribute is None else f"{attribute} from {module}"
+                problems.append(f"{name}: stale import: {target}")
+    return problems
+
+
 def run_examples(path: Path) -> list[str]:
-    """Doctest failures from the fenced python examples of one file."""
+    """Doctest failures and stale imports of the fenced python blocks of one file."""
     text = path.read_text(encoding="utf-8")
-    blocks = [b for b in _FENCED_PYTHON.findall(text) if ">>>" in b]
+    name = _label(path)
+    results: list[str] = []
+    blocks = []
+    for block in _FENCED_PYTHON.findall(text):
+        if ">>>" in block:
+            blocks.append(block)
+        else:
+            results.extend(_missing_imports(name, block))
     if not blocks:
-        return []
+        return results
     source = "\n".join(blocks)
     parser = doctest.DocTestParser()
-    name = _label(path)
     test = parser.get_doctest(source, {}, name, name, 0)
-    results: list[str] = []
 
     class _Collector(doctest.DocTestRunner):
         def report_failure(self, out, test, example, got):  # noqa: N802
