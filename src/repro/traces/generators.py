@@ -52,6 +52,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.config import TRACE_FAMILIES, TraceConfig
+from repro.model.generator import MACHINE_HETEROGENEITY_RANGES, TASK_HETEROGENEITY_RANGES
 from repro.traces.format import Trace
 from repro.utils.rng import RNGLike, as_generator, spawn_seed_sequences
 
@@ -179,26 +180,17 @@ def _flash_crowd_arrivals(
 # --------------------------------------------------------------------------- #
 # Job sizes and machine park
 # --------------------------------------------------------------------------- #
-#: Upper bound of the uniform job-size draw (x1e3 MI) per hi/lo task
-#: heterogeneity — the single source of the ETC benchmark's size ranges.
-TASK_SIZE_HIGH = {"hi": 3000.0, "lo": 100.0}
-
-#: Upper bound of the uniform capacity draw (x10 MIPS) per hi/lo machine
-#: heterogeneity.
-MACHINE_MIPS_HIGH = {"hi": 1000.0, "lo": 10.0}
-
-
 def sample_workloads(
     count: int, heterogeneity: str, rng: np.random.Generator
 ) -> np.ndarray:
-    """Job sizes following the hi/lo task-heterogeneity ranges of the benchmark."""
-    high = TASK_SIZE_HIGH[heterogeneity]
+    """Job sizes following the hi/lo task-heterogeneity ranges of the ETC benchmark."""
+    high = TASK_HETEROGENEITY_RANGES[heterogeneity]
     return rng.uniform(1.0, high, size=count) * 1e3  # millions of instructions
 
 
 def sample_mips(count: int, heterogeneity: str, rng: np.random.Generator) -> np.ndarray:
     """Machine capacities following the hi/lo machine-heterogeneity ranges."""
-    high = MACHINE_MIPS_HIGH[heterogeneity]
+    high = MACHINE_HETEROGENEITY_RANGES[heterogeneity]
     return rng.uniform(1.0, high, size=count) * 10.0  # MIPS
 
 
@@ -212,7 +204,7 @@ def _pareto_sizes(
     # Scale so the *median* matches the uniform family's median workload
     # (midpoint of the shared benchmark range, in MI): heavy tails should
     # change the shape of the distribution, not make every job bigger.
-    median_uniform = (1.0 + TASK_SIZE_HIGH[config.job_heterogeneity]) / 2.0 * 1e3
+    median_uniform = (1.0 + TASK_HETEROGENEITY_RANGES[config.job_heterogeneity]) / 2.0 * 1e3
     scale = median_uniform / 2.0 ** (1.0 / shape)
     return scale * (1.0 + gen.pareto(shape, size=count))
 

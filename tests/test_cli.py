@@ -523,7 +523,7 @@ class TestLoadgenCommand:
         assert "open-loop load" in capsys.readouterr().out
 
     @pytest.mark.parametrize("source", ["generated", "saved"])
-    def test_local_core_runs_on_the_trace_park(self, source, tmp_path, monkeypatch, capsys):
+    def test_local_core_runs_on_the_trace_park(self, source, tmp_path, monkeypatch):
         """The in-process service schedules onto the park its trace was drawn for."""
         import repro.cli as cli
         from repro.core.config import TraceConfig
@@ -550,7 +550,6 @@ class TestLoadgenCommand:
             trace = load_trace(out)
             run += ["--trace", str(out)]
         assert main(run) == 0
-        capsys.readouterr()
         (core,) = cores
         np.testing.assert_array_equal(
             [machine.mips for machine in core.machines], trace.machine_mips
