@@ -4,8 +4,9 @@
   GA of Table 2 (generational, elitist, Min-Min-seeded).
 * :class:`~repro.baselines.steady_state_ga.SteadyStateGA` — the Carretero &
   Xhafa steady-state GA of Table 3.
-* :class:`~repro.baselines.struggle_ga.StruggleGA` — Xhafa's Struggle GA of
-  Tables 3 and 5 (similarity-based replacement).
+* :class:`~repro.baselines.steady_state_ga.StruggleGA` — Xhafa's Struggle
+  GA of Tables 3 and 5: the steady-state GA with similarity-based
+  replacement.
 * :class:`~repro.baselines.cellular_ga.CellularGA` — the cMA without local
   search (cellular-structure-only ablation).
 * :class:`~repro.baselines.panmictic_ma.PanmicticMA` — the memetic algorithm
@@ -23,8 +24,7 @@ from repro.baselines.simulated_annealing import (
     SimulatedAnnealingConfig,
     SimulatedAnnealingScheduler,
 )
-from repro.baselines.steady_state_ga import SteadyStateGA, SteadyStateGAConfig
-from repro.baselines.struggle_ga import StruggleGA, StruggleGAConfig
+from repro.baselines.steady_state_ga import SteadyStateGA, SteadyStateGAConfig, StruggleGA
 from repro.baselines.tabu_search import TabuSearchConfig, TabuSearchScheduler
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "SteadyStateGA",
     "SteadyStateGAConfig",
     "StruggleGA",
-    "StruggleGAConfig",
     "CellularGA",
     "CellularGAConfig",
     "PanmicticMA",

@@ -1,13 +1,13 @@
-"""Common machinery shared by the baseline evolutionary schedulers.
+"""Common machinery shared by the population-based baseline schedulers.
 
 The paper compares the cMA against three previously published evolutionary
 schedulers (Braun et al.'s generational GA, Carretero & Xhafa's steady-state
 GA and Xhafa's Struggle GA).  None of those implementations is publicly
 available, so :mod:`repro.baselines` reimplements them from their published
 descriptions; this module holds the scaffolding they share — population
-bookkeeping, history recording and the common run loop driven by
-:class:`~repro.core.termination.TerminationCriteria` — so each baseline file
-only contains the algorithm-specific reproduction/replacement logic.
+seeding and best-so-far tracking on top of the
+:class:`~repro.core.search.Search` run loop — so each baseline file only
+contains the algorithm-specific reproduction/replacement logic.
 """
 
 from __future__ import annotations
@@ -15,31 +15,29 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
-from repro.core.cma import SchedulingResult
 from repro.core.crossover import OnePointCrossover
 from repro.core.individual import Individual
 from repro.core.mutation import MoveMutation
 from repro.core.population import individuals_from_batch
-from repro.core.termination import SearchState, TerminationCriteria
+from repro.core.search import Search
+from repro.core.termination import TerminationCriteria
 from repro.engine.service import EvaluationEngine
 from repro.model.instance import SchedulingInstance
-from repro.utils.rng import RNGLike, as_generator
+from repro.utils.rng import RNGLike
 
 __all__ = ["PopulationBasedScheduler"]
 
 
-class PopulationBasedScheduler(abc.ABC):
+class PopulationBasedScheduler(Search):
     """Template for population-based baseline schedulers.
 
     Subclasses implement :meth:`_iteration` (one generation or one steady-
     state step) and may override :meth:`_initialize_population`.  The base
-    class owns the run loop, the best-so-far tracking and the convergence
-    history, and produces the same :class:`~repro.core.cma.SchedulingResult`
-    as the cMA so that the experiment harness treats every algorithm alike.
+    class seeds the population and adopts a better population best after
+    every iteration; :class:`~repro.core.search.Search` owns the run loop
+    and the convergence history.
     """
 
-    #: Name reported in :class:`SchedulingResult.algorithm`; subclasses override.
-    algorithm_name: str = "baseline"
     #: The registered operators the GA baselines breed with, on :attr:`rng`.
     crossover = OnePointCrossover()
     mutation = MoveMutation()
@@ -57,19 +55,12 @@ class PopulationBasedScheduler(abc.ABC):
     ) -> None:
         if population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {population_size}")
-        self.instance = instance
-        self.population_size = int(population_size)
-        self.termination = termination
-        self.seeding_heuristic = seeding_heuristic
-        self.rng = as_generator(rng)
-        self.engine = (
-            engine if engine is not None else EvaluationEngine(instance, fitness_weight)
+        super().__init__(
+            instance, termination, fitness_weight=fitness_weight, rng=rng, engine=engine
         )
-        self.engine.set_weight(fitness_weight)
-        self.evaluator = self.engine.evaluator
-        self.history = self.engine.history
+        self.population_size = int(population_size)
+        self.seeding_heuristic = seeding_heuristic
         self.population: list[Individual] = []
-        self.best: Individual | None = None
 
     # ------------------------------------------------------------------ #
     # Hooks
@@ -100,54 +91,30 @@ class PopulationBasedScheduler(abc.ABC):
         return min(self.population, key=lambda ind: ind.fitness)
 
     @abc.abstractmethod
-    def _iteration(self, state: SearchState) -> bool:
+    def _iteration(self) -> bool:
         """Perform one iteration; return whether the population best improved."""
 
     # ------------------------------------------------------------------ #
-    # Run loop
+    # Search hooks
     # ------------------------------------------------------------------ #
-    def run(self) -> SchedulingResult:
-        """Execute the search until the termination criterion fires."""
-        self.engine.begin_run()
-        deadline = self.termination.make_deadline()
-        state = SearchState()
-
+    def _begin(self) -> Individual:
         self._setup_population()
-        self.best = self._population_best().copy()
-        state.evaluations = self.evaluator.evaluations
-        state.best_fitness = self.best.fitness
-        self._record(state)
+        return self._population_best().copy()
 
-        while not self.termination.should_stop(state, deadline):
-            improved = self._iteration(state)
-            current_best = self._population_best()
-            if current_best.fitness < self.best.fitness:
-                self.best = current_best.copy()
-                improved = True
-            state.evaluations = self.evaluator.evaluations
-            state.best_fitness = self.best.fitness
-            state.register_iteration(improved)
-            self._record(state)
+    def _iterate(self) -> bool:
+        improved = self._iteration()
+        current_best = self._population_best()
+        if current_best.fitness < self.best.fitness:
+            self.best = current_best.copy()
+            improved = True
+        return improved
 
-        return self.engine.build_result(
-            algorithm=self.algorithm_name,
-            best_schedule=self.best.schedule.copy(),
-            best_fitness=self.best.fitness,
-            state=state,
-            metadata={"population_size": self.population_size},
-        )
+    def _metadata(self) -> dict:
+        return {"population_size": self.population_size}
 
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def _record(self, state: SearchState) -> None:
-        self.engine.record(
-            state,
-            fitness=self.best.fitness,
-            makespan=self.best.makespan,
-            flowtime=self.best.flowtime,
-        )
-
     def _tournament(self, candidates: Sequence[Individual], size: int) -> Individual:
         """Pick the best of ``size`` uniformly sampled candidates."""
         pool = len(candidates)

@@ -6,18 +6,16 @@ cellular structure (toroidal mesh, neighborhood-restricted selection,
 asynchronous sweep, replace-if-better) but removes the memetic component so
 that ablation benchmarks can isolate the contribution of the local search.
 
-Rather than duplicating the machinery, the implementation wraps the real
+Rather than duplicating the machinery, the implementation is the real
 :class:`~repro.core.cma.CellularMemeticAlgorithm` with its local search set
-to the registered ``"none"`` method and the canonical cGA update (one
-recombination sweep over every cell per iteration, mutation applied to the
-offspring with a probability instead of running as an independent stream).
+to the registered ``"none"`` method, reporting under its own name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cma import CellularMemeticAlgorithm, SchedulingResult
+from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.config import CMAConfig
 from repro.core.termination import TerminationCriteria
 from repro.engine.service import EvaluationEngine
@@ -51,7 +49,7 @@ class CellularGAConfig:
         check_integer("population_width", self.population_width, minimum=1)
 
 
-class CellularGA:
+class CellularGA(CellularMemeticAlgorithm):
     """Cellular GA: the cMA of the paper with the local search switched off."""
 
     algorithm_name = "cellular_ga"
@@ -65,8 +63,7 @@ class CellularGA:
         rng: RNGLike = None,
         engine: EvaluationEngine | None = None,
     ) -> None:
-        self.config = config if config is not None else CellularGAConfig()
-        cfg = self.config
+        cfg = config if config is not None else CellularGAConfig()
         cma_config = CMAConfig(
             population_height=cfg.population_height,
             population_width=cfg.population_width,
@@ -83,10 +80,4 @@ class CellularGA:
             fitness_weight=cfg.fitness_weight,
             termination=termination,
         )
-        self._inner = CellularMemeticAlgorithm(instance, cma_config, rng=rng, engine=engine)
-
-    def run(self) -> SchedulingResult:
-        """Run the cellular GA and relabel the result with this baseline's name."""
-        result = self._inner.run()
-        result.algorithm = self.algorithm_name
-        return result
+        super().__init__(instance, cma_config, rng=rng, engine=engine)

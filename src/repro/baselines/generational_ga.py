@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.baselines.base import PopulationBasedScheduler
 from repro.core.individual import Individual
-from repro.core.termination import SearchState, TerminationCriteria
+from repro.core.termination import TerminationCriteria
 from repro.engine.service import EvaluationEngine
 from repro.model.instance import SchedulingInstance
 from repro.model.schedule import Schedule
@@ -86,7 +86,7 @@ class GenerationalGA(PopulationBasedScheduler):
             engine=engine,
         )
 
-    def _iteration(self, state: SearchState) -> bool:
+    def _iteration(self) -> bool:
         """One generation: elitism + offspring filling the rest of the population."""
         cfg = self.config
         ranked = sorted(self.population, key=lambda ind: ind.fitness)

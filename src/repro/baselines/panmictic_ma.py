@@ -25,7 +25,7 @@ from repro.core.individual import Individual
 from repro.core.local_search import get_local_search
 from repro.core.mutation import get_mutation
 from repro.core.population import ResidentGrid
-from repro.core.termination import SearchState, TerminationCriteria
+from repro.core.termination import TerminationCriteria
 from repro.engine.service import EvaluationEngine
 from repro.model.instance import SchedulingInstance
 from repro.utils.rng import RNGLike
@@ -115,7 +115,7 @@ class PanmicticMA(PopulationBasedScheduler):
     # ------------------------------------------------------------------ #
     # One steady-state iteration, batched
     # ------------------------------------------------------------------ #
-    def _iteration(self, state: SearchState) -> bool:
+    def _iteration(self) -> bool:
         cfg = self.config
         grid = self.resident
         nb_offspring = cfg.offspring_per_iteration

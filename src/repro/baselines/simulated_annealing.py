@@ -10,17 +10,20 @@ exponentially cooled Metropolis acceptance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cma import SchedulingResult
-from repro.core.termination import SearchState, TerminationCriteria
+from repro.core.individual import Individual
+from repro.core.search import Search
+from repro.core.termination import TerminationCriteria
 from repro.engine.service import EvaluationEngine
 from repro.heuristics.base import build_schedule
 from repro.model.instance import SchedulingInstance
-from repro.utils.rng import RNGLike, as_generator
-from repro.utils.validation import check_in_range, check_integer, check_positive, check_probability
+from repro.model.schedule import Schedule
+from repro.utils.rng import RNGLike
+from repro.utils.validation import check_in_range, check_integer, check_probability
 
 __all__ = ["SimulatedAnnealingConfig", "SimulatedAnnealingScheduler"]
 
@@ -44,7 +47,7 @@ class SimulatedAnnealingConfig:
         check_probability("fitness_weight", self.fitness_weight)
 
 
-class SimulatedAnnealingScheduler:
+class SimulatedAnnealingScheduler(Search):
     """Single-solution annealing over the move/swap neighborhood."""
 
     algorithm_name = "simulated_annealing"
@@ -58,18 +61,17 @@ class SimulatedAnnealingScheduler:
         rng: RNGLike = None,
         engine: EvaluationEngine | None = None,
     ) -> None:
-        self.instance = instance
         self.config = config if config is not None else SimulatedAnnealingConfig()
-        self.termination = termination
-        self.rng = as_generator(rng)
-        self.engine = (
-            engine
-            if engine is not None
-            else EvaluationEngine(instance, self.config.fitness_weight)
+        super().__init__(
+            instance,
+            termination,
+            fitness_weight=self.config.fitness_weight,
+            rng=rng,
+            engine=engine,
         )
-        self.engine.set_weight(self.config.fitness_weight)
-        self.evaluator = self.engine.evaluator
-        self.history = self.engine.history
+        self.current: Schedule | None = None
+        self.current_fitness = math.inf
+        self.temperature = math.inf
 
     def _initial_temperature(self, fitness: float) -> float:
         """Temperature at which a `initial_acceptance` relative worsening is accepted."""
@@ -98,60 +100,38 @@ class SimulatedAnnealingScheduler:
         else:
             schedule.move_job(a, b)
 
-    def run(self) -> SchedulingResult:
-        self.engine.begin_run()
-        deadline = self.termination.make_deadline()
-        state = SearchState()
+    def _begin(self) -> Individual:
+        self.current = build_schedule(
+            self.config.seeding_heuristic or "random", self.instance, self.rng
+        )
+        self.current_fitness = self.evaluator(self.current)
+        self.temperature = self._initial_temperature(self.current_fitness)
+        return Individual.of(self.current, self.current_fitness)
+
+    def _iterate(self) -> bool:
         cfg = self.config
+        current = self.current
+        improved = False
+        for _ in range(cfg.steps_per_iteration):
+            operation = self._propose(current)
+            candidate_fitness = self.evaluator.scalarize(
+                current.makespan, current.mean_flowtime
+            )
+            delta = candidate_fitness - self.current_fitness
+            if delta <= 0 or self.rng.random() < np.exp(
+                -delta / max(self.temperature, 1e-12)
+            ):
+                self.current_fitness = candidate_fitness
+                if candidate_fitness < self.best.fitness:
+                    self.best = Individual.of(current, candidate_fitness)
+                    improved = True
+            else:
+                self._undo(current, operation)
+        self.temperature *= cfg.cooling_rate
+        # One counted evaluation per accepted-state snapshot keeps the
+        # evaluation budget meaning comparable across algorithms.
+        self.evaluator(current)
+        return improved
 
-        if cfg.seeding_heuristic is not None:
-            current = build_schedule(cfg.seeding_heuristic, self.instance, self.rng)
-        else:
-            from repro.model.schedule import Schedule
-
-            current = Schedule.random(self.instance, self.rng)
-        current_fitness = self.evaluator(current)
-        best = current.copy()
-        best_fitness = current_fitness
-        temperature = self._initial_temperature(current_fitness)
-        state.evaluations = self.evaluator.evaluations
-        state.best_fitness = best_fitness
-        self._record(state, best, best_fitness)
-
-        while not self.termination.should_stop(state, deadline):
-            improved = False
-            for _ in range(cfg.steps_per_iteration):
-                operation = self._propose(current)
-                candidate_fitness = self.evaluator.scalarize(
-                    current.makespan, current.mean_flowtime
-                )
-                delta = candidate_fitness - current_fitness
-                if delta <= 0 or self.rng.random() < np.exp(-delta / max(temperature, 1e-12)):
-                    current_fitness = candidate_fitness
-                    if candidate_fitness < best_fitness:
-                        best = current.copy()
-                        best_fitness = candidate_fitness
-                        improved = True
-                else:
-                    self._undo(current, operation)
-            temperature *= cfg.cooling_rate
-            # One counted evaluation per accepted-state snapshot keeps the
-            # evaluation budget meaning comparable across algorithms.
-            self.evaluator(current)
-            state.evaluations = self.evaluator.evaluations
-            state.best_fitness = best_fitness
-            state.register_iteration(improved)
-            self._record(state, best, best_fitness)
-
-        return self.engine.build_result(
-            algorithm=self.algorithm_name,
-            best_schedule=best.copy(),
-            best_fitness=best_fitness,
-            state=state,
-            metadata={"cooling_rate": cfg.cooling_rate},
-        )
-
-    def _record(self, state, best, best_fitness) -> None:
-        self.engine.record(
-            state, fitness=best_fitness, makespan=best.makespan, flowtime=best.flowtime
-        )
+    def _metadata(self) -> dict:
+        return {"cooling_rate": self.config.cooling_rate}

@@ -13,12 +13,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.cma import SchedulingResult
-from repro.core.termination import SearchState, TerminationCriteria
+from repro.core.individual import Individual
+from repro.core.search import Search
+from repro.core.termination import TerminationCriteria
 from repro.engine.service import EvaluationEngine
 from repro.heuristics.base import build_schedule
 from repro.model.instance import SchedulingInstance
-from repro.utils.rng import RNGLike, as_generator
+from repro.model.schedule import Schedule
+from repro.utils.rng import RNGLike
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["TabuSearchConfig", "TabuSearchScheduler"]
@@ -39,7 +41,7 @@ class TabuSearchConfig:
         check_probability("fitness_weight", self.fitness_weight)
 
 
-class TabuSearchScheduler:
+class TabuSearchScheduler(Search):
     """Recency-based tabu search over single-job moves."""
 
     algorithm_name = "tabu_search"
@@ -53,91 +55,62 @@ class TabuSearchScheduler:
         rng: RNGLike = None,
         engine: EvaluationEngine | None = None,
     ) -> None:
-        self.instance = instance
         self.config = config if config is not None else TabuSearchConfig()
-        self.termination = termination
-        self.rng = as_generator(rng)
-        self.engine = (
-            engine
-            if engine is not None
-            else EvaluationEngine(instance, self.config.fitness_weight)
+        super().__init__(
+            instance,
+            termination,
+            fitness_weight=self.config.fitness_weight,
+            rng=rng,
+            engine=engine,
         )
-        self.engine.set_weight(self.config.fitness_weight)
-        self.evaluator = self.engine.evaluator
-        self.history = self.engine.history
+        self.current: Schedule | None = None
+        self.tabu: deque[tuple[int, int]] = deque(maxlen=self.config.tabu_tenure)
 
-    def run(self) -> SchedulingResult:
-        self.engine.begin_run()
-        deadline = self.termination.make_deadline()
-        state = SearchState()
-        cfg = self.config
+    def _begin(self) -> Individual:
+        self.current = build_schedule(
+            self.config.seeding_heuristic or "random", self.instance, self.rng
+        )
+        self.tabu.clear()
+        return Individual.of(self.current, self.evaluator(self.current))
 
-        if cfg.seeding_heuristic is not None:
-            current = build_schedule(cfg.seeding_heuristic, self.instance, self.rng)
-        else:
-            from repro.model.schedule import Schedule
-
-            current = Schedule.random(self.instance, self.rng)
-        best = current.copy()
-        best_fitness = self.evaluator(current)
-        tabu: deque[tuple[int, int]] = deque(maxlen=cfg.tabu_tenure)
-        state.evaluations = self.evaluator.evaluations
-        state.best_fitness = best_fitness
-        self._record(state, best, best_fitness)
-
+    def _iterate(self) -> bool:
+        current = self.current
         nb_jobs = self.instance.nb_jobs
         nb_machines = self.instance.nb_machines
+        # Candidate moves: random jobs (biased towards the makespan machine)
+        # to random destinations; pick the best admissible one.
+        best_move = None
+        best_move_fitness = float("inf")
+        overloaded = current.most_loaded_machine()
+        overloaded_jobs = current.machine_jobs(overloaded)
+        for _ in range(self.config.candidate_moves):
+            if overloaded_jobs.size and self.rng.random() < 0.5:
+                job = int(self.rng.choice(overloaded_jobs))
+            else:
+                job = int(self.rng.integers(nb_jobs))
+            source = int(current.assignment[job])
+            destination = int(self.rng.integers(nb_machines))
+            if destination == source:
+                continue
+            current.move_job(job, destination)
+            fitness = self.evaluator.scalarize(current.makespan, current.mean_flowtime)
+            current.move_job(job, source)
+            is_tabu = (job, destination) in self.tabu
+            aspired = fitness < self.best.fitness
+            if (not is_tabu or aspired) and fitness < best_move_fitness:
+                best_move_fitness = fitness
+                best_move = (job, source, destination)
 
-        while not self.termination.should_stop(state, deadline):
-            improved = False
-            # Candidate moves: random jobs (biased towards the makespan
-            # machine) to random destinations; pick the best admissible one.
-            best_move = None
-            best_move_fitness = float("inf")
-            overloaded = current.most_loaded_machine()
-            overloaded_jobs = current.machine_jobs(overloaded)
-            for _ in range(cfg.candidate_moves):
-                if overloaded_jobs.size and self.rng.random() < 0.5:
-                    job = int(self.rng.choice(overloaded_jobs))
-                else:
-                    job = int(self.rng.integers(nb_jobs))
-                source = int(current.assignment[job])
-                destination = int(self.rng.integers(nb_machines))
-                if destination == source:
-                    continue
-                current.move_job(job, destination)
-                fitness = self.evaluator.scalarize(current.makespan, current.mean_flowtime)
-                current.move_job(job, source)
-                is_tabu = (job, destination) in tabu
-                aspired = fitness < best_fitness
-                if (not is_tabu or aspired) and fitness < best_move_fitness:
-                    best_move_fitness = fitness
-                    best_move = (job, source, destination)
+        if best_move is None:
+            return False
+        job, source, destination = best_move
+        current.move_job(job, destination)
+        self.tabu.append((job, source))  # forbid moving the job back for a while
+        self.evaluator(current)
+        if best_move_fitness < self.best.fitness:
+            self.best = Individual.of(current, best_move_fitness)
+            return True
+        return False
 
-            if best_move is not None:
-                job, source, destination = best_move
-                current.move_job(job, destination)
-                tabu.append((job, source))  # forbid moving the job back for a while
-                self.evaluator(current)
-                if best_move_fitness < best_fitness:
-                    best = current.copy()
-                    best_fitness = best_move_fitness
-                    improved = True
-
-            state.evaluations = self.evaluator.evaluations
-            state.best_fitness = best_fitness
-            state.register_iteration(improved)
-            self._record(state, best, best_fitness)
-
-        return self.engine.build_result(
-            algorithm=self.algorithm_name,
-            best_schedule=best.copy(),
-            best_fitness=best_fitness,
-            state=state,
-            metadata={"tabu_tenure": cfg.tabu_tenure},
-        )
-
-    def _record(self, state, best, best_fitness) -> None:
-        self.engine.record(
-            state, fitness=best_fitness, makespan=best.makespan, flowtime=best.flowtime
-        )
+    def _metadata(self) -> dict:
+        return {"tabu_tenure": self.config.tabu_tenure}

@@ -22,9 +22,9 @@ be driven without writing Python:
 ``repro-scheduler trace``
     Generate and replay dynamic workload traces: ``trace generate``
     produces a synthetic scenario family (calm / bursty / diurnal /
-    heavy-tailed / flash-crowd), and ``trace replay`` runs the policy
-    arena — one trace against several policies at equal per-activation
-    budget, optionally one worker process per policy.
+    heavy-tailed / flash-crowd / flaky / deadline), and ``trace replay``
+    runs the policy arena — one trace against several policies at equal
+    per-activation budget, optionally one worker process per policy.
 ``repro-scheduler serve``
     Stand the warm scheduler up as a live wall-clock service behind the
     TCP/JSON line protocol, on a generated trace's machine park, with a
@@ -117,7 +117,6 @@ from repro.traces import (
     generate_trace,
     load_trace,
     policy_spec_from_name,
-    rescale_trace,
 )
 from repro.utils.validation import check_positive
 
@@ -1036,7 +1035,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, TypeError, RuntimeError) as error:
-        # TypeError: e.g. a non-steppable --algorithm combined with
+        # TypeError: e.g. an --algorithm without a resident grid combined with
         # migration; RuntimeError: island worker failures and timeouts;
         # OSError: missing files and refused/unreachable --connect targets.
         print(f"error: {error}", file=sys.stderr)

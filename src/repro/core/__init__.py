@@ -79,6 +79,7 @@ from repro.core.sweep import (
     get_sweep,
     list_sweeps,
 )
+from repro.core.search import Search
 from repro.core.termination import SearchState, TerminationCriteria
 
 __all__ = [
@@ -97,6 +98,7 @@ __all__ = [
     "Individual",
     "ResidentGrid",
     "PopulationInitializer",
+    "Search",
     "SearchState",
     "TerminationCriteria",
     # neighborhoods

@@ -56,6 +56,7 @@ from repro.core.mutation import get_mutation
 from repro.core.neighborhood import get_neighborhood
 from repro.core.population import PopulationInitializer, ResidentGrid
 from repro.core.replacement import get_replacement
+from repro.core.search import Search
 from repro.core.selection import NTournamentSelection, get_selection
 from repro.core.sweep import get_sweep
 from repro.core.termination import SearchState
@@ -63,7 +64,7 @@ from repro.engine.results import SchedulingResult
 from repro.engine.service import EvaluationEngine
 from repro.model.instance import SchedulingInstance
 from repro.model.schedule import Schedule
-from repro.utils.rng import RNGLike, as_generator
+from repro.utils.rng import RNGLike
 
 __all__ = ["SchedulingResult", "CellularMemeticAlgorithm"]
 
@@ -71,7 +72,7 @@ __all__ = ["SchedulingResult", "CellularMemeticAlgorithm"]
 IterationObserver = Callable[["CellularMemeticAlgorithm", SearchState], None]
 
 
-class CellularMemeticAlgorithm:
+class CellularMemeticAlgorithm(Search):
     """The paper's batch scheduler.
 
     Parameters
@@ -88,10 +89,8 @@ class CellularMemeticAlgorithm:
         and its :class:`~repro.core.termination.SearchState`; used by the
         tuning experiments to collect extra statistics (e.g. diversity).
     engine:
-        Optional shared :class:`~repro.engine.service.EvaluationEngine`.
-        The experiment harness and the CLI pass one in so that evaluation
-        counting, timing and convergence history flow through a single
-        per-run service; when omitted the algorithm creates its own.
+        Optional shared :class:`~repro.engine.service.EvaluationEngine`
+        (see :class:`~repro.core.search.Search`).
 
     Examples
     --------
@@ -104,6 +103,8 @@ class CellularMemeticAlgorithm:
     True
     """
 
+    algorithm_name = "cma"
+
     def __init__(
         self,
         instance: SchedulingInstance,
@@ -112,17 +113,16 @@ class CellularMemeticAlgorithm:
         observer: IterationObserver | None = None,
         engine: EvaluationEngine | None = None,
     ) -> None:
-        self.instance = instance
         self.config = config if config is not None else CMAConfig()
-        self.rng = as_generator(rng)
-        self.observer = observer
-
         cfg = self.config
-        self.engine = (
-            engine if engine is not None else EvaluationEngine(instance, cfg.fitness_weight)
+        super().__init__(
+            instance,
+            cfg.termination,
+            fitness_weight=cfg.fitness_weight,
+            rng=rng,
+            engine=engine,
         )
-        self.engine.set_weight(cfg.fitness_weight)
-        self.evaluator = self.engine.evaluator
+        self.observer = observer
         self.neighborhood = get_neighborhood(cfg.neighborhood)
         if cfg.selection == "n_tournament":
             self.selection = NTournamentSelection(cfg.tournament_size)
@@ -139,24 +139,17 @@ class CellularMemeticAlgorithm:
             perturbation_rate=cfg.perturbation_rate,
         )
 
-        # Run state (populated by start()/run()).
+        # Run state (populated by start()).
         self.grid: ResidentGrid | None = None
-        self.best: Individual | None = None
-        self.history = self.engine.history
-        self.state: SearchState | None = None
-        self._deadline = None
         self._neighbors: np.ndarray | None = None
         self._rec_order = None
         self._mut_order = None
 
     # ------------------------------------------------------------------ #
-    # Main loop — a steppable lifecycle
+    # The lifecycle hooks
     # ------------------------------------------------------------------ #
-    # The run is split into start() / should_continue() / step() / finish()
-    # so that drivers above the algorithm (the island model interleaving
-    # migration between iterations, notebooks single-stepping the search)
-    # can pause at iteration boundaries; run() composes the four phases and
-    # is bit-for-bit the pre-split loop.
+    # start() and step() stay in this class body: profilers patch them on
+    # this class, and step() feeds the observer.
     def start(
         self,
         *,
@@ -180,36 +173,30 @@ class CellularMemeticAlgorithm:
             of Algorithm 1.  Warm restarts may skip it: their seed rows are
             carried over from an already-improved plan.
         """
-        cfg = self.config
-        self.engine.begin_run()
-        self._deadline = cfg.termination.make_deadline()
-        self.state = SearchState()
+        return super().start(grid=grid, initial_local_search=initial_local_search)
 
+    def step(self) -> bool:
+        """Run one iteration (both update streams); True if the best improved."""
+        improved = super().step()
+        if self.observer is not None:
+            self.observer(self, self.state)
+        return improved
+
+    def _begin(
+        self, grid: ResidentGrid | None, initial_local_search: bool
+    ) -> Individual:
+        cfg = self.config
         if grid is None:
             self.grid = self._initialize_population(initial_local_search)
         else:
             self.grid = self._adopt_population(grid, initial_local_search)
-        self.best = self.grid.best().copy()
-        self.state.evaluations = self.evaluator.evaluations
-        self.state.best_fitness = self.best.fitness
-        self._record(self.state)
-
+        best = self.grid.best().copy()
         self._neighbors = self.neighborhood.table(self.grid.height, self.grid.width)
         self._rec_order = get_sweep(cfg.recombination_order, self.grid.size, self.rng)
         self._mut_order = get_sweep(cfg.mutation_order, self.grid.size, self.rng)
-        return self.state
+        return best
 
-    def should_continue(self) -> bool:
-        """Whether the termination criteria allow another iteration."""
-        if self.state is None:
-            raise RuntimeError("call start() before should_continue()")
-        return not self.config.termination.should_stop(self.state, self._deadline)
-
-    def step(self) -> bool:
-        """Run one iteration (both update streams); True if the best improved."""
-        if self.state is None:
-            raise RuntimeError("call start() before step()")
-        state = self.state
+    def _iterate(self) -> bool:
         improved = False
         if self.config.cell_updates == "batch":
             improved |= self._recombination_phase(self._rec_order)
@@ -219,13 +206,7 @@ class CellularMemeticAlgorithm:
             improved |= self._mutation_stream(self._mut_order)
         self._rec_order.update()
         self._mut_order.update()
-
-        state.evaluations = self.evaluator.evaluations
         improved |= self.sync_best_from_grid()
-        state.register_iteration(improved)
-        self._record(state)
-        if self.observer is not None:
-            self.observer(self, state)
         return improved
 
     def sync_best_from_grid(self) -> bool:
@@ -242,24 +223,8 @@ class CellularMemeticAlgorithm:
             return True
         return False
 
-    def finish(self) -> SchedulingResult:
-        """Assemble the result record for the current run state."""
-        if self.state is None:
-            raise RuntimeError("call start() before finish()")
-        return self.engine.build_result(
-            algorithm="cma",
-            best_schedule=self.best.schedule.copy(),
-            best_fitness=self.best.fitness,
-            state=self.state,
-            metadata={"config": self.config.describe()},
-        )
-
-    def run(self) -> SchedulingResult:
-        """Execute the search and return the best schedule found."""
-        self.start()
-        while self.should_continue():
-            self.step()
-        return self.finish()
+    def _metadata(self) -> dict:
+        return {"config": self.config.describe()}
 
     # ------------------------------------------------------------------ #
     # Stages
@@ -411,14 +376,6 @@ class CellularMemeticAlgorithm:
                 self.best = offspring.copy()
                 return True
         return False
-
-    def _record(self, state: SearchState) -> None:
-        self.engine.record(
-            state,
-            fitness=self.best.fitness,
-            makespan=self.best.makespan,
-            flowtime=self.best.flowtime,
-        )
 
     # ------------------------------------------------------------------ #
     # Introspection helpers (used by experiments / examples)

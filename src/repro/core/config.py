@@ -260,7 +260,6 @@ class CMAConfig:
     termination: TerminationCriteria = field(
         default_factory=lambda: TerminationCriteria.by_iterations(100)
     )
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_integer("population_height", self.population_height, minimum=1)
@@ -569,9 +568,11 @@ class TraceConfig:
     family:
         Scenario-family name: ``"calm"`` (homogeneous Poisson arrivals),
         ``"bursty"`` (two-state MMPP), ``"diurnal"`` (sinusoidally modulated
-        rate), ``"heavy_tail"`` (Poisson arrivals with Pareto job sizes) or
+        rate), ``"heavy_tail"`` (Poisson arrivals with Pareto job sizes),
         ``"flash_crowd"`` (calm background plus arrival spikes and machine
-        churn).
+        churn), ``"flaky"`` (calm arrivals on machines that break down and
+        get repaired) or ``"deadline"`` (calm arrivals with per-job due
+        dates).
     duration:
         Length of the submission window in simulated seconds (the
         simulation itself runs until the last job completes).

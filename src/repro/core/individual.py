@@ -49,6 +49,12 @@ class Individual:
         self.flowtime = values.flowtime
         return self.fitness
 
+    @classmethod
+    def of(cls, schedule: Schedule, fitness: float) -> "Individual":
+        """An owned snapshot of *schedule*, whose *fitness* is already known."""
+        snapshot = schedule.copy()
+        return cls(snapshot, fitness, snapshot.makespan, snapshot.flowtime)
+
     def copy(self) -> "Individual":
         """Deep copy (schedule included)."""
         return Individual(

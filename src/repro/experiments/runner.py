@@ -13,7 +13,7 @@ tables and sweeps can iterate over algorithms as data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.baselines import (
     CellularGA,
@@ -27,13 +27,14 @@ from repro.baselines import (
     SteadyStateGA,
     SteadyStateGAConfig,
     StruggleGA,
-    StruggleGAConfig,
     TabuSearchConfig,
     TabuSearchScheduler,
 )
 from repro.core.cma import CellularMemeticAlgorithm, SchedulingResult
 from repro.core.config import CMAConfig, IslandConfig
-from repro.core.termination import SearchState, TerminationCriteria
+from repro.core.individual import Individual
+from repro.core.search import Search
+from repro.core.termination import TerminationCriteria
 from repro.engine.service import EvaluationEngine
 from repro.heuristics import build_schedule
 from repro.islands.model import IslandModel
@@ -126,12 +127,8 @@ class ExperimentSettings:
         )
 
 
-class _Scheduler(Protocol):
-    def run(self) -> SchedulingResult: ...
-
-
 #: Factory signature: (instance, termination, rng, engine=engine) -> scheduler object.
-SchedulerFactory = Callable[..., _Scheduler]
+SchedulerFactory = Callable[..., Search | IslandModel]
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ class AlgorithmSpec:
         termination: TerminationCriteria,
         rng: RNGLike = None,
         engine: EvaluationEngine | None = None,
-    ) -> _Scheduler:
+    ) -> Search | IslandModel:
         """Instantiate the scheduler for one run.
 
         Every run gets one :class:`EvaluationEngine` (a fresh one when
@@ -207,7 +204,7 @@ class _HeuristicFactory:
     heuristic: str
 
     def __call__(self, instance, termination, rng, engine=None):
-        return _HeuristicRunner(self.heuristic, instance, rng, engine=engine)
+        return _HeuristicRunner(self.heuristic, instance, termination, rng, engine=engine)
 
 
 @dataclass(frozen=True)
@@ -259,10 +256,10 @@ def steady_state_ga_spec(
 
 
 def struggle_ga_spec(
-    config: StruggleGAConfig | None = None, name: str = "struggle_ga"
+    config: SteadyStateGAConfig | None = None, name: str = "struggle_ga"
 ) -> AlgorithmSpec:
     """Xhafa's Struggle GA baseline."""
-    base = config if config is not None else StruggleGAConfig.fast_defaults()
+    base = config if config is not None else SteadyStateGAConfig.fast_defaults()
     return AlgorithmSpec(
         name=name,
         factory=_ConfiguredFactory(StruggleGA, base),
@@ -318,40 +315,30 @@ def tabu_search_spec(
     )
 
 
-class _HeuristicRunner:
-    """Adapts a constructive heuristic to the scheduler ``run()`` protocol."""
+class _HeuristicRunner(Search):
+    """A constructive heuristic as a search with no iterations."""
 
     def __init__(
         self,
         heuristic: str,
         instance: SchedulingInstance,
+        termination: TerminationCriteria,
         rng: RNGLike,
         engine: EvaluationEngine | None = None,
     ) -> None:
-        self.heuristic = heuristic
-        self.instance = instance
-        self.rng = rng
-        self.engine = engine if engine is not None else EvaluationEngine(instance)
+        super().__init__(instance, termination, rng=rng, engine=engine)
+        self.algorithm_name = heuristic
 
-    def run(self) -> SchedulingResult:
-        self.engine.begin_run()
-        state = SearchState()
-        schedule = build_schedule(self.heuristic, self.instance, self.rng)
-        values = self.engine.evaluate(schedule)
-        state.evaluations = self.engine.evaluations
-        state.best_fitness = values.fitness
-        self.engine.record(
-            state,
-            fitness=values.fitness,
-            makespan=values.makespan,
-            flowtime=values.flowtime,
-        )
-        return self.engine.build_result(
-            algorithm=self.heuristic,
-            best_schedule=schedule,
-            best_fitness=values.fitness,
-            state=state,
-        )
+    def should_continue(self) -> bool:
+        return False
+
+    def _begin(self) -> Individual:
+        best = Individual(build_schedule(self.algorithm_name, self.instance, self.rng))
+        best.evaluate(self.evaluator)
+        return best
+
+    def _iterate(self) -> bool:
+        return False
 
 
 def heuristic_spec(heuristic: str) -> AlgorithmSpec:

@@ -24,13 +24,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.config import CMAConfig
 from repro.experiments.reporting import format_series, format_table
-from repro.experiments.runner import ExperimentSettings
+from repro.experiments.runner import ExperimentSettings, cma_spec, repeat_run
 from repro.model.generator import ETCGeneratorConfig, generate_instance
 from repro.model.instance import SchedulingInstance
-from repro.utils.rng import as_generator, spawn_generators
+from repro.utils.rng import as_generator
 from repro.utils.stats import RunStatistics, summarize
 
 __all__ = [
@@ -142,24 +141,15 @@ def run_variant_sweep(
         raise ValueError("at least one variant is required")
     instance = tuning.make_instance()
     grid = tuning.time_grid()
-    termination = tuning.settings.termination()
 
     curves: dict[str, np.ndarray] = {}
     finals: dict[str, RunStatistics] = {}
     parent = as_generator(tuning.settings.seed)
     for variant_name, config in variants.items():
-        children = spawn_generators(parent, tuning.settings.runs)
-        runs = []
-        final_values = []
-        for child in children:
-            algorithm = CellularMemeticAlgorithm(
-                instance, config.evolve(termination=termination), rng=child
-            )
-            result = algorithm.run()
-            runs.append(result.history.resample(grid, column="best_makespan"))
-            final_values.append(result.makespan)
+        results = repeat_run(cma_spec(config), instance, tuning.settings, rng=parent)
+        runs = [result.history.resample(grid, column="best_makespan") for result in results]
         curves[variant_name] = np.mean(np.stack(runs), axis=0)
-        finals[variant_name] = summarize(final_values)
+        finals[variant_name] = summarize([result.makespan for result in results])
 
     return SweepResult(
         name=name, axis=axis, grid=grid, curves=curves, final_makespan=finals

@@ -28,7 +28,7 @@ per-island results are **bit-identical** to the same number of independent
 
 from __future__ import annotations
 
-from typing import Any, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -51,9 +51,6 @@ from repro.utils.workers import run_workers, worker_context
 
 __all__ = ["IslandModel", "IslandRuntime"]
 
-#: Lifecycle methods an algorithm must expose for mid-run migration.
-_STEPPABLE_METHODS = ("start", "step", "should_continue", "finish")
-
 
 class _SpecLike(Protocol):
     """Anything that can build a scheduler for one run (an ``AlgorithmSpec``)."""
@@ -61,10 +58,6 @@ class _SpecLike(Protocol):
     name: str
 
     def build(self, instance, termination, rng=None, engine=None): ...
-
-
-def _is_steppable(scheduler: Any) -> bool:
-    return all(hasattr(scheduler, method) for method in _STEPPABLE_METHODS)
 
 
 class IslandRuntime:
@@ -110,11 +103,6 @@ class IslandRuntime:
     # Lifecycle
     # ------------------------------------------------------------------ #
     @property
-    def steppable(self) -> bool:
-        """Whether the scheduler exposes the start/step/finish lifecycle."""
-        return _is_steppable(self.scheduler)
-
-    @property
     def grid(self):
         """The scheduler's resident grid (populations migrate as its rows)."""
         return getattr(self.scheduler, "grid", None)
@@ -123,22 +111,13 @@ class IslandRuntime:
         """Initialize the run (idempotent); validates migration capability."""
         if self._started:
             return
-        if self.config.migration_enabled:
-            if not self.steppable:
-                raise TypeError(
-                    f"migration needs a steppable scheduler "
-                    f"(start/step/should_continue/finish); "
-                    f"{type(self.scheduler).__name__} is not — "
-                    f"run it with migration_interval=None instead"
-                )
-            self.scheduler.start()
-            if self.grid is None:
-                raise TypeError(
-                    f"migration needs a resident grid; "
-                    f"{type(self.scheduler).__name__} exposes none"
-                )
-        elif self.steppable:
-            self.scheduler.start()
+        self.scheduler.start()
+        if self.config.migration_enabled and self.grid is None:
+            raise TypeError(
+                f"migration needs a resident grid; "
+                f"{type(self.scheduler).__name__} exposes none — "
+                f"run it with migration_interval=None instead"
+            )
         self._started = True
 
     @property
@@ -146,9 +125,7 @@ class IslandRuntime:
         """Started, not finished, and the termination criteria still allow work."""
         if not self._started or self._result is not None:
             return False
-        if not self.steppable:
-            return False
-        return bool(self.scheduler.should_continue())
+        return self.scheduler.should_continue()
 
     def step(self) -> None:
         """Run one scheduler iteration."""
@@ -216,14 +193,10 @@ class IslandRuntime:
         self.migrations_in += 1
         self.immigrants_adopted += adopted
         if adopted:
-            sync = getattr(self.scheduler, "sync_best_from_grid", None)
-            if sync is not None:
-                sync()
+            self.scheduler.sync_best_from_grid()
         # Keep the termination counters honest: integration charged the
         # engine, and the scheduler's state is what should_stop() reads.
-        state = getattr(self.scheduler, "state", None)
-        if state is not None:
-            state.evaluations = self.engine.evaluations
+        self.scheduler.state.evaluations = self.engine.evaluations
         return adopted
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

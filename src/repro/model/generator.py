@@ -20,7 +20,7 @@ provided as an extension for experiments beyond the paper's benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -87,7 +87,6 @@ class ETCGeneratorConfig:
     consistency: str = "consistent"
     method: Method = "range_based"
     task_mean: float = 1000.0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_integer("nb_jobs", self.nb_jobs, minimum=1)

@@ -9,8 +9,8 @@ versioned, shared and replayed:
   (compressed ``.npz`` + JSON header); :meth:`Trace.from_simulation`
   records any :class:`~repro.grid.simulator.GridSimulator` run;
 * :mod:`repro.traces.generators` — deterministic scenario families
-  (calm / bursty MMPP / diurnal / heavy-tailed / flash-crowd) built on
-  ``SeedSequence.spawn`` substreams;
+  (calm / bursty MMPP / diurnal / heavy-tailed / flash-crowd / flaky /
+  deadline) built on ``SeedSequence.spawn`` substreams;
 * :mod:`repro.traces.replay` — the :class:`ReplayArena` that replays one
   trace against N policies at equal per-activation budget, sequentially or
   with one worker process per policy;

@@ -13,7 +13,6 @@ from repro.baselines import (
     SteadyStateGA,
     SteadyStateGAConfig,
     StruggleGA,
-    StruggleGAConfig,
 )
 from repro.core.termination import TerminationCriteria
 from repro.heuristics import build_schedule
@@ -38,7 +37,7 @@ def make_all(instance, iterations=10, rng=1):
         ),
         "struggle_ga": StruggleGA(
             instance,
-            StruggleGAConfig.fast_defaults(),
+            SteadyStateGAConfig.fast_defaults(),
             termination=budget(iterations),
             rng=rng,
         ),
@@ -159,13 +158,13 @@ class TestStruggleGA:
     def test_most_similar_index_prefers_identical_clone(self, tiny_instance):
         ga = StruggleGA(
             tiny_instance,
-            StruggleGAConfig(population_size=5),
+            SteadyStateGAConfig(population_size=5),
             termination=budget(1),
             rng=1,
         )
         ga.population = ga._initialize_population()
         clone = ga.population[3].copy()
-        assert ga._most_similar_index(clone) == 3
+        assert ga._replacement_target(clone) == 3
 
     def test_struggle_preserves_more_diversity_than_replace_worst(self, small_instance):
         """The defining behaviour of the Struggle GA."""
@@ -180,7 +179,7 @@ class TestStruggleGA:
 
         struggle = StruggleGA(
             small_instance,
-            StruggleGAConfig(population_size=16, offspring_per_iteration=8),
+            SteadyStateGAConfig(population_size=16, offspring_per_iteration=8),
             termination=budget(25),
             rng=4,
         )

@@ -19,7 +19,7 @@ from repro import (
     braun_suite,
     build_schedule,
 )
-from repro.baselines import GAConfig, GenerationalGA, StruggleGA, StruggleGAConfig
+from repro.baselines import GAConfig, GenerationalGA, SteadyStateGAConfig, StruggleGA
 from repro.core.config import TraceConfig
 from repro.experiments import (
     ExperimentSettings,
@@ -60,7 +60,7 @@ class TestStaticPipeline:
             instance, GAConfig.fast_defaults(), termination=budget, rng=2
         ).run()
         struggle = StruggleGA(
-            instance, StruggleGAConfig.fast_defaults(), termination=budget, rng=2
+            instance, SteadyStateGAConfig.fast_defaults(), termination=budget, rng=2
         ).run()
         assert cma.best_fitness <= ga.best_fitness
         assert cma.best_fitness <= struggle.best_fitness

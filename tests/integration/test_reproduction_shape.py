@@ -137,7 +137,7 @@ class TestMemeticAndStructureShape:
 class TestEvaluationBudgetFairness:
     def test_equal_evaluation_budgets_are_comparable(self, suite):
         """The runner's evaluation counting lines up across algorithm families."""
-        from repro.baselines import StruggleGA, StruggleGAConfig
+        from repro.baselines import SteadyStateGAConfig, StruggleGA
 
         instance = suite["u_i_hihi.0"]
         budget = TerminationCriteria.by_evaluations(1200)
@@ -145,7 +145,7 @@ class TestEvaluationBudgetFairness:
             instance, CMAConfig.paper_defaults(budget), rng=7
         ).run()
         struggle = StruggleGA(
-            instance, StruggleGAConfig.fast_defaults(), termination=budget, rng=7
+            instance, SteadyStateGAConfig.fast_defaults(), termination=budget, rng=7
         ).run()
         # Both stopped near the same budget (within one iteration's overshoot).
         assert cma.evaluations >= 1200

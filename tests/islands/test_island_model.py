@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.cli import ALGORITHMS
 from repro.core.config import CMAConfig, IslandConfig
-from repro.core.cma import CellularMemeticAlgorithm
 from repro.core.termination import TerminationCriteria
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -26,6 +26,12 @@ def instance():
 
 SPEC = cma_spec(CMAConfig.fast_defaults())
 TERMINATION = TerminationCriteria(max_seconds=math.inf, max_evaluations=700)
+
+#: Every scheduler the CLI can run, plus a constructive heuristic.
+EVERY_SPEC = {
+    **{name: build() for name, build in ALGORITHMS.items()},
+    "min_min": heuristic_spec("min_min"),
+}
 
 
 class TestConfigValidation:
@@ -51,11 +57,13 @@ class TestConfigValidation:
         assert not IslandConfig(migration_interval=None).migration_enabled
 
 
+@pytest.mark.parametrize("name", sorted(EVERY_SPEC))
 class TestSteppableLifecycle:
-    def test_stepped_run_equals_run(self, instance):
-        config = CMAConfig.fast_defaults(TerminationCriteria.by_iterations(8))
-        whole = CellularMemeticAlgorithm(instance, config, rng=3).run()
-        stepped_algorithm = CellularMemeticAlgorithm(instance, config, rng=3)
+    def test_stepped_run_equals_run(self, instance, name):
+        spec = EVERY_SPEC[name]
+        budget = TerminationCriteria.by_iterations(8)
+        whole = spec.build(instance, budget, rng=3).run()
+        stepped_algorithm = spec.build(instance, budget, rng=3)
         stepped_algorithm.start()
         while stepped_algorithm.should_continue():
             stepped_algorithm.step()
@@ -67,8 +75,10 @@ class TestSteppableLifecycle:
             np.asarray(whole.best_schedule.assignment),
         )
 
-    def test_step_before_start_rejected(self, instance):
-        algorithm = CellularMemeticAlgorithm(instance, CMAConfig.fast_defaults(), rng=1)
+    def test_step_before_start_rejected(self, instance, name):
+        algorithm = EVERY_SPEC[name].build(
+            instance, TerminationCriteria.by_iterations(8), rng=1
+        )
         with pytest.raises(RuntimeError):
             algorithm.step()
 
@@ -76,20 +86,28 @@ class TestSteppableLifecycle:
 class TestIndependenceProperty:
     """The determinism contract pinned by the acceptance criteria."""
 
-    def test_no_migration_matches_repeat_run_bit_for_bit(self, instance):
+    @pytest.mark.parametrize("name", sorted(EVERY_SPEC))
+    def test_no_migration_matches_repeat_run_bit_for_bit(self, instance, name):
+        # Simulated annealing and tabu search charge one evaluation per
+        # iteration, so the iteration budget bounds their runs.
+        spec = EVERY_SPEC[name]
         runs = 3
         config = IslandConfig(nb_islands=runs, migration_interval=None, workers=0)
-        model = IslandModel(instance, SPEC, config, TERMINATION, rng=11)
+        budget = TerminationCriteria(
+            max_seconds=math.inf, max_evaluations=300, max_iterations=8
+        )
+        model = IslandModel(instance, spec, config, budget, rng=11)
         model.run()
         settings = ExperimentSettings(
             nb_jobs=24,
             nb_machines=4,
             runs=runs,
             max_seconds=math.inf,
-            max_evaluations=700,
+            max_evaluations=300,
+            max_iterations=8,
             seed=11,
         )
-        reference = repeat_run(SPEC, instance, settings, rng=11)
+        reference = repeat_run(spec, instance, settings, rng=11)
         assert len(model.island_results) == runs
         for island_result, reference_result in zip(model.island_results, reference):
             assert island_result.best_fitness == reference_result.best_fitness
@@ -157,7 +175,7 @@ class TestDeterministicDriver:
             assert stats["migrations_in"] >= 1
             assert stats["immigrants_adopted"] >= 0
 
-    def test_non_steppable_scheduler_needs_no_migration(self, instance):
+    def test_scheduler_without_resident_grid_cannot_migrate(self, instance):
         spec = heuristic_spec("min_min")
         config = IslandConfig(nb_islands=2, migration_interval=50.0, workers=0)
         with pytest.raises(TypeError):
