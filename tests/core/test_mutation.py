@@ -11,6 +11,7 @@ from repro.core.mutation import (
     get_mutation,
     list_mutations,
 )
+from repro.engine import BatchEvaluator
 from repro.model.instance import SchedulingInstance
 from repro.model.schedule import Schedule
 
@@ -121,3 +122,81 @@ class TestRebalanceSwap:
         schedule = Schedule.random(small_instance, rng=6)
         RebalanceSwapMutation().mutate(schedule, rng=7)
         schedule.validate()
+
+
+def rebalance_with_choice(schedule, gen, underloaded_fraction=0.25):
+    """The rebalance mutation as it was written with ``Generator.choice``."""
+    completion = schedule.completion_times
+    nb_machines = completion.shape[0]
+    if nb_machines < 2:
+        return
+    makespan = schedule.makespan
+    overloaded = np.nonzero(completion >= makespan)[0]
+    count = max(1, int(np.ceil(underloaded_fraction * nb_machines)))
+    by_load = np.argsort(completion, kind="stable")[:count]
+    underloaded = by_load[completion[by_load] < makespan]
+    if underloaded.size == 0:
+        MoveMutation().mutate(schedule, gen)
+        return
+    source = int(gen.choice(overloaded))
+    jobs = schedule.machine_jobs(source)
+    if jobs.size == 0:
+        MoveMutation().mutate(schedule, gen)
+        return
+    job = int(gen.choice(jobs))
+    target = int(gen.choice(underloaded))
+    schedule.move_job(job, target)
+
+
+class TestRebalanceDrawOracle:
+    """`RebalanceMutation` against its ``Generator.choice`` version, bit for bit."""
+
+    @staticmethod
+    def assert_same(schedule, expected, gen, reference):
+        np.testing.assert_array_equal(schedule.assignment, expected.assignment)
+        np.testing.assert_array_equal(schedule.completion_times, expected.completion_times)
+        np.testing.assert_array_equal(schedule.machine_flowtimes, expected.machine_flowtimes)
+        assert gen.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+    def test_matches_choice_version_on_schedules_and_views(
+        self, small_instance, ready_time_instance, fraction
+    ):
+        mutation = RebalanceMutation(fraction)
+        for instance in (small_instance, ready_time_instance):
+            for seed in range(40):
+                batch = BatchEvaluator.random(instance, 2, rng=seed)
+                twin = BatchEvaluator(instance, batch.assignments[:])
+                reference, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(4):  # successive mutations meet new loads and states
+                    mutation.mutate(batch.view(0), gen)
+                    rebalance_with_choice(twin.view(0), reference, fraction)
+                    self.assert_same(batch.view(0), twin.view(0), gen, reference)
+                schedule = Schedule.random(instance, rng=seed)
+                expected = schedule.copy()
+                mutation.mutate(schedule, gen)
+                rebalance_with_choice(expected, reference, fraction)
+                self.assert_same(schedule, expected, gen, reference)
+
+    def test_matches_choice_version_when_every_load_is_equal(self):
+        # No machine is less loaded: both fall back to a random move.
+        instance = SchedulingInstance(etc=np.full((4, 2), 3.0))
+        for seed in range(20):
+            schedule, expected = Schedule(instance, [0, 1, 0, 1]), Schedule(instance, [0, 1, 0, 1])
+            reference, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            RebalanceMutation().mutate(schedule, gen)
+            rebalance_with_choice(expected, reference)
+            self.assert_same(schedule, expected, gen, reference)
+
+    def test_matches_choice_version_when_the_source_holds_no_job(self):
+        # Machine 0's ready time alone sets the makespan and no job runs
+        # there: both fall back to a random move after drawing the source.
+        instance = SchedulingInstance(
+            etc=np.arange(1.0, 13.0).reshape(4, 3), ready_times=[100.0, 0.0, 0.0]
+        )
+        for seed in range(20):
+            schedule, expected = Schedule(instance, [1, 2, 1, 2]), Schedule(instance, [1, 2, 1, 2])
+            reference, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            RebalanceMutation().mutate(schedule, gen)
+            rebalance_with_choice(expected, reference)
+            self.assert_same(schedule, expected, gen, reference)

@@ -176,3 +176,31 @@ class TestSelectIndices:
             RandomSelection().select_indices(np.array([]), 1, rng=0)
         with pytest.raises(ValueError):
             BestSelection().select_indices(np.array([1.0]), 0)
+
+
+def tournaments_with_choice(fitness, k, tournament_size, gen):
+    """The tournament loop as it was written with ``Generator.choice``: one
+    call per tournament, the first best entrant wins."""
+    replace = len(fitness) < tournament_size
+    picks = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        entrants = gen.choice(len(fitness), size=tournament_size, replace=replace)
+        picks[i] = entrants[np.argmin(fitness[entrants])]
+    return picks
+
+
+class TestTournamentDrawOracle:
+    @pytest.mark.parametrize("pool", range(1, 14))
+    def test_matches_one_choice_call_per_tournament(self, pool):
+        # Pools below N sample with replacement; tied fitness values
+        # exercise the first-entrant tie rule.
+        for tournament_size in range(1, 6):
+            selection = NTournamentSelection(tournament_size)
+            for k in range(1, 5):
+                for seed in range(6):
+                    fitness = np.random.default_rng(seed).integers(0, 4, size=pool).astype(float)
+                    reference, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                    expected = tournaments_with_choice(fitness, k, tournament_size, reference)
+                    picks = selection.select_indices(fitness, k, gen)
+                    np.testing.assert_array_equal(picks, expected)
+                    assert gen.bit_generator.state == reference.bit_generator.state

@@ -354,3 +354,52 @@ class TestBatchedLocalSearches:
         )
         assert not improved.any()
         np.testing.assert_array_equal(batch.assignments, baseline)
+
+
+def improve_every_row(search, batch, rows, evaluator, rng):
+    """``improve_batch`` as a plain loop: every step runs on every row."""
+    improved = np.zeros(rows.shape[0], dtype=bool)
+    for _ in range(search.iterations):
+        improved |= search.step_batch(batch, rows, evaluator, rng)
+    return improved
+
+
+def fixed_point_batches():
+    """Batches that reach their fixed points at different steps, some rows
+    without a candidate, and a one-machine instance."""
+    instance = random_instance(21, nb_jobs=18, nb_machines=5)
+    batch = BatchEvaluator.random(instance, 12, rng=4)
+    stacked = batch.assignments[:].copy()
+    stacked[3] = 2  # every job on one machine: no LMCTS partner
+    stacked[7] = 0
+    yield instance, stacked
+    # Machine 0's ready time is the makespan of every row: rows without a
+    # job there have no LMCTS or LMCTM candidate.
+    ready = SchedulingInstance(
+        etc=instance.etc, ready_times=[4_000.0, 0.0, 0.0, 0.0, 0.0], name="ready-heavy"
+    )
+    mixed = np.random.default_rng(6).integers(1, 5, size=(10, instance.nb_jobs))
+    mixed[::3, :4] = 0
+    yield ready, mixed
+    single = SchedulingInstance(etc=np.arange(1.0, 9.0).reshape(8, 1), name="one-machine")
+    yield single, np.zeros((3, 8), dtype=np.int64)
+
+
+class TestFixedPointRule:
+    @pytest.mark.parametrize("name", ["lmcts", "lmctm", "gsm"])
+    @pytest.mark.parametrize("iterations", [1, 3, 8])
+    def test_matches_every_step_on_every_row(self, name, iterations):
+        evaluator = FitnessEvaluator(0.75)
+        search = get_local_search(name, iterations=iterations)
+        for instance, assignments in fixed_point_batches():
+            batch = BatchEvaluator(instance, assignments)
+            twin = BatchEvaluator(instance, assignments)
+            rows = np.arange(1, assignments.shape[0])[::-1].copy()  # a subset, out of order
+            improved = search.improve_batch(batch, rows, evaluator, np.random.default_rng(1))
+            expected = improve_every_row(
+                search, twin, rows, evaluator, np.random.default_rng(1)
+            )
+            np.testing.assert_array_equal(improved, expected)
+            np.testing.assert_array_equal(batch.assignments, twin.assignments)
+            np.testing.assert_array_equal(batch.completion_times, twin.completion_times)
+            np.testing.assert_array_equal(batch.machine_flowtimes, twin.machine_flowtimes)

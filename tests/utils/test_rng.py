@@ -184,3 +184,41 @@ class TestHelpers:
     def test_sample_too_many_rejected(self):
         with pytest.raises(ValueError):
             rng_module.sample_without_replacement(1, 3, 4)
+
+
+class TestSampleWithoutReplacementOracle:
+    """The sampler draws what ``Generator.choice`` draws, state and all.
+
+    Each seed runs one generator pair through every (pool, size) case in
+    turn, so every case meets many generator states, and any difference in
+    the number of draws shows in the state compared after each pool.
+    """
+
+    POOLS = [*range(1, 41), *range(9_990, 10_001)]
+
+    def test_matches_choice_without_replacement(self):
+        for seed in range(200):
+            reference, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            for pool in self.POOLS:
+                for size in range(min(pool, 6) + 1):
+                    expected = reference.choice(pool, size, replace=False)
+                    got = rng_module.sample_without_replacement(gen, pool, size)
+                    assert np.array_equal(got, expected), (seed, pool, size)
+                assert gen.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("pool, size", [(10_001, 250), (20_000, 500), (20_000, 400)])
+    def test_matches_choice_past_ten_thousand(self, pool, size):
+        reference, gen = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):
+            expected = reference.choice(pool, size, replace=False)
+            assert np.array_equal(rng_module.sample_without_replacement(gen, pool, size), expected)
+        assert gen.bit_generator.state == reference.bit_generator.state
+
+    def test_integer_index_matches_choice_of_an_array(self):
+        # The single pick the mutations and tabu search make from an array.
+        for seed in range(200):
+            reference, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in range(1, 41):
+                array = np.arange(size) * 3 + 1
+                assert array[gen.integers(array.size)] == reference.choice(array)
+            assert gen.bit_generator.state == reference.bit_generator.state
