@@ -85,7 +85,7 @@ class TabuSearchScheduler(Search):
         overloaded_jobs = current.machine_jobs(overloaded)
         for _ in range(self.config.candidate_moves):
             if overloaded_jobs.size and self.rng.random() < 0.5:
-                job = int(self.rng.choice(overloaded_jobs))
+                job = int(overloaded_jobs[self.rng.integers(overloaded_jobs.size)])
             else:
                 job = int(self.rng.integers(nb_jobs))
             source = int(current.assignment[job])

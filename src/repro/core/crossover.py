@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.utils.rng import RNGLike, as_generator
+from repro.utils.rng import RNGLike, as_generator, sample_without_replacement
 
 __all__ = [
     "CrossoverOperator",
@@ -99,7 +99,7 @@ class TwoPointCrossover(CrossoverOperator):
         length = parent_a.shape[0]
         if length < 3:
             return OnePointCrossover()._combine_pair(parent_a, parent_b, rng)
-        first, second = np.sort(rng.choice(np.arange(1, length), size=2, replace=False))
+        first, second = np.sort(1 + sample_without_replacement(rng, length - 1, 2))
         child = parent_a.copy()
         child[first:second] = parent_b[first:second]
         return child

@@ -37,7 +37,9 @@ its single row and the move goes through ``Schedule.move_job``/
 a whole row subset of a resident :class:`~repro.engine.batch.BatchEvaluator`
 population at once: the choice runs on every row, the moves are applied
 with incremental two-machine cache updates, and rows that did not strictly
-improve are reverted from the undo record.  Registered custom searches
+improve are reverted from the undo record.  The searches whose choice draws
+nothing stop stepping a row once a step leaves it unimproved: it is at a
+fixed point.  Registered custom searches
 only need ``step`` — the default ``step_batch`` walks rows through
 zero-copy engine views.
 """
@@ -134,6 +136,12 @@ class LocalSearch(abc.ABC):
     #: Registry key; subclasses must override it.
     name: str = ""
 
+    #: Whether :meth:`step_batch` draws nothing from ``rng`` and reverts a
+    #: rejected row bit for bit.  Such a row would pick the same candidate
+    #: at the next step and be rejected again, so :meth:`improve_batch`
+    #: drops it.
+    deterministic = False
+
     def __init__(self, iterations: int = 5) -> None:
         if iterations < 0:
             raise ValueError(f"iterations must be non-negative, got {iterations}")
@@ -182,18 +190,28 @@ class LocalSearch(abc.ABC):
         evaluator: FitnessEvaluator,
         rng: RNGLike = None,
     ) -> np.ndarray:
-        """Run :attr:`iterations` batched steps over a row subset.
+        """Run at most :attr:`iterations` batched steps over a row subset.
 
         The whole-population counterpart of :meth:`improve`: every step
-        scores and applies candidate moves for **all** rows in a handful of
-        vectorized expressions.  Rows must be distinct.  Returns a boolean
-        array marking the rows that improved at least once.
+        scores and applies candidate moves for all its rows in a handful of
+        vectorized expressions.  A :attr:`deterministic` search steps only
+        the rows its last step improved and stops when none is left; the
+        rows it drops are at a fixed point, so the result is the one
+        :attr:`iterations` steps over every row give.  Rows must be
+        distinct.  Returns a boolean array marking the rows that improved
+        at least once.
         """
         gen = as_generator(rng)
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         improved = np.zeros(rows.shape[0], dtype=bool)
+        live = np.arange(rows.shape[0])
         for _ in range(self.iterations):
-            improved |= self.step_batch(batch, rows, evaluator, gen)
+            stepped = self.step_batch(batch, rows[live], evaluator, gen)
+            improved[live[stepped]] = True
+            if self.deterministic:
+                live = live[stepped]
+                if not live.size:
+                    break
         return improved
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -236,6 +254,15 @@ class _CandidateSearch(LocalSearch):
     row subset and applies every pick with the batched accept/revert cycle.
     Both keep a candidate only on strict fitness improvement; with a single
     machine there is nothing to choose, and neither calls :meth:`choose`.
+
+    The batched revert restores a rejected row's caches from the undo
+    snapshot, bit for bit, so a chooser that draws nothing from ``rng``
+    (LMCTS, LMCTM, GSM) declares itself :attr:`deterministic` and its
+    :meth:`improve_batch` stops at each row's fixed point.  LM and SLM draw
+    one job per row per step, so they step every row every time.  The
+    scalar :meth:`improve` runs every step: ``Schedule.move_job``/
+    ``swap_jobs`` revert by adding the difference back, which can leave a
+    completion time one ulp off.
     """
 
     #: Whether the partner of a pick is a job to swap with (else a machine).
@@ -339,6 +366,7 @@ class LocalMCTSwapSearch(_CandidateSearch):
 
     name = "lmcts"
     swaps = True
+    deterministic = True
 
     def choose(self, etc, assignments, completions, rng):
         return scan.score_critical_swaps_batch(etc, assignments, completions)
@@ -348,6 +376,7 @@ class LocalMCTMoveSearch(_CandidateSearch):
     """LMCTM (extension): best single-job move off the makespan machine."""
 
     name = "lmctm"
+    deterministic = True
 
     def choose(self, etc, assignments, completions, rng):
         return scan.score_critical_moves_batch(etc, assignments, completions)
@@ -363,6 +392,7 @@ class GlobalSteepestMoveSearch(_CandidateSearch):
     """
 
     name = "gsm"
+    deterministic = True
 
     def choose(self, etc, assignments, completions, rng):
         count = assignments.shape[0]

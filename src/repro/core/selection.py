@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.core.individual import Individual
-from repro.utils.rng import RNGLike, as_generator
+from repro.utils.rng import RNGLike, as_generator, sample_without_replacement
 
 __all__ = [
     "SelectionOperator",
@@ -70,7 +70,9 @@ class NTournamentSelection(SelectionOperator):
     ``tournament_size`` is the N of the paper; the tuning of Figure 4
     selected N = 3.  Sampling is done *with* replacement when the pool is
     smaller than N (relevant for the small L5 neighborhood).  Ties go to the
-    entrant drawn first.
+    entrant drawn first.  The k entrant sets come from one bounded-integer
+    call (:func:`~repro.utils.rng.sample_without_replacement`), which draws
+    what k ``Generator.choice`` calls would draw.
     """
 
     name = "n_tournament"
@@ -86,12 +88,11 @@ class NTournamentSelection(SelectionOperator):
         self._check(fitness, k)
         gen = as_generator(rng)
         pool_size = len(fitness)
-        replace = pool_size < self.tournament_size
-        picks = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            entrants = gen.choice(pool_size, size=self.tournament_size, replace=replace)
-            picks[i] = entrants[np.argmin(fitness[entrants])]
-        return picks
+        if pool_size < self.tournament_size:
+            entrants = gen.integers(0, pool_size, size=(k, self.tournament_size))
+        else:
+            entrants = sample_without_replacement(gen, pool_size, self.tournament_size, k)
+        return entrants[np.arange(k), fitness[entrants].argmin(axis=1)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NTournamentSelection(tournament_size={self.tournament_size})"

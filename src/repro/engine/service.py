@@ -137,8 +137,9 @@ class EvaluationEngine:
     ) -> np.ndarray:
         """Batched local search over a row subset of a resident population.
 
-        Every improvement step scores and applies candidate moves for all
-        *rows* in a few vectorized expressions (see
+        Every improvement step scores and applies candidate moves for its
+        rows in a few vectorized expressions, for at most the search's
+        ``iterations`` steps (see
         :meth:`repro.core.local_search.LocalSearch.improve_batch`); returns
         the per-row improvement mask.
         """

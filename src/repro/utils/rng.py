@@ -11,7 +11,6 @@ streams are statistically independent and reproducible.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +20,7 @@ __all__ = [
     "spawn_generators",
     "substream_seed_sequence",
     "derive_seed",
+    "sample_without_replacement",
 ]
 
 #: Type accepted everywhere a source of randomness is expected.
@@ -136,44 +136,44 @@ def derive_seed(rng: RNGLike, *, low: int = 0, high: int = 2**31 - 1) -> int:
     return int(gen.integers(low, high))
 
 
-def random_permutation(rng: RNGLike, n: int) -> np.ndarray:
-    """Return a random permutation of ``range(n)`` as an int64 array."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return as_generator(rng).permutation(n)
-
-
-def weighted_choice(rng: RNGLike, weights: Sequence[float] | np.ndarray) -> int:
-    """Sample an index proportionally to non-negative *weights*.
-
-    Raises
-    ------
-    ValueError
-        If the weights are empty, contain negative values, or sum to zero.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise ValueError("weights must be non-empty")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    probs = w / total
-    return int(as_generator(rng).choice(w.size, p=probs))
-
-
 def sample_without_replacement(
-    rng: RNGLike, population: Iterable[int] | int, k: int
+    rng: RNGLike, pool: int, size: int, count: int | None = None
 ) -> np.ndarray:
-    """Sample *k* distinct items from *population* (an iterable or a size)."""
+    """*size* distinct integers of ``range(pool)``, drawn as ``Generator.choice`` draws them.
+
+    Returns what ``Generator.choice(pool, size, replace=False)`` returns —
+    with *count*, a ``(count, size)`` matrix holding what *count* such calls
+    return — and leaves the generator in the state those calls leave, so a
+    caller can switch to it without moving a trajectory.  Up to 10,000
+    items ``choice`` runs Floyd's algorithm (Bentley & Floyd, "A sample of
+    brilliance", CACM 1987): draw *t* is uniform on ``[0, pool - size + t]``
+    and is replaced by ``pool - size + t`` when already taken; *size* − 1
+    Fisher–Yates swaps then shuffle the sample.  Each of those draws is the
+    bounded-integer draw ``Generator.integers`` makes per element, so one
+    ``integers`` call over all the bounds replaces *count* ``choice`` calls;
+    the insertions and swaps run on the drawn values.  Larger pools, where
+    ``choice`` may shuffle a tail instead, go through ``choice`` itself.
+    """
     gen = as_generator(rng)
-    if isinstance(population, (int, np.integer)):
-        pool = np.arange(int(population))
+    if not 0 <= size <= pool:
+        raise ValueError(f"cannot sample {size} distinct items from a pool of {pool}")
+    rows = 1 if count is None else count
+    if pool > 10_000 and size > pool // 50:
+        picks = np.array([gen.choice(pool, size, replace=False) for _ in range(rows)])
+    elif size == 0:
+        picks = np.empty((rows, 0), dtype=np.int64)
     else:
-        pool = np.asarray(list(population))
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k > pool.size:
-        raise ValueError(f"cannot sample {k} items from a population of {pool.size}")
-    return gen.choice(pool, size=k, replace=False)
+        first = pool - size
+        bounds = [*range(first + 1, pool + 1), *range(size, 1, -1)]
+        draws = gen.integers(0, bounds * rows).tolist()
+        width = len(bounds)
+        picks = []
+        for start in range(0, rows * width, width):
+            sample = []
+            for top, value in zip(range(first, pool), draws[start:start + size]):
+                sample.append(top if value in sample else value)
+            for i, j in zip(range(size - 1, 0, -1), draws[start + size:start + width]):
+                sample[i], sample[j] = sample[j], sample[i]
+            picks.append(sample)
+        picks = np.array(picks, dtype=np.int64)
+    return picks[0] if count is None else picks

@@ -403,3 +403,41 @@ class TestFixedPointRule:
             np.testing.assert_array_equal(batch.assignments, twin.assignments)
             np.testing.assert_array_equal(batch.completion_times, twin.completion_times)
             np.testing.assert_array_equal(batch.machine_flowtimes, twin.machine_flowtimes)
+
+    @staticmethod
+    def count_steps(search, monkeypatch):
+        """The row sets of every ``step_batch`` call *search* makes."""
+        calls = []
+        step_batch = search.step_batch
+
+        def counted(batch, rows, evaluator, rng):
+            calls.append(rows.copy())
+            return step_batch(batch, rows, evaluator, rng)
+
+        monkeypatch.setattr(search, "step_batch", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["lmcts", "lmctm", "gsm"])
+    def test_batch_at_its_fixed_point_costs_one_step(self, name, monkeypatch):
+        evaluator = FitnessEvaluator(0.75)
+        batch = BatchEvaluator.random(random_instance(22), 6, rng=3)
+        rows = np.arange(6)
+        search = get_local_search(name, iterations=5)
+        while search.improve_batch(batch, rows, evaluator).any():
+            pass
+        settled = batch.assignments[:].copy()
+        calls = self.count_steps(search, monkeypatch)
+        assert not search.improve_batch(batch, rows, evaluator).any()
+        assert len(calls) == 1 and np.array_equal(calls[0], rows)
+        np.testing.assert_array_equal(batch.assignments, settled)
+
+    @pytest.mark.parametrize("name", ["lm", "slm"])
+    def test_drawing_searches_step_every_row_every_time(self, name, monkeypatch):
+        evaluator = FitnessEvaluator(0.75)
+        batch = BatchEvaluator.random(random_instance(23), 6, rng=4)
+        rows = np.array([5, 0, 3, 2])
+        search = get_local_search(name, iterations=7)
+        calls = self.count_steps(search, monkeypatch)
+        search.improve_batch(batch, rows, evaluator, rng=2)
+        assert len(calls) == 7
+        assert all(np.array_equal(call, rows) for call in calls)

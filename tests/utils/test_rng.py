@@ -147,43 +147,27 @@ class TestDeriveSeed:
             derive_seed(1, low=5, high=5)
 
 
-class TestHelpers:
-    def test_random_permutation_is_permutation(self):
-        perm = rng_module.random_permutation(3, 10)
-        assert sorted(perm.tolist()) == list(range(10))
-
-    def test_random_permutation_negative(self):
-        with pytest.raises(ValueError):
-            rng_module.random_permutation(3, -1)
-
-    def test_weighted_choice_respects_zero_weight(self):
-        # Only index 1 has weight, so it must always be chosen.
-        for _ in range(10):
-            assert rng_module.weighted_choice(0, [0.0, 1.0, 0.0]) == 1
-
-    def test_weighted_choice_rejects_empty(self):
-        with pytest.raises(ValueError):
-            rng_module.weighted_choice(0, [])
-
-    def test_weighted_choice_rejects_negative(self):
-        with pytest.raises(ValueError):
-            rng_module.weighted_choice(0, [0.5, -0.1])
-
-    def test_weighted_choice_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            rng_module.weighted_choice(0, [0.0, 0.0])
-
+class TestSampleWithoutReplacement:
     def test_sample_without_replacement_distinct(self):
         sample = rng_module.sample_without_replacement(1, 20, 10)
         assert len(set(sample.tolist())) == 10
 
-    def test_sample_without_replacement_from_iterable(self):
-        sample = rng_module.sample_without_replacement(1, [5, 6, 7], 2)
-        assert set(sample.tolist()).issubset({5, 6, 7})
-
     def test_sample_too_many_rejected(self):
         with pytest.raises(ValueError):
             rng_module.sample_without_replacement(1, 3, 4)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            rng_module.sample_without_replacement(1, 3, -1)
+
+    def test_count_stacks_successive_samples(self):
+        for pool, size, count in [(9, 3, 3), (13, 5, 4), (7, 7, 2), (5, 0, 3), (20_000, 500, 2)]:
+            reference, gen = np.random.default_rng(pool), np.random.default_rng(pool)
+            expected = [reference.choice(pool, size, replace=False) for _ in range(count)]
+            picks = rng_module.sample_without_replacement(gen, pool, size, count)
+            assert picks.shape == (count, size) and picks.dtype == np.int64
+            np.testing.assert_array_equal(picks, np.array(expected).reshape(count, size))
+            assert gen.bit_generator.state == reference.bit_generator.state
 
 
 class TestSampleWithoutReplacementOracle:
