@@ -147,7 +147,7 @@ class TestDeriveSeed:
             derive_seed(1, low=5, high=5)
 
 
-class TestSampleWithoutReplacement:
+class TestHelpers:
     def test_sample_without_replacement_distinct(self):
         sample = rng_module.sample_without_replacement(1, 20, 10)
         assert len(set(sample.tolist())) == 10
