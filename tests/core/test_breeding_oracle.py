@@ -1,0 +1,182 @@
+"""Differential oracle for cMA breeding: every configuration gives one trajectory.
+
+Each scenario runs the cMA under both cell-update disciplines on a fixed
+instance, seed and iteration budget, and pins the canonical output as a
+sha256 digest, floats written with :meth:`float.hex`:
+
+* the best fitness, makespan and flowtime;
+* the best assignment's bytes;
+* every history record's best fitness, makespan, flowtime, evaluations and
+  iterations (its wall-clock ``elapsed_seconds`` is left out);
+* the generator's ``bit_generator.state`` after the run, so a change that
+  draws the same values from a different number of words shows too.
+
+The scenarios cover every breeding configuration the cMA accepts: every
+selection with every crossover on C9; tournament sizes 1, 5 and 10 (10
+exceeds the C9 pool, so entrants are drawn with replacement); the L5, C13
+and panmictic neighborhoods (pools 5, 13 and 25); 1, 2 and 4 parents per
+child; and 1-, 2- and 3-job instances under one- and two-point crossover.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.core.cma import CellularMemeticAlgorithm
+from repro.core.config import CMAConfig
+from repro.core.crossover import list_crossovers
+from repro.core.selection import list_selections
+from repro.core.termination import TerminationCriteria
+from repro.model.benchmark import generate_braun_like_instance
+from repro.model.generator import ETCGeneratorConfig, generate_instance
+
+SEED = 2026
+
+BASE = CMAConfig(
+    population_height=5,
+    population_width=5,
+    nb_recombinations=10,
+    nb_mutations=4,
+    nb_solutions_to_recombine=3,
+    local_search_iterations=2,
+    termination=TerminationCriteria.by_iterations(4),
+)
+
+#: Scenario name -> (instance key, configuration overrides).
+SCENARIOS = {
+    **{
+        f"{selection}-{crossover}": ("braun", {"selection": selection, "crossover": crossover})
+        for selection in list_selections()
+        for crossover in list_crossovers()
+    },
+    **{
+        f"tournament-{size}": ("braun", {"tournament_size": size})
+        for size in (1, 5, 10)
+    },
+    **{
+        f"neighborhood-{name}": ("braun", {"neighborhood": name})
+        for name in ("l5", "c13", "panmictic")
+    },
+    **{
+        f"parents-{count}": ("braun", {"nb_solutions_to_recombine": count})
+        for count in (1, 2, 4)
+    },
+    **{
+        f"jobs{jobs}-{crossover}": (f"jobs{jobs}", {"crossover": crossover})
+        for jobs in (1, 2, 3)
+        for crossover in ("one_point", "two_point")
+    },
+}
+
+CASES = sorted(f"{name}/{mode}" for name in SCENARIOS for mode in ("batch", "sequential"))
+
+
+@pytest.fixture(scope="module")
+def instances():
+    tiny = {
+        f"jobs{jobs}": generate_instance(
+            ETCGeneratorConfig(nb_jobs=jobs, nb_machines=3, consistency="inconsistent"),
+            rng=5,
+        )
+        for jobs in (1, 2, 3)
+    }
+    braun = generate_braun_like_instance("u_i_hilo.0", rng=7, nb_jobs=24, nb_machines=4)
+    return {"braun": braun, **tiny}
+
+
+def run_case(instances, case: str) -> str:
+    name, mode = case.split("/")
+    instance_key, overrides = SCENARIOS[name]
+    config = BASE.evolve(cell_updates=mode, **overrides)
+    gen = np.random.default_rng(SEED)
+    result = CellularMemeticAlgorithm(instances[instance_key], config, rng=gen).run()
+    output = {
+        "best_fitness": float(result.best_fitness).hex(),
+        "makespan": float(result.makespan).hex(),
+        "flowtime": float(result.flowtime).hex(),
+        "assignment": hashlib.sha256(
+            result.best_schedule.assignment.astype("<i8").tobytes()
+        ).hexdigest(),
+        "history": [
+            [
+                float(record.best_fitness).hex(),
+                float(record.best_makespan).hex(),
+                float(record.best_flowtime).hex(),
+                int(record.evaluations),
+                int(record.iterations),
+            ]
+            for record in result.history.records
+        ],
+        "generator": gen.bit_generator.state,
+    }
+    text = json.dumps(output, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: Digests recorded on the child-by-child breeding loop (one selection call
+#: and one recombination call per child).
+GOLDEN = {
+    "best-one_point/batch": "6ee9e8865ac1815478b78d0552a3427bfd032addcd4734ce4e46e7e95a7c2cf5",
+    "best-one_point/sequential": "67b82dc8fca2e0fc961c189b3f9f30fda59b228dfdcb9b5935b81492180c76ae",
+    "best-two_point/batch": "3805873a10ddb45b8eaf369c86260ab910c594707edb2f88413abd62848bd7ed",
+    "best-two_point/sequential": "64e0dd81cdae30c5812efc96450c7f33bdd41eacf35ef0afc66cc801d232d7b4",
+    "best-uniform/batch": "8608b5351392b9b3e6dc1a468a50b0a090d76d737385affe8960d58420f2b54e",
+    "best-uniform/sequential": "9169a99215f9939b1c459ba10f4741e9ff4e36298fb3339e72855e97ee5c1e21",
+    "jobs1-one_point/batch": "1409663e6e0df873bd794f207804534c4e400b0a472375c6d8c205885e36ff9c",
+    "jobs1-one_point/sequential": "1409663e6e0df873bd794f207804534c4e400b0a472375c6d8c205885e36ff9c",
+    "jobs1-two_point/batch": "1409663e6e0df873bd794f207804534c4e400b0a472375c6d8c205885e36ff9c",
+    "jobs1-two_point/sequential": "1409663e6e0df873bd794f207804534c4e400b0a472375c6d8c205885e36ff9c",
+    "jobs2-one_point/batch": "56e54ae989fb6d626ba883db3ddd4cb981a8c58de745fef615f30ffc5a4d9711",
+    "jobs2-one_point/sequential": "56e54ae989fb6d626ba883db3ddd4cb981a8c58de745fef615f30ffc5a4d9711",
+    "jobs2-two_point/batch": "56e54ae989fb6d626ba883db3ddd4cb981a8c58de745fef615f30ffc5a4d9711",
+    "jobs2-two_point/sequential": "56e54ae989fb6d626ba883db3ddd4cb981a8c58de745fef615f30ffc5a4d9711",
+    "jobs3-one_point/batch": "9daacb626728633fbd12b440ad72dce90866eb757707856fa4f44df83aef8080",
+    "jobs3-one_point/sequential": "9daacb626728633fbd12b440ad72dce90866eb757707856fa4f44df83aef8080",
+    "jobs3-two_point/batch": "1d5905cd26f00af5208f91a6006c98adf66e173e90ae507e14d55529daeb1b4a",
+    "jobs3-two_point/sequential": "d21b2809cc746bd31121cd39cb78a653ee9dc887f79c6db8fa577299de62a36e",
+    "linear_rank-one_point/batch": "624c33315fb1687443c48519c70ce82f3c5d9b5bd9235010e37117104706abcd",
+    "linear_rank-one_point/sequential": "22dc3ecd5c075d503aa469d4dc97b588facbcbd77a4253ff8aa4a4112a0f904b",
+    "linear_rank-two_point/batch": "3ba589080343a3d3b1c81a066bf14fb65f4a652deb3d115150745f1a3eeccfd0",
+    "linear_rank-two_point/sequential": "92642a70e4a6f45f78a99cad18a9d0c00c3915d9f5a5c028153e54cabe73572a",
+    "linear_rank-uniform/batch": "8cf85815323044a78cc7573fe439135af818d7c043bd2431c0a2bc2863c34455",
+    "linear_rank-uniform/sequential": "fbf58a0afa8672276e5c58adbcc5d59c3223594b0b702f84ff1badfccc5f73e1",
+    "n_tournament-one_point/batch": "218254615c3fd722d85372d84534f09689bc8332aaed00fe7e240d0b14e02eba",
+    "n_tournament-one_point/sequential": "babe04e70272fd110df9d36f957267f3d44944f673105c44e8d21ef36f5cdd14",
+    "n_tournament-two_point/batch": "5b4b8299bbc3ba63072ebf4710db7a81babe042b2eff96045d27891da0553302",
+    "n_tournament-two_point/sequential": "636d7055f4691d9c54fb0c0c7ab654208d2f316b127185527e63f441a6665bc8",
+    "n_tournament-uniform/batch": "ae054d1b03fcb7f841ef95c04d1a631f7f7226bc2039034323671492892048b1",
+    "n_tournament-uniform/sequential": "fdda9928008c1f2eb96d0023841abfd349064c49ee8a0268648647a48da83b75",
+    "neighborhood-c13/batch": "789d5c4dee25bfca8953276f5540ed75f189f0dac96478e4e657d4f56e8de5e8",
+    "neighborhood-c13/sequential": "4cfe64983f68855180623f7df934f3cca45cfa22daabe0fe05ec484a6eaccc31",
+    "neighborhood-l5/batch": "6835ad8e9b272bab7c1c705f639035c76f2f3988bb41bf12c624803aff49d2f6",
+    "neighborhood-l5/sequential": "7df8957a04d4486035890a9e560e88820cb6ec94f7b746707866350c514bbf63",
+    "neighborhood-panmictic/batch": "3b5ecfffa6d27647a7fccd606f105284a7dd9c18f2cca2de429864cf8e0d012f",
+    "neighborhood-panmictic/sequential": "0f2991f38ddc9f263025eff561069cbd3347500276b525dac472a6b0a6b2640d",
+    "parents-1/batch": "bf6e53c00022027ea363384547f500648fe21d16d149c348cfebecfa39da6d65",
+    "parents-1/sequential": "e89f0a6f3538335bf1a122ad7857de69b4ccbd7a0495681183a030d7b3d0cc08",
+    "parents-2/batch": "24a6a56417d269327328b30c7385f420aac0c1fcee5745b68c224d4de2a241df",
+    "parents-2/sequential": "144763306f9ce4cdc5dccb296e3b6abf7b023a90665a025f013c5813ec89ac8c",
+    "parents-4/batch": "e7ee6cb97f46f5706ccfd78d858b4c62fd846ae3cfb68fc3a4d9413872fcb2f7",
+    "parents-4/sequential": "64b688d447c4071c96f40b55bf4f2c4b76bf67e991e3a1d60a44358b87e02c3f",
+    "random-one_point/batch": "7d124e83b47653e314255937f179c8b018652aec81f5fb9d7c3a2da556da9063",
+    "random-one_point/sequential": "1c839a26b4e67a362b190967783179a8cd9f24b06a443f6459e337e0708d0b99",
+    "random-two_point/batch": "81751eaf4977aeb31d8f25eed66c69c76ef7e8cc473763c51e3a292de0c12506",
+    "random-two_point/sequential": "e50b424d49025c218a45ce2b60e82fe8ac6f413d32f9646b1d1348749f094bb4",
+    "random-uniform/batch": "155d3b4eca1eb7da274bbf45e2ec67a7678dfd501d792cb7fb7d125f6cd4ca03",
+    "random-uniform/sequential": "0bbffdf4629d7a24bf38882fbca4a11b85bced46d244142a4230dffffb6f96b4",
+    "tournament-1/batch": "7d124e83b47653e314255937f179c8b018652aec81f5fb9d7c3a2da556da9063",
+    "tournament-1/sequential": "1c839a26b4e67a362b190967783179a8cd9f24b06a443f6459e337e0708d0b99",
+    "tournament-10/batch": "e551f6016a0f20f952a4cf4a6085b3a8e2f69e0feaf7f5caca2b8d2d145ea3f7",
+    "tournament-10/sequential": "18db8f6be17c677fcb45d85dbf56dd5f87af4bd6d41d86adc7ceec50df0b2016",
+    "tournament-5/batch": "250a42d158c6871b41cc7f34943274f2f8f0736e2876659de42c0fc95c1bd72e",
+    "tournament-5/sequential": "e92dd1acc59845fdc92d8a59675ffe382ea2024ad62bfafaa9ab418cffb049d4",
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_breeding_configuration_gives_the_pinned_trajectory(instances, case):
+    assert run_case(instances, case) == GOLDEN[case]
