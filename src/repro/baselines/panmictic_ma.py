@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import PopulationBasedScheduler
+from repro.core.crossover import OnePointCrossover
 from repro.core.individual import Individual
 from repro.core.local_search import get_local_search
 from repro.core.mutation import get_mutation
@@ -28,7 +29,7 @@ from repro.core.population import ResidentGrid
 from repro.core.termination import TerminationCriteria
 from repro.engine.service import EvaluationEngine
 from repro.model.instance import SchedulingInstance
-from repro.utils.rng import RNGLike
+from repro.utils.rng import RNGLike, bounded_draws
 from repro.utils.validation import check_integer, check_probability
 
 __all__ = ["PanmicticMAConfig", "PanmicticMA"]
@@ -90,6 +91,7 @@ class PanmicticMA(PopulationBasedScheduler):
             self.config.local_search, iterations=self.config.local_search_iterations
         )
         self._mutation = get_mutation(self.config.mutation)
+        self._crossover = OnePointCrossover()
         self.resident: ResidentGrid | None = None
 
     # ------------------------------------------------------------------ #
@@ -119,7 +121,6 @@ class PanmicticMA(PopulationBasedScheduler):
         cfg = self.config
         grid = self.resident
         nb_offspring = cfg.offspring_per_iteration
-        nb_jobs = self.instance.nb_jobs
         best_before = grid.fitness_at(grid.best_position())
 
         # Two tournaments per offspring over the whole population, one draw.
@@ -129,17 +130,11 @@ class PanmicticMA(PopulationBasedScheduler):
         )
         winner_index = fitness[entrants].argmin(axis=2)
         winners = np.take_along_axis(entrants, winner_index[..., None], axis=2)[..., 0]
-        parents_a = grid.batch.assignments[winners[:, 0]]
-        parents_b = grid.batch.assignments[winners[:, 1]]
 
-        # Vectorized one-point crossover across the offspring batch.
-        if nb_jobs < 2:
-            children = parents_a.copy()
-        else:
-            cuts = self.rng.integers(1, nb_jobs, size=nb_offspring)
-            children = np.where(
-                np.arange(nb_jobs)[None, :] < cuts[:, None], parents_a, parents_b
-            )
+        # One-point crossover of every pair, one cut draw per offspring.
+        bounds = self._crossover.draw_bounds(2, self.instance.nb_jobs)
+        draws = bounded_draws(self.rng, bounds, nb_offspring)
+        children = self._crossover.recombine_from_draws(grid.batch.assignments[winners], draws)
         rows = grid.stage(children)
 
         mutate = self.rng.random(nb_offspring) < cfg.mutation_probability

@@ -22,7 +22,7 @@ from repro.engine.service import EvaluationEngine
 from repro.heuristics.base import build_schedule
 from repro.model.instance import SchedulingInstance
 from repro.model.schedule import Schedule
-from repro.utils.rng import RNGLike, sample_without_replacement
+from repro.utils.rng import RNGLike
 from repro.utils.validation import check_in_range, check_integer, check_probability
 
 __all__ = ["SimulatedAnnealingConfig", "SimulatedAnnealingScheduler"]
@@ -83,7 +83,7 @@ class SimulatedAnnealingScheduler(Search):
         nb_jobs = self.instance.nb_jobs
         nb_machines = self.instance.nb_machines
         if nb_jobs >= 2 and self.rng.random() < self.config.swap_probability:
-            job_a, job_b = sample_without_replacement(self.rng, nb_jobs, 2)
+            job_a, job_b = self.rng.choice(nb_jobs, 2, replace=False)
             schedule.swap_jobs(int(job_a), int(job_b))
             return ("swap", int(job_a), int(job_b))
         job = int(self.rng.integers(nb_jobs))

@@ -34,22 +34,30 @@ offered through :attr:`CMAConfig.cell_updates`:
   them in one batched reduction and then applies the replacements in update
   order.  Offspring of one stream are bred from the grid state at the start
   of that stream; the mutation stream still sees the recombination stream's
-  replacements.
+  replacements.  :func:`breed` breeds the recombination stream's children
+  in one pass: operators that draw only bounded integers declare their
+  draws' bounds, one ``Generator.integers`` call draws every child's
+  selection and crossover draws, and each operator runs once over the
+  whole phase, with the children and generator state of one selection and
+  one recombination call per child.  ``linear_rank`` selection and
+  ``uniform`` crossover draw doubles, which no integer call replays, so
+  with either the phase breeds child by child.
 * ``"sequential"`` — the paper's fully asynchronous discipline: an
   offspring installed in its cell is immediately visible to the later
-  updates of the same iteration.  This path reproduces the pre-resident
+  updates of the same iteration; each child is bred from the grid as the
+  updates before it left it.  This path reproduces the pre-resident
   implementation's best-fitness trajectories bit for bit and serves as the
   semantic reference for the batch path.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.config import CMAConfig
-from repro.core.crossover import get_crossover
+from repro.core.crossover import CrossoverOperator, get_crossover
 from repro.core.individual import Individual
 from repro.core.local_search import get_local_search
 from repro.core.mutation import get_mutation
@@ -57,19 +65,56 @@ from repro.core.neighborhood import get_neighborhood
 from repro.core.population import PopulationInitializer, ResidentGrid
 from repro.core.replacement import get_replacement
 from repro.core.search import Search
-from repro.core.selection import NTournamentSelection, get_selection
+from repro.core.selection import NTournamentSelection, SelectionOperator, get_selection
 from repro.core.sweep import get_sweep
 from repro.core.termination import SearchState
 from repro.engine.results import SchedulingResult
 from repro.engine.service import EvaluationEngine
 from repro.model.instance import SchedulingInstance
 from repro.model.schedule import Schedule
-from repro.utils.rng import RNGLike
+from repro.utils.rng import RNGLike, bounded_draws
 
-__all__ = ["SchedulingResult", "CellularMemeticAlgorithm"]
+__all__ = ["SchedulingResult", "CellularMemeticAlgorithm", "breed"]
 
 #: Signature of the optional per-iteration observer callback.
 IterationObserver = Callable[["CellularMemeticAlgorithm", SearchState], None]
+
+
+def breed(
+    selection: SelectionOperator,
+    crossover: CrossoverOperator,
+    fitness: np.ndarray,
+    assignments: np.ndarray,
+    neighbors: np.ndarray,
+    nb_parents: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One recombination child per row of *neighbors*, all from one grid state.
+
+    Row *c* of *neighbors* lists the grid rows child *c* picks its
+    *nb_parents* parents from; *fitness* and *assignments* are the grid's.
+    The children, and the state *rng* is left in, are those of a loop that
+    calls ``select_indices`` and then ``recombine`` per child.  When both
+    operators declare their draw bounds, one
+    :func:`~repro.utils.rng.bounded_draws` call draws every child's
+    selection and crossover draws in that order, and each operator runs
+    once over the whole stack.  An operator that draws doubles
+    (``linear_rank``, ``uniform``) declares none, and that loop runs.
+    """
+    pool, nb_jobs = neighbors.shape[1], assignments.shape[1]
+    selection_bounds = selection.draw_bounds(pool, nb_parents)
+    crossover_bounds = crossover.draw_bounds(nb_parents, nb_jobs)
+    if selection_bounds is None or crossover_bounds is None:
+        children = []
+        for cells in neighbors:
+            picks = selection.select_indices(fitness[cells], nb_parents, rng)
+            children.append(crossover.recombine(assignments[cells[picks]], rng))
+        return np.stack(children)
+    draws = bounded_draws(rng, selection_bounds + crossover_bounds, len(neighbors))
+    split = len(selection_bounds)
+    picks = selection.select_from_draws(fitness[neighbors], nb_parents, draws[:, :split])
+    parents = assignments[neighbors[np.arange(len(neighbors))[:, None], picks]]
+    return crossover.recombine_from_draws(parents, draws[:, split:])
 
 
 class CellularMemeticAlgorithm(Search):
@@ -293,21 +338,16 @@ class CellularMemeticAlgorithm(Search):
                 if self.engine.improve(grid.batch.view(row), self.local_search, self.rng):
                     grid.evaluate_rows([row])
 
-    def _breed(self, position: int) -> np.ndarray:
-        """A recombination child for the cell at *position*, bred from row indices.
-
-        Selection runs on the neighbor rows' entries of the grid's fitness
-        vector, and the crossover folds the selected parents' assignment
-        rows — no per-cell handles.
-        """
-        neighbors = self._neighbors[position]
-        picks = self.selection.select_indices(
-            self.grid.fitness_values()[neighbors],
+    def _breed(self, positions: Sequence[int]) -> np.ndarray:
+        """Recombination children for the cells at *positions*, from the grid as it stands."""
+        return breed(
+            self.selection,
+            self.crossover,
+            self.grid.fitness_values(),
+            self.grid.batch.assignments,
+            self._neighbors[positions],
             self.config.nb_solutions_to_recombine,
             self.rng,
-        )
-        return self.crossover.recombine(
-            self.grid.batch.assignments[neighbors[picks]], self.rng
         )
 
     # -------------------------- batch cell updates --------------------- #
@@ -317,8 +357,7 @@ class CellularMemeticAlgorithm(Search):
         if cfg.nb_recombinations == 0:
             return False
         positions = [order.advance() for _ in range(cfg.nb_recombinations)]
-        children = np.stack([self._breed(position) for position in positions])
-        return self._finalize_phase(positions, self.grid.stage(children))
+        return self._finalize_phase(positions, self.grid.stage(self._breed(positions)))
 
     def _mutation_phase(self, order) -> bool:
         """Mutate copies of the visited cells, then batch-improve and place them."""
@@ -351,7 +390,7 @@ class CellularMemeticAlgorithm(Search):
         improved_best = False
         for _ in range(self.config.nb_recombinations):
             position = order.advance()
-            offspring = Individual(Schedule(self.instance, self._breed(position)))
+            offspring = Individual(Schedule(self.instance, self._breed([position])[0]))
             improved_best |= self._finalize_offspring(position, offspring)
         return improved_best
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.model.schedule import Schedule
-from repro.utils.rng import RNGLike, as_generator, sample_without_replacement
+from repro.utils.rng import RNGLike, as_generator
 
 __all__ = [
     "MutationOperator",
@@ -133,7 +133,7 @@ class SwapMutation(MutationOperator):
             return
         assignment = schedule.assignment
         for _ in range(self.max_attempts):
-            job_a, job_b = sample_without_replacement(gen, nb_jobs, 2)
+            job_a, job_b = gen.choice(nb_jobs, 2, replace=False)
             if assignment[job_a] != assignment[job_b]:
                 schedule.swap_jobs(int(job_a), int(job_b))
                 return

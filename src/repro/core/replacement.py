@@ -8,9 +8,11 @@ it was derived from.  The paper uses the elitist *add only if better* policy
 Policies expose two equivalent entry points: :meth:`~ReplacementPolicy.
 should_replace` compares two :class:`~repro.core.individual.Individual`
 objects (the sequential cell-update path), and :meth:`~ReplacementPolicy.
-accepts` compares raw fitness values — scalars or whole arrays — which is
-what the resident-grid batch path uses to decide a phase's replacements in
-one vectorized comparison.
+accepts` compares raw fitness values — scalars or whole arrays.  The
+resident-grid batch path calls it once per offspring, in update order, so
+an offspring meets the incumbent an earlier offspring of the phase may
+have installed; island migration pairs a whole parcel of immigrants with
+the worst cells in one array comparison.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from repro.core.config import EMIGRANT_SELECTIONS, MIGRATION_INTERVAL_UNITS
 from repro.core.population import ResidentGrid
 from repro.core.replacement import ReplacementPolicy
 from repro.engine.service import EvaluationEngine
-from repro.utils.rng import RNGLike, sample_without_replacement
+from repro.utils.rng import RNGLike, as_generator
 from repro.utils.validation import check_integer
 
 __all__ = ["EmigrantParcel", "MigrationClock", "select_emigrants", "integrate_immigrants"]
@@ -100,7 +100,7 @@ def select_emigrants(
     if selection == "best_k":
         positions = np.argsort(fitness, kind="stable")[:count]
     else:
-        positions = sample_without_replacement(rng, grid.size, count)
+        positions = as_generator(rng).choice(grid.size, count, replace=False)
     positions = np.asarray(positions, dtype=np.int64)
     return EmigrantParcel(
         assignments=grid.batch.assignments[positions].copy(),

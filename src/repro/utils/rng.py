@@ -6,11 +6,17 @@ an existing :class:`numpy.random.Generator` and normalizes it through
 (one per repetition, one per algorithm, ...) use :func:`spawn_generators`,
 which relies on NumPy's ``Generator.spawn`` / ``SeedSequence`` machinery so
 streams are statistically independent and reproducible.
+
+Operators that draw only bounded integers draw many calls' worth at once
+through :func:`bounded_draws`, and :func:`floyd_bounds` with
+:func:`floyd_samples` replay ``Generator.choice`` without replacement from
+such draws, so batching them moves no trajectory.
 """
 
 from __future__ import annotations
 
 import zlib
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +26,9 @@ __all__ = [
     "spawn_generators",
     "substream_seed_sequence",
     "derive_seed",
-    "sample_without_replacement",
+    "bounded_draws",
+    "floyd_bounds",
+    "floyd_samples",
 ]
 
 #: Type accepted everywhere a source of randomness is expected.
@@ -136,44 +144,68 @@ def derive_seed(rng: RNGLike, *, low: int = 0, high: int = 2**31 - 1) -> int:
     return int(gen.integers(low, high))
 
 
-def sample_without_replacement(
-    rng: RNGLike, pool: int, size: int, count: int | None = None
+def bounded_draws(
+    rng: np.random.Generator, bounds: Sequence[int], rows: int = 1
 ) -> np.ndarray:
-    """*size* distinct integers of ``range(pool)``, drawn as ``Generator.choice`` draws them.
+    """A ``(rows, len(bounds))`` matrix of draws; column *t* is uniform on ``[0, bounds[t])``.
 
-    Returns what ``Generator.choice(pool, size, replace=False)`` returns —
-    with *count*, a ``(count, size)`` matrix holding what *count* such calls
-    return — and leaves the generator in the state those calls leave, so a
-    caller can switch to it without moving a trajectory.  Up to 10,000
-    items ``choice`` runs Floyd's algorithm (Bentley & Floyd, "A sample of
-    brilliance", CACM 1987): draw *t* is uniform on ``[0, pool - size + t]``
-    and is replaced by ``pool - size + t`` when already taken; *size* − 1
-    Fisher–Yates swaps then shuffle the sample.  Each of those draws is the
-    bounded-integer draw ``Generator.integers`` makes per element, so one
-    ``integers`` call over all the bounds replaces *count* ``choice`` calls;
-    the insertions and swaps run on the drawn values.  Larger pools, where
-    ``choice`` may shuffle a tail instead, go through ``choice`` itself.
+    One ``Generator.integers`` call draws the rows in order and returns what
+    *rows* successive calls would return, each drawing *bounds* in order, one
+    element at a time, and it leaves the generator in the state they leave.
+    numpy draws every element of an ``integers`` call with the same bounded
+    routine (Lemire, "Fast random integer generation in an interval", ACM
+    TOMACS 2019), whether the bounds come as one scalar or as an array.
+    Below 2**32 that routine takes 32-bit words, and the bit generator keeps
+    the spare half of a 64-bit word in its own state, not in the call.  A
+    bound of 1 draws nothing; no bounds make no call.
     """
-    gen = as_generator(rng)
+    if not bounds or rows == 0:
+        return np.zeros((rows, len(bounds)), dtype=np.int64)
+    if min(bounds) == max(bounds):
+        # The same routine, through numpy's cheaper scalar-bound path.
+        return rng.integers(0, bounds[0], size=(rows, len(bounds)))
+    return rng.integers(0, bounds, size=(rows, len(bounds)))
+
+
+def floyd_bounds(pool: int, size: int) -> list[int] | None:
+    """Exclusive upper bounds of the draws ``Generator.choice(pool, size, replace=False)`` makes.
+
+    Up to 10,000 items, and beyond while *size* is at most ``pool // 50``,
+    ``choice`` runs Floyd's algorithm (Bentley & Floyd, "A sample of
+    brilliance", CACM 1987): insertion *t* draws from ``[0, pool - size + t]``,
+    then *size* − 1 Fisher–Yates swaps shuffle the sample.  Each is the
+    bounded-integer draw ``Generator.integers`` makes per element, so
+    :func:`bounded_draws` over these bounds and :func:`floyd_samples` replay
+    ``choice``.  Otherwise ``choice`` shuffles a permutation's tail with a
+    masked draw, which no bounded draw replays, and this returns ``None``.
+    """
     if not 0 <= size <= pool:
         raise ValueError(f"cannot sample {size} distinct items from a pool of {pool}")
-    rows = 1 if count is None else count
     if pool > 10_000 and size > pool // 50:
-        picks = np.array([gen.choice(pool, size, replace=False) for _ in range(rows)])
-    elif size == 0:
-        picks = np.empty((rows, 0), dtype=np.int64)
-    else:
-        first = pool - size
-        bounds = [*range(first + 1, pool + 1), *range(size, 1, -1)]
-        draws = gen.integers(0, bounds * rows).tolist()
-        width = len(bounds)
-        picks = []
-        for start in range(0, rows * width, width):
-            sample = []
-            for top, value in zip(range(first, pool), draws[start:start + size]):
-                sample.append(top if value in sample else value)
-            for i, j in zip(range(size - 1, 0, -1), draws[start + size:start + width]):
-                sample[i], sample[j] = sample[j], sample[i]
-            picks.append(sample)
-        picks = np.array(picks, dtype=np.int64)
-    return picks[0] if count is None else picks
+        return None
+    return [*range(pool - size + 1, pool + 1), *range(size, 1, -1)]
+
+
+def floyd_samples(draws: np.ndarray, pool: int, size: int) -> np.ndarray:
+    """The sample ``Generator.choice(pool, size, replace=False)`` returns, per row of *draws*.
+
+    *draws* holds one row of draws under :func:`floyd_bounds` per sample.
+    Insertion *t* keeps its draw unless an earlier insertion took it, and
+    then takes ``pool - size + t``; swap *s* exchanges position
+    ``size - 1 - s`` with its draw.  Each step runs once over all rows.
+    """
+    rows = draws.shape[0]
+    first = pool - size
+    samples = np.empty((rows, size), dtype=np.int64)
+    for t in range(size):
+        value = draws[:, t]
+        taken = np.zeros(rows, dtype=bool)
+        for earlier in range(t):
+            taken |= samples[:, earlier] == value
+        samples[:, t] = np.where(taken, first + t, value)
+    index = np.arange(rows)
+    for position, partner in zip(range(size - 1, 0, -1), draws[:, size:].T):
+        swapped = samples[index, partner]
+        samples[index, partner] = samples[:, position]
+        samples[:, position] = swapped
+    return samples

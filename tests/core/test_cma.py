@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.cma import CellularMemeticAlgorithm
+from repro.core.cma import CellularMemeticAlgorithm, breed
 from repro.core.config import CMAConfig
+from repro.core.crossover import get_crossover, list_crossovers
+from repro.core.selection import NTournamentSelection, get_selection, list_selections
 from repro.core.termination import TerminationCriteria
 from repro.heuristics import build_schedule
 
@@ -172,3 +174,48 @@ class TestObserverAndIntrospection:
             small_instance, fast_config(10, local_search="none"), rng=3
         ).run()
         assert memetic.best_fitness <= plain.best_fitness
+
+
+def breed_child_by_child(selection, crossover, fitness, assignments, neighbors, nb_parents, gen):
+    """One ``select_indices`` and one ``recombine`` call per child, in order."""
+    children = []
+    for cells in neighbors:
+        picks = selection.select_indices(fitness[cells], nb_parents, gen)
+        children.append(crossover.recombine(assignments[cells[picks]], gen))
+    return np.stack(children)
+
+
+class TestPhaseBreed:
+    @pytest.mark.parametrize("crossover_name", sorted(list_crossovers()))
+    @pytest.mark.parametrize("selection_name", sorted(list_selections()))
+    def test_matches_one_selection_and_recombination_per_child(
+        self, selection_name, crossover_name
+    ):
+        selections = [get_selection(selection_name)]
+        if selection_name == "n_tournament":
+            # Sizes 5 and 10 exceed some pools below: entrants with replacement.
+            selections += [NTournamentSelection(size) for size in (1, 2, 5, 10)]
+        crossover = get_crossover(crossover_name)
+        for seed in range(8):
+            for nb_jobs in (1, 2, 3, 17):
+                setup = np.random.default_rng([seed, nb_jobs])
+                cells = int(setup.integers(1, 30))
+                pool = int(setup.integers(1, 14))
+                nb_parents = int(setup.integers(1, 5))
+                nb_children = int(setup.integers(1, 26))
+                # Few distinct fitness values, so tournaments and ranks tie.
+                fitness = setup.integers(0, 4, size=cells).astype(float)
+                assignments = setup.integers(0, 5, size=(cells + nb_children, nb_jobs))
+                neighbors = setup.integers(0, cells, size=(nb_children, pool))
+                for selection in selections:
+                    reference = np.random.default_rng(seed)
+                    gen = np.random.default_rng(seed)
+                    expected = breed_child_by_child(
+                        selection, crossover, fitness, assignments, neighbors, nb_parents,
+                        reference,
+                    )
+                    children = breed(
+                        selection, crossover, fitness, assignments, neighbors, nb_parents, gen
+                    )
+                    np.testing.assert_array_equal(children, expected)
+                    assert gen.bit_generator.state == reference.bit_generator.state

@@ -204,3 +204,18 @@ class TestTournamentDrawOracle:
                     picks = selection.select_indices(fitness, k, gen)
                     np.testing.assert_array_equal(picks, expected)
                     assert gen.bit_generator.state == reference.bit_generator.state
+
+
+class TestLargePoolTournament:
+    @pytest.mark.parametrize("pool, tournament_size", [(10_001, 201), (20_000, 400)])
+    def test_matches_one_choice_call_per_tournament(self, pool, tournament_size):
+        # Past 10,000 candidates with N > pool // 50 choice shuffles a
+        # permutation's tail, and the operator calls choice itself; at
+        # N = pool // 50 it still replays Floyd's draws.
+        selection = NTournamentSelection(tournament_size)
+        fitness = np.random.default_rng(pool).integers(0, 50, size=pool).astype(float)
+        reference, gen = np.random.default_rng(4), np.random.default_rng(4)
+        expected = tournaments_with_choice(fitness, 2, tournament_size, reference)
+        np.testing.assert_array_equal(selection.select_indices(fitness, 2, gen), expected)
+        assert gen.bit_generator.state == reference.bit_generator.state
+        assert (selection.draw_bounds(pool, 2) is None) == (tournament_size > pool // 50)

@@ -147,31 +147,51 @@ class TestDeriveSeed:
             derive_seed(1, low=5, high=5)
 
 
+def replay_choice(gen, pool, size, rows=None):
+    """What *rows* (or one) ``choice(pool, size, replace=False)`` calls return, replayed."""
+    draws = rng_module.bounded_draws(gen, rng_module.floyd_bounds(pool, size), rows or 1)
+    samples = rng_module.floyd_samples(draws, pool, size)
+    return samples if rows else samples[0]
+
+
 class TestHelpers:
-    def test_sample_without_replacement_distinct(self):
-        sample = rng_module.sample_without_replacement(1, 20, 10)
+    def test_floyd_samples_are_distinct(self):
+        sample = replay_choice(np.random.default_rng(1), 20, 10)
         assert len(set(sample.tolist())) == 10
 
-    def test_sample_too_many_rejected(self):
+    def test_floyd_bounds_reject_too_many(self):
         with pytest.raises(ValueError):
-            rng_module.sample_without_replacement(1, 3, 4)
+            rng_module.floyd_bounds(3, 4)
 
-    def test_negative_size_rejected(self):
+    def test_floyd_bounds_reject_negative_size(self):
         with pytest.raises(ValueError):
-            rng_module.sample_without_replacement(1, 3, -1)
+            rng_module.floyd_bounds(3, -1)
 
-    def test_count_stacks_successive_samples(self):
-        for pool, size, count in [(9, 3, 3), (13, 5, 4), (7, 7, 2), (5, 0, 3), (20_000, 500, 2)]:
+    def test_rows_stack_successive_samples(self):
+        for pool, size, count in [(9, 3, 3), (13, 5, 4), (7, 7, 2), (5, 0, 3), (20_000, 400, 2)]:
             reference, gen = np.random.default_rng(pool), np.random.default_rng(pool)
             expected = [reference.choice(pool, size, replace=False) for _ in range(count)]
-            picks = rng_module.sample_without_replacement(gen, pool, size, count)
+            picks = replay_choice(gen, pool, size, count)
             assert picks.shape == (count, size) and picks.dtype == np.int64
             np.testing.assert_array_equal(picks, np.array(expected).reshape(count, size))
             assert gen.bit_generator.state == reference.bit_generator.state
 
+    def test_bounded_draws_match_one_call_per_element(self):
+        # Mixed bounds take numpy's array path, equal ones its scalar path;
+        # bounds of 1 draw nothing, and no bounds make no call.
+        cases = [[9, 8, 7, 1, 3, 2], [5, 5, 5], [1, 1], [2**31, 3, 2**32 - 1, 2**32, 2**40], []]
+        for seed in range(50):
+            for bounds in cases:
+                reference, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = [[reference.integers(0, bound) for bound in bounds] for _ in range(4)]
+                draws = rng_module.bounded_draws(gen, bounds, 4)
+                assert draws.shape == (4, len(bounds))
+                np.testing.assert_array_equal(draws, np.array(expected).reshape(4, len(bounds)))
+                assert gen.bit_generator.state == reference.bit_generator.state
+
 
 class TestSampleWithoutReplacementOracle:
-    """The sampler draws what ``Generator.choice`` draws, state and all.
+    """Floyd's replay draws what ``Generator.choice`` draws, state and all.
 
     Each seed runs one generator pair through every (pool, size) case in
     turn, so every case meets many generator states, and any difference in
@@ -186,16 +206,20 @@ class TestSampleWithoutReplacementOracle:
             for pool in self.POOLS:
                 for size in range(min(pool, 6) + 1):
                     expected = reference.choice(pool, size, replace=False)
-                    got = rng_module.sample_without_replacement(gen, pool, size)
+                    got = replay_choice(gen, pool, size)
                     assert np.array_equal(got, expected), (seed, pool, size)
                 assert gen.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("pool, size", [(10_001, 250), (20_000, 500), (20_000, 400)])
     def test_matches_choice_past_ten_thousand(self, pool, size):
+        if size > pool // 50:
+            # choice shuffles a permutation's tail here, with a masked draw.
+            assert rng_module.floyd_bounds(pool, size) is None
+            return
         reference, gen = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(2):
             expected = reference.choice(pool, size, replace=False)
-            assert np.array_equal(rng_module.sample_without_replacement(gen, pool, size), expected)
+            assert np.array_equal(replay_choice(gen, pool, size), expected)
         assert gen.bit_generator.state == reference.bit_generator.state
 
     def test_integer_index_matches_choice_of_an_array(self):
