@@ -10,8 +10,9 @@ Like the cMA, the population is resident in one
 :class:`~repro.engine.batch.BatchEvaluator` (modelled as a ``1 × pop`` grid
 with offspring scratch rows): each iteration's offspring are bred from the
 population state at the start of the iteration with one vectorized
-tournament/crossover draw, improved with whole-batch local search, and then
-compete for the worst slot one at a time (steady-state replacement).
+tournament/crossover draw, mutated as one batch, improved with whole-batch
+local search, and then compete for the worst slot one at a time
+(steady-state replacement).
 """
 
 from __future__ import annotations
@@ -138,8 +139,7 @@ class PanmicticMA(PopulationBasedScheduler):
         rows = grid.stage(children)
 
         mutate = self.rng.random(nb_offspring) < cfg.mutation_probability
-        for row in rows[mutate]:
-            self._mutation.mutate(grid.batch.view(int(row)), self.rng)
+        self._mutation.mutate_batch(grid.batch, rows[mutate], self.rng)
 
         self.engine.improve_batch(grid.batch, rows, self._local_search, self.rng)
         fitnesses = grid.evaluate_rows(rows)

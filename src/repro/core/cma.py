@@ -31,10 +31,12 @@ offered through :attr:`CMAConfig.cell_updates`:
 * ``"batch"`` (default) — each stream stages its whole offspring batch in
   the scratch rows, applies the local search to **all** of them with one
   vectorized scan per step (:meth:`LocalSearch.improve_batch`), evaluates
-  them in one batched reduction and then applies the replacements in update
-  order.  Offspring of one stream are bred from the grid state at the start
-  of that stream; the mutation stream still sees the recombination stream's
-  replacements.  :func:`breed` breeds the recombination stream's children
+  them in one batched reduction and then replaces cells with the result of
+  replacing them in update order: one array comparison and one row copy per
+  run of distinct cells.  Offspring of one stream are bred from the grid
+  state at the start of that stream; the mutation stream still sees the
+  recombination stream's replacements, and mutates its staged copies of the
+  visited cells in one batch (:meth:`MutationOperator.mutate_batch`).  :func:`breed` breeds the recombination stream's children
   in one pass: operators that draw only bounded integers declare their
   draws' bounds, one ``Generator.integers`` call draws every child's
   selection and crossover draws, and each operator runs once over the
@@ -115,6 +117,18 @@ def breed(
     picks = selection.select_from_draws(fitness[neighbors], nb_parents, draws[:, :split])
     parents = assignments[neighbors[np.arange(len(neighbors))[:, None], picks]]
     return crossover.recombine_from_draws(parents, draws[:, split:])
+
+
+def _distinct_runs(positions: np.ndarray) -> list[slice]:
+    """Consecutive runs of *positions*, each as long as no position repeats."""
+    runs, start, seen = [], 0, set()
+    for index, position in enumerate(positions.tolist()):
+        if position in seen:
+            runs.append(slice(start, index))
+            start, seen = index, set()
+        seen.add(position)
+    runs.append(slice(start, len(positions)))
+    return runs
 
 
 class CellularMemeticAlgorithm(Search):
@@ -366,22 +380,36 @@ class CellularMemeticAlgorithm(Search):
             return False
         positions = [order.advance() for _ in range(cfg.nb_mutations)]
         rows = self.grid.stage_cells(positions)
-        for row in rows:
-            self.mutation.mutate(self.grid.batch.view(int(row)), self.rng)
+        self.mutation.mutate_batch(self.grid.batch, rows, self.rng)
         return self._finalize_phase(positions, rows)
 
     def _finalize_phase(self, positions: list[int], rows: np.ndarray) -> bool:
-        """Whole-batch local search + evaluation, then in-order replacement."""
+        """Whole-batch local search + evaluation, then the phase's replacement.
+
+        The result is that of replacing offspring by offspring in update
+        order.  Within a run of distinct positions no offspring meets
+        another's cell, so each run is one array ``accepts`` and one
+        ``adopt`` of its accepted rows; the run's first minimum among them
+        becomes the best if it beats it.  A phase visits a cell twice only
+        with more updates than cells, and then a new run starts at each
+        repeat, so a later offspring meets what an earlier one installed.
+        """
         self.engine.improve_batch(self.grid.batch, rows, self.local_search, self.rng)
         fitnesses = self.grid.evaluate_rows(rows)
+        positions = np.asarray(positions, dtype=np.int64)
         improved_best = False
-        for position, row, fitness in zip(positions, rows, fitnesses):
-            fitness = float(fitness)
-            if self.replacement.accepts(self.grid.fitness_at(position), fitness):
-                self.grid.adopt(position, int(row))
-                if fitness < self.best.fitness:
-                    self.best = self.grid[position].copy()
-                    improved_best = True
+        for run in _distinct_runs(positions):
+            cells, offspring = positions[run], fitnesses[run]
+            accepted = np.flatnonzero(
+                self.replacement.accepts(self.grid.fitness_values()[cells], offspring)
+            )
+            if accepted.size == 0:
+                continue
+            self.grid.adopt(cells[accepted], rows[run][accepted])
+            first_best = accepted[np.argmin(offspring[accepted])]
+            if offspring[first_best] < self.best.fitness:
+                self.best = self.grid[int(cells[first_best])].copy()
+                improved_best = True
         return improved_best
 
     # ------------------------ sequential cell updates ------------------ #

@@ -8,16 +8,24 @@ mutations are also provided — the paper's Local Move local search is "similar
 to the mutation operator", and the baseline GAs use the plain move mutation.
 
 All operators mutate the given schedule **in place**; the caller passes a
-private copy (offspring), never a population member.
+private copy (offspring), never a population member.  A whole phase of
+staged offspring rows of a :class:`~repro.engine.batch.BatchEvaluator`
+mutates through :meth:`MutationOperator.mutate_batch`: the rebalance
+mutation chooses every row's move at once and applies them with one
+batched move, bit for bit what :meth:`~MutationOperator.mutate` of each row
+would do; the other operators mutate the rows one by one through engine
+views.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.engine.batch import BatchEvaluator
 from repro.model.schedule import Schedule
 from repro.utils.rng import RNGLike, as_generator
 
@@ -42,6 +50,20 @@ class MutationOperator(abc.ABC):
     def mutate(self, schedule: Schedule, rng: RNGLike = None) -> None:
         """Apply one mutation to *schedule* (in place)."""
 
+    def mutate_batch(
+        self, batch: BatchEvaluator, rows: np.ndarray, rng: RNGLike = None
+    ) -> None:
+        """Apply one mutation to each of *rows* of *batch* (in place), in row order.
+
+        The default walks the rows with :meth:`mutate` through zero-copy
+        engine views, so any operator mutates resident populations;
+        :class:`RebalanceMutation` overrides it with one choice over all the
+        rows and one batched move.
+        """
+        gen = as_generator(rng)
+        for row in rows:
+            self.mutate(batch.view(int(row)), gen)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -56,9 +78,12 @@ class RebalanceMutation(MutationOperator):
         "less loaded" and eligible to receive the transferred job.  The
         paper fixes this to 25 %.
 
-    The source machine, the job and the target are each picked by indexing
-    with one ``Generator.integers`` draw, the draw ``Generator.choice`` of
-    an array makes at several times the cost.
+    :meth:`choose` picks the moves of a whole stack of rows at once.
+    :meth:`mutate` runs it on the schedule's single row and applies the
+    move through ``Schedule.move_job``; :meth:`mutate_batch` runs it on a
+    phase of engine rows and applies every move through
+    :meth:`~repro.engine.batch.BatchEvaluator.move_jobs`, which keeps
+    ``move_job``'s bits.  Both draw what one row after another draws.
     """
 
     name = "rebalance"
@@ -70,38 +95,102 @@ class RebalanceMutation(MutationOperator):
             )
         self.underloaded_fraction = float(underloaded_fraction)
 
+    def choose(
+        self, completion: np.ndarray, assignments: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The job and target machine of each row's move, drawn in row order.
+
+        *completion* holds ``(rows, machines)`` completion times (two
+        machines at least) and *assignments* the ``(rows, jobs)`` machine
+        indices.  Overloaded machines are those whose completion time is
+        the makespan; underloaded ones are those of the first
+        ``ceil(fraction · M)`` machines in increasing completion-time order
+        that are not overloaded.  Each
+        row draws a source among its overloaded machines, a job of the
+        source and a target among its underloaded machines, each by
+        indexing with one bounded-integer draw.  With no underloaded
+        machine (every load equal), or a source that holds no job (its
+        ready time alone sets the makespan), the row draws the job and the
+        machine of a random :class:`MoveMutation` instead.
+
+        The draws of all rows come from one ``Generator.integers`` call
+        over their bounds, which returns what one call per draw returns; a
+        bound of 1 draws nothing.  A row whose makespan several machines
+        share needs its source before its job bound is known, so the call
+        splits after that row's source draw.
+        """
+        nb_rows, nb_machines = completion.shape
+        nb_jobs = assignments.shape[1]
+        overloaded = completion >= completion.max(axis=1, keepdims=True)
+        over = overloaded.sum(axis=1)
+        # The underloaded machines lead the stable load order, ahead of the
+        # overloaded ones: they are its first min(count, M - over) entries.
+        count = max(1, math.ceil(self.underloaded_fraction * nb_machines))
+        under = np.minimum(count, nb_machines - over)
+        source = overloaded.argmax(axis=1)  # the source, while only one is overloaded
+        on_source = assignments == source[:, None]
+        held = on_source.sum(axis=1)
+        balanced = under == 0
+        random_move = balanced | (held == 0)
+        # Bounds of each row's source, job and target draws; a random
+        # move's job and machine take the last two, behind a source bound
+        # of 1 (no draw) when no machine is less loaded.
+        bounds = np.empty((nb_rows, 3), dtype=np.int64)
+        bounds[:, 0], bounds[:, 1], bounds[:, 2] = over, held, under
+        bounds[balanced, 0] = 1
+        bounds[random_move, 1:] = nb_jobs, nb_machines
+        flat_bounds = bounds.reshape(-1)
+        draws = np.zeros(flat_bounds.size, dtype=np.int64)
+        start = 0
+        for row in np.flatnonzero((under > 0) & (over > 1)).tolist():
+            stop = 3 * row + 1  # through this row's source draw
+            draws[start:stop] = rng.integers(0, flat_bounds[start:stop])
+            source[row] = np.flatnonzero(overloaded[row])[draws[stop - 1]]
+            on_source[row] = assignments[row] == source[row]
+            held_row = int(on_source[row].sum())
+            random_move[row] = held_row == 0
+            if held_row:
+                flat_bounds[stop : stop + 2] = held_row, under[row]
+            else:
+                flat_bounds[stop : stop + 2] = nb_jobs, nb_machines
+            start = stop
+        if start < flat_bounds.size:
+            draws[start:] = rng.integers(0, flat_bounds[start:])
+        draws = draws.reshape(nb_rows, 3)
+        by_load = np.argsort(completion, axis=1, kind="stable")
+        jobs = np.where(random_move, draws[:, 1], _nth_true(on_source, draws[:, 1]))
+        targets = np.where(
+            random_move, draws[:, 2], by_load[np.arange(nb_rows), draws[:, 2]]
+        )
+        return jobs, targets
+
     def mutate(self, schedule: Schedule, rng: RNGLike = None) -> None:
-        gen = as_generator(rng)
-        completion = schedule.completion_times
-        nb_machines = completion.shape[0]
-        if nb_machines < 2:
+        if schedule.instance.nb_machines < 2:
             return
+        jobs, targets = self.choose(
+            schedule.completion_times[None, :], schedule.assignment[None, :], as_generator(rng)
+        )
+        schedule.move_job(int(jobs[0]), int(targets[0]))
 
-        # Overloaded machines: completion time equal to the makespan.
-        makespan = schedule.makespan
-        overloaded = np.nonzero(completion >= makespan)[0]
-        # Underloaded machines: the first ceil(fraction * M) machines in
-        # increasing completion-time order, excluding overloaded ones.
-        count = max(1, int(np.ceil(self.underloaded_fraction * nb_machines)))
-        by_load = np.argsort(completion, kind="stable")[:count]
-        underloaded = by_load[completion[by_load] < makespan]
-        if underloaded.size == 0:
-            # Degenerate case: every machine is equally loaded; fall back to a
-            # random move so the mutation still perturbs the solution.
-            MoveMutation().mutate(schedule, gen)
+    def mutate_batch(
+        self, batch: BatchEvaluator, rows: np.ndarray, rng: RNGLike = None
+    ) -> None:
+        """Mutate each of *rows* (distinct) of *batch* in place, bit for bit as :meth:`mutate`."""
+        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        if batch.nb_machines < 2 or rows.size == 0:
             return
-
-        source = int(overloaded[gen.integers(overloaded.size)])
-        jobs = schedule.machine_jobs(source)
-        if jobs.size == 0:  # an overloaded machine always has jobs unless ready>0
-            MoveMutation().mutate(schedule, gen)
-            return
-        job = int(jobs[gen.integers(jobs.size)])
-        target = int(underloaded[gen.integers(underloaded.size)])
-        schedule.move_job(job, target)
+        jobs, targets = self.choose(
+            batch.completion_times[rows], batch.assignments[rows], as_generator(rng)
+        )
+        batch.move_jobs(rows, jobs, targets)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RebalanceMutation(underloaded_fraction={self.underloaded_fraction})"
+
+
+def _nth_true(mask: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Column of the ``index[i]``-th true entry of each row of *mask* (0 when none)."""
+    return (np.cumsum(mask, axis=1) > index[:, None]).argmax(axis=1)
 
 
 class MoveMutation(MutationOperator):

@@ -256,7 +256,9 @@ class ResidentGrid:
         """Copy cell occupants into scratch rows (offspring for mutation).
 
         Caches are copied, not recomputed, so mutating the staged copies
-        through engine views stays incremental.
+        stays incremental, whether one move per row through
+        :meth:`~repro.engine.batch.BatchEvaluator.move_jobs` or through
+        engine views.
         """
         positions = np.atleast_1d(np.asarray(positions, dtype=np.int64))
         if positions.shape[0] > self.scratch_rows:
@@ -268,13 +270,26 @@ class ResidentGrid:
         self.batch.copy_rows(positions, rows)
         return rows
 
-    def adopt(self, position: int, row: int) -> None:
-        """Install the offspring in scratch *row* into cell *position* (row copy)."""
-        self._check_position(position)
-        self.batch.copy_rows([row], [position])
-        self._fitness[position] = self._fitness[row]
-        self._makespan[position] = self._makespan[row]
-        self._flowtime[position] = self._flowtime[row]
+    def adopt(
+        self,
+        positions: int | np.ndarray | Sequence[int],
+        rows: int | np.ndarray | Sequence[int],
+    ) -> None:
+        """Install the offspring in scratch *rows* into cells *positions* (row copies).
+
+        Takes one position and row or equally long arrays of them, whose
+        positions must be distinct: a whole phase's accepted offspring move
+        in one write of each matrix and cached objective.
+        """
+        positions = np.atleast_1d(np.asarray(positions, dtype=np.int64))
+        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        outside = positions[(positions < 0) | (positions >= self.size)]
+        if outside.size:
+            self._check_position(int(outside[0]))
+        self.batch.copy_rows(rows, positions)
+        self._fitness[positions] = self._fitness[rows]
+        self._makespan[positions] = self._makespan[rows]
+        self._flowtime[positions] = self._flowtime[rows]
 
     def install(self, position: int, individual: Individual) -> None:
         """Install a detached, evaluated individual into cell *position*.

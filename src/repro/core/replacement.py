@@ -9,10 +9,11 @@ Policies expose two equivalent entry points: :meth:`~ReplacementPolicy.
 should_replace` compares two :class:`~repro.core.individual.Individual`
 objects (the sequential cell-update path), and :meth:`~ReplacementPolicy.
 accepts` compares raw fitness values — scalars or whole arrays.  The
-resident-grid batch path calls it once per offspring, in update order, so
-an offspring meets the incumbent an earlier offspring of the phase may
-have installed; island migration pairs a whole parcel of immigrants with
-the worst cells in one array comparison.
+resident-grid batch path calls it once per run of distinct cells of a
+phase (the whole phase unless it visits a cell twice), so an offspring
+still meets the incumbent an earlier offspring of the phase installed;
+island migration pairs a whole parcel of immigrants with the worst cells in
+one array comparison.
 """
 
 from __future__ import annotations

@@ -31,7 +31,10 @@ entire run.  To that end rows support three granularities of update:
   :meth:`~BatchEvaluator.apply_swaps` change one job (or pair) in *every*
   row at once, patching only the two affected machine columns per row via
   closed-form SPT deltas, and return undo records for bit-exact reverts —
-  the primitives behind whole-batch local search.
+  the primitives behind whole-batch local search;
+  :meth:`~BatchEvaluator.move_jobs` moves one job per row with
+  ``Schedule.move_job``'s bits — the primitive behind whole-phase
+  mutation.
 
 A single row changes through its zero-copy :meth:`~BatchEvaluator.view`
 (a ``Schedule`` whose ``move_job``/``swap_jobs`` write the batch matrices).
@@ -431,21 +434,18 @@ class BatchEvaluator:
         self._completion[row] = schedule.completion_times
         self._machine_flowtime[row] = schedule.machine_flowtimes
 
-    def _flowtimes_of_machines(
+    def _spt_finish_times(
         self, rows: np.ndarray, machines: np.ndarray
-    ) -> np.ndarray:
-        """Flowtime contribution of ``machines[i]`` of ``rows[i]``, vectorized.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Finish times of the jobs of ``machines[i]`` of ``rows[i]`` in SPT order.
 
-        The batched :func:`~repro.model.schedule.spt_flowtime`: each row's
-        jobs are read in the instance's precomputed SPT column order for its
-        machine, masked to the jobs actually assigned there, and reduced
-        with one cumulative sum — no per-row python work.  It agrees with
-        the scalar kernel to rounding (within 1e-12 relative), not bit for
-        bit: the sum over the whole masked row groups its pairwise
-        additions differently from the sum over the machine's jobs alone.
-        Code that must land on :class:`~repro.model.schedule.Schedule`'s
-        bits (the mutations through engine views) goes through :meth:`view`,
-        whose moves call :func:`~repro.model.schedule.spt_flowtime`.
+        The batched :func:`~repro.model.schedule.spt_flowtime` before its
+        reduction: each row's jobs are read in the instance's precomputed
+        SPT column order for its machine, masked to the jobs actually
+        assigned there, and run through one cumulative sum.  Returns the
+        ``(R, J)`` finish times and the mask; where the mask holds, the
+        finish time has the scalar kernel's bits, since adding the 0.0 of a
+        masked-out job to a partial sum changes none of them.
         """
         instance = self.instance
         order = instance.spt_order.T[machines]  # (R, J) SPT order per row's machine
@@ -453,7 +453,43 @@ class BatchEvaluator:
         times = instance.etc_spt[machines]  # (R, J) contiguous row gather
         running = np.cumsum(times * assigned, axis=1)
         finish = instance.ready_times[machines][:, None] + running
+        return finish, assigned
+
+    def _flowtimes_of_machines(
+        self, rows: np.ndarray, machines: np.ndarray
+    ) -> np.ndarray:
+        """Flowtime contribution of ``machines[i]`` of ``rows[i]``, vectorized.
+
+        One sum over each whole masked row, which groups its pairwise
+        additions differently from the scalar kernel's sum over the
+        machine's jobs alone: it agrees with
+        :func:`~repro.model.schedule.spt_flowtime` to rounding (within 1e-12
+        relative), not bit for bit.  :meth:`apply_swaps` reduces this way,
+        and ``BATCH_GOLDEN`` (``tests/core/test_cma_determinism.py``) pins
+        these bits.
+        """
+        finish, assigned = self._spt_finish_times(rows, machines)
         return (finish * assigned).sum(axis=1)
+
+    def _exact_flowtimes_of_machines(
+        self, rows: np.ndarray, machines: np.ndarray
+    ) -> np.ndarray:
+        """:func:`~repro.model.schedule.spt_flowtime` of ``machines[i]`` of ``rows[i]``, bit for bit.
+
+        The scalar kernel sums a machine's packed finish times with numpy's
+        ``sum``, which adds one after another below 8 elements: there the
+        flowtime is the last entry of a cumulative sum over the masked row.
+        From 8 jobs on numpy sums in 8-way pairwise blocks, so those
+        machines (rare on the cMA's batches) are packed and summed by numpy
+        itself.  :meth:`move_jobs` reduces this way, and the mutation
+        phases' digests in ``tests/core/test_breeding_oracle.py`` pin these
+        bits.
+        """
+        finish, assigned = self._spt_finish_times(rows, machines)
+        flowtimes = np.cumsum(finish * assigned, axis=1)[:, -1]
+        for i in np.flatnonzero(assigned.sum(axis=1) >= 8):
+            flowtimes[i] = finish[i][assigned[i]].sum()
+        return flowtimes
 
     def _touch_machines(
         self, rows: np.ndarray, first: np.ndarray, second: np.ndarray
@@ -525,6 +561,41 @@ class BatchEvaluator:
         n_after = on_machine.sum(axis=1) - earlier.sum(axis=1) - (1 if removing else 0)
         etc_x = instance.etc[jobs, machines]
         return instance.ready_times[machines] + sum_earlier + etc_x * (1 + n_after)
+
+    def move_jobs(
+        self,
+        rows: np.ndarray | Sequence[int],
+        jobs: np.ndarray | Sequence[int],
+        machines: np.ndarray | Sequence[int],
+    ) -> None:
+        """``Schedule.move_job(jobs[i], machines[i])`` on each of *rows*, bit for bit.
+
+        The same completion-time arithmetic and the same flowtime bits as
+        the move through each row's :meth:`view`
+        (:meth:`_exact_flowtimes_of_machines`), for a whole phase of
+        mutations at once; a move to the job's own machine changes nothing.
+        Rows must be distinct.  Local search moves through
+        :meth:`apply_moves` instead, which is cheaper, lands within rounding
+        and can be undone.
+        """
+        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        jobs = np.atleast_1d(np.asarray(jobs, dtype=np.int64))
+        machines = np.atleast_1d(np.asarray(machines, dtype=np.int64))
+        old = self._assignments[rows, jobs]
+        moving = old != machines
+        if not moving.all():
+            rows, jobs, machines, old = rows[moving], jobs[moving], machines[moving], old[moving]
+            if rows.size == 0:
+                return
+        etc = self.instance.etc
+        self._completion[rows, old] -= etc[jobs, old]
+        self._completion[rows, machines] += etc[jobs, machines]
+        self._assignments[rows, jobs] = machines
+        both = self._exact_flowtimes_of_machines(
+            np.concatenate([rows, rows]), np.concatenate([old, machines])
+        )
+        self._machine_flowtime[rows, old] = both[: rows.size]
+        self._machine_flowtime[rows, machines] = both[rows.size :]
 
     def apply_moves(
         self,

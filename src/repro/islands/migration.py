@@ -121,7 +121,7 @@ def integrate_immigrants(
     the island's evaluation budget like any other offspring), and paired
     best-immigrant-to-worst-cell.  The replacement policy then accepts or
     rejects the whole pairing in one array comparison; accepted immigrants
-    are adopted with a row copy.
+    are adopted with one row copy.
     """
     matrix = np.asarray(assignments, dtype=np.int64)
     if matrix.ndim == 1:
@@ -144,6 +144,5 @@ def integrate_immigrants(
     accepted = np.atleast_1d(
         replacement.accepts(incumbent_fitness[targets], immigrant_fitness)
     )
-    for target, row in zip(targets[accepted], rows[accepted]):
-        grid.adopt(int(target), int(row))
+    grid.adopt(targets[accepted], rows[accepted])
     return int(accepted.sum())

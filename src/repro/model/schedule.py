@@ -43,10 +43,13 @@ def spt_flowtime(
 ) -> float:
     """Flowtime contribution of one machine under SPT ordering.
 
-    The shared kernel behind both the scalar :class:`Schedule` cache and the
-    batch engine's per-row updates: the machine's jobs are selected by
-    masking the instance's precomputed SPT column — no re-sorting — and
-    their finishing times come from one cumulative sum.
+    The scalar kernel behind the :class:`Schedule` cache: the machine's jobs
+    are selected by masking the instance's precomputed SPT column — no
+    re-sorting — their finishing times come from one cumulative sum, and
+    numpy's ``sum`` adds them up.  The batch engine's
+    :meth:`~repro.engine.batch.BatchEvaluator.move_jobs` reproduces these
+    bits for a whole stack of rows; this function is the reference its
+    differential test compares against.
     """
     order = instance.spt_order[:, machine]
     jobs = order[assignment[order] == machine]

@@ -200,3 +200,81 @@ class TestRebalanceDrawOracle:
             RebalanceMutation().mutate(schedule, gen)
             rebalance_with_choice(expected, reference)
             self.assert_same(schedule, expected, gen, reference)
+
+    @staticmethod
+    def assert_same_batches(batch, twin, gen, reference):
+        np.testing.assert_array_equal(batch.assignments, twin.assignments)
+        np.testing.assert_array_equal(batch.completion_times, twin.completion_times)
+        np.testing.assert_array_equal(batch.machine_flowtimes, twin.machine_flowtimes)
+        assert gen.bit_generator.state == reference.bit_generator.state
+
+    def batch_against_rows(self, instance, assignments, seed, fraction=0.25, rows=None):
+        """``mutate_batch`` over *rows* against the choice version row by row."""
+        batch = BatchEvaluator(instance, assignments)
+        twin = BatchEvaluator(instance, assignments)
+        rows = np.arange(batch.population_size) if rows is None else np.asarray(rows)
+        gen, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        RebalanceMutation(fraction).mutate_batch(batch, rows, gen)
+        for row in rows:
+            rebalance_with_choice(twin.view(int(row)), reference, fraction)
+        self.assert_same_batches(batch, twin, gen, reference)
+        return batch
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+    def test_batch_matches_choice_version_row_by_row(
+        self, small_instance, ready_time_instance, fraction
+    ):
+        for instance in (small_instance, ready_time_instance):
+            for seed in range(20):
+                assignments = BatchEvaluator.random(instance, 9, rng=seed).assignments
+                # Every row, and an unordered subset that skips some rows.
+                self.batch_against_rows(instance, assignments, seed, fraction)
+                self.batch_against_rows(instance, assignments, seed, fraction, [7, 2, 4, 0])
+
+    def test_batch_splits_its_draws_at_shared_makespans(self):
+        # Identical machines and integer ETC: rows where two machines share
+        # the makespan while a third is less loaded, rows where every load
+        # is equal, and random rows, in several orders.
+        workloads = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
+        instance = SchedulingInstance(etc=np.repeat(workloads[:, None], 3, axis=1))
+        shared = [0, 0, 1, 1, 1, 2]  # loads 4, 4, 1
+        equal = [0, 1, 2, 0, 1, 2]  # loads 3, 3, 3
+        rng = np.random.default_rng(3)
+        for seed in range(40):
+            kinds = [shared, equal, *rng.integers(0, 3, size=(4, 6)), shared, shared]
+            assignments = np.array(kinds)[rng.permutation(len(kinds))]
+            self.batch_against_rows(instance, assignments, seed)
+        ties = BatchEvaluator(instance, [shared, equal]).completion_times
+        assert (ties[0] == ties[0].max()).sum() == 2 and ties[0].min() < ties[0].max()
+        assert (ties[1] == ties[1].max()).sum() == 3
+
+    def test_batch_matches_choice_version_when_the_source_holds_no_job(self):
+        # Machine 0's ready time alone sets the makespan of the first rows;
+        # the last row puts a job there.
+        instance = SchedulingInstance(
+            etc=np.arange(1.0, 13.0).reshape(4, 3), ready_times=[100.0, 0.0, 0.0]
+        )
+        assignments = [[1, 2, 1, 2], [2, 2, 1, 1], [1, 1, 1, 2], [0, 2, 1, 2]]
+        for seed in range(20):
+            self.batch_against_rows(instance, assignments, seed)
+
+    def test_batch_on_one_machine_draws_and_changes_nothing(self):
+        instance = SchedulingInstance(etc=np.arange(1.0, 6.0).reshape(5, 1))
+        batch = BatchEvaluator(instance, np.zeros((3, 5), dtype=np.int64))
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        RebalanceMutation().mutate_batch(batch, np.arange(3), gen)
+        assert gen.bit_generator.state == state
+        assert not batch.assignments.any()
+
+    @pytest.mark.parametrize("name", ["move", "swap", "rebalance_swap"])
+    def test_other_operators_mutate_a_batch_row_by_row(self, small_instance, name):
+        mutation = get_mutation(name)
+        assignments = BatchEvaluator.random(small_instance, 6, rng=4).assignments
+        batch = BatchEvaluator(small_instance, assignments)
+        twin = BatchEvaluator(small_instance, assignments)
+        gen, reference = np.random.default_rng(9), np.random.default_rng(9)
+        mutation.mutate_batch(batch, np.arange(6), gen)
+        for row in range(6):
+            mutation.mutate(twin.view(row), reference)
+        self.assert_same_batches(batch, twin, gen, reference)

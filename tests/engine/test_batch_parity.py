@@ -190,8 +190,8 @@ def test_set_rows_and_subset_recompute():
 def test_batched_machine_flowtimes_agree_with_spt_flowtime_to_rounding(seed):
     """The batched per-machine flowtime kernel is ``spt_flowtime`` to
     within 1e-12 relative — not bit for bit: the masked whole-row sum groups
-    its additions differently, so results that must match ``Schedule``
-    exactly (the rebalance mutation) go through ``spt_flowtime`` itself."""
+    its additions differently, so moves that must match ``Schedule``
+    exactly (the rebalance mutation) reduce as ``TestExactMove`` checks."""
     rng = np.random.default_rng(seed + 300)
     instance = random_instance(seed, int(rng.integers(5, 80)), int(rng.integers(2, 17)))
     batch = BatchEvaluator.random(instance, population_size=5, rng=rng)
@@ -224,3 +224,88 @@ def test_invalid_assignments_rejected():
         BatchEvaluator(
             instance, np.full((2, instance.nb_jobs), instance.nb_machines, dtype=np.int64)
         )
+
+
+class TestExactMove:
+    """``BatchEvaluator.move_jobs`` lands on ``Schedule.move_job``'s bits.
+
+    Each row's move is compared with ``==`` against the same move made
+    through the row's view in a twin batch.  Row *k* puts *k* jobs on
+    machine 0 before its move, so the moved machines hold 0 to 141 jobs,
+    across numpy's sequential sums below 8 elements and its pairwise blocks
+    of 8 and of 128.
+    """
+
+    NB_JOBS, NB_MACHINES = 150, 3
+
+    @staticmethod
+    def instance(integer: bool, ready: bool) -> SchedulingInstance:
+        rng = np.random.default_rng(17)
+        shape = (TestExactMove.NB_JOBS, TestExactMove.NB_MACHINES)
+        etc = rng.integers(1, 40, size=shape).astype(float) if integer else rng.uniform(
+            1.0, 300.0, size=shape
+        )
+        ready_times = rng.uniform(0.0, 900.0, size=shape[1]) if ready else None
+        return SchedulingInstance(etc=etc, ready_times=ready_times)
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["real", "integer"])
+    @pytest.mark.parametrize("ready", [False, True], ids=["no-ready", "ready"])
+    def test_matches_move_job_through_views(self, integer, ready):
+        instance = self.instance(integer, ready)
+        rng = np.random.default_rng(5)
+        counts = np.arange(141)
+        assignments = rng.integers(1, self.NB_MACHINES, size=(counts.size, self.NB_JOBS))
+        jobs = np.empty_like(counts)
+        machines = np.zeros_like(counts)
+        # Odd rows move a job off machine 0, even rows move one onto it.
+        for row, count in enumerate(counts.tolist()):
+            order = rng.permutation(self.NB_JOBS)
+            assignments[row, order[:count]] = 0
+            jobs[row] = order[0] if count % 2 else order[count]
+            machines[row] = rng.integers(1, self.NB_MACHINES) if count % 2 else 0
+        # Every seventh row moves its job to the machine it is on: no change.
+        own = counts % 7 == 3
+        machines[own] = assignments[counts[own], jobs[own]]
+        batch = BatchEvaluator(instance, assignments)
+        twin = BatchEvaluator(instance, assignments)
+        before = batch.assignments.copy()
+
+        batch.move_jobs(counts, jobs, machines)
+        for row, job, machine in zip(counts.tolist(), jobs.tolist(), machines.tolist()):
+            twin.view(row).move_job(job, machine)
+
+        np.testing.assert_array_equal(batch.assignments, twin.assignments)
+        np.testing.assert_array_equal(batch.completion_times, twin.completion_times)
+        np.testing.assert_array_equal(batch.machine_flowtimes, twin.machine_flowtimes)
+        moved = before[counts, jobs] != machines
+        assert moved.sum() == 121 and not np.array_equal(before, batch.assignments)
+        held = (batch.assignments == 0).sum(axis=1)
+        assert held.min() == 0 and held.max() == 141
+
+    def test_exact_flowtimes_equal_spt_flowtime(self):
+        # The reduction alone, on every machine of rows holding 0 to 140 jobs.
+        instance = self.instance(False, True)
+        rng = np.random.default_rng(8)
+        assignments = rng.integers(1, self.NB_MACHINES, size=(141, self.NB_JOBS))
+        for count in range(141):
+            assignments[count, rng.permutation(self.NB_JOBS)[:count]] = 0
+        batch = BatchEvaluator(instance, assignments)
+        rows = np.repeat(np.arange(141), self.NB_MACHINES)
+        machines = np.tile(np.arange(self.NB_MACHINES), 141)
+        exact = batch._exact_flowtimes_of_machines(rows, machines)
+        scalar = [
+            spt_flowtime(instance, assignments[row], machine)
+            for row, machine in zip(rows.tolist(), machines.tolist())
+        ]
+        np.testing.assert_array_equal(exact, scalar)
+
+    def test_no_move_and_empty_rows_change_nothing(self):
+        instance = random_instance(3)
+        batch = BatchEvaluator.random(instance, population_size=3, rng=1)
+        snapshot = [m.copy() for m in (batch.assignments, batch.completion_times, batch.machine_flowtimes)]
+        batch.move_jobs([], [], [])
+        batch.move_jobs([0, 2], [4, 7], batch.assignments[[0, 2], [4, 7]])
+        for before, after in zip(
+            snapshot, (batch.assignments, batch.completion_times, batch.machine_flowtimes)
+        ):
+            np.testing.assert_array_equal(before, after)
