@@ -87,3 +87,44 @@ def test_a_missing_record_leaves_the_speed_unknown(perf_pairs):
     assert parsed.correct and parsed.run_speed is None
     lines, _ = perf_pairs.summarize(SPEC, [(parsed, parsed)])
     assert lines[1] == "box.run_speed  - | -"
+
+
+@pytest.mark.parametrize(
+    "better, before, after, expected",
+    [
+        # Nine wins in ten, medians 500 -> 600 past the base IQR of ~5.
+        ("higher", [500, 498, 502, 505, 495, 500, 501, 499, 503, 497],
+         [600, 610, 590, 605, 595, 600, 620, 580, 602, 490], "GAIN: the change wins 9/10"),
+        # Eight wins in ten is not enough, whatever the medians.
+        ("higher", [500, 498, 502, 505, 495, 500, 501, 499, 503, 497],
+         [600, 610, 590, 605, 595, 600, 620, 580, 490, 490], "WITHIN BOUND"),
+        # Ten wins whose medians differ by less than the base IQR of 4.5.
+        ("lower", [500.0 + k for k in range(10)], [499.0 + k for k in range(10)],
+         "WITHIN BOUND"),
+        # A lower-is-better median 10% worse, past a 5% bound.
+        ("lower", [100.0, 100.0, 100.0], [110.0, 110.0, 110.0],
+         "PAST BOUND: the change's median is 10.0% worse"),
+        # The base runs spread 50% of their median, wider than the bound.
+        ("higher", [60.0, 80.0, 120.0, 140.0], [102.0, 98.0, 101.0, 99.0],
+         "UNRESOLVED: the base IQR is 50.0% of its median"),
+        # As wide, but every change run beats every base run.
+        ("higher", [10.0, 50.0, 90.0, 95.0, 96.0, 97.0], [98.0] * 6, "WITHIN BOUND"),
+    ],
+)
+def test_verdict_applies_the_acceptance_rule(perf_pairs, better, before, after, expected):
+    assert perf_pairs.verdict(before, after, better, 0.05).startswith(expected)
+
+
+def test_summary_prints_one_verdict_per_metric(perf_pairs):
+    pairs = [
+        (run(perf_pairs, base, 46.0), run(perf_pairs, base * 1.3, 46.2))
+        for base in (480.0, 490.0, 500.0, 495.0, 485.0, 492.0, 488.0, 498.0, 483.0, 491.0)
+    ]
+    lines, ok = perf_pairs.summarize(SPEC, pairs)
+    assert ok
+    # jobs/s gains; RSS 46.0 -> 46.2 is 0.4% worse, inside its 5% bound;
+    # the quality ratio never moved.
+    verdicts = [line for line in lines if line.startswith("  ") and line[2:3].isupper()]
+    assert [line.split(":")[0].strip() for line in verdicts] == [
+        "GAIN", "WITHIN BOUND", "WITHIN BOUND"
+    ]

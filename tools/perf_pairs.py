@@ -13,10 +13,10 @@ first alternates from pair to pair, so a drift in the box's speed falls on
 both sides alike.  For every end-to-end metric of ``BENCHMARK.json`` it
 prints each run's value, both medians and their relative change, the base
 runs' interquartile range, the pairs the change won in the metric's
-``better`` direction, and a flag when the change's median moved past the
-metric's ``bound`` the worse way.  It also prints each run's
-``box.run_speed`` from perfbench's result record.  It exits 1 when a run
-fails its output checks, and edits nothing under ``perfbench/``.
+``better`` direction, and one verdict (see :func:`verdict`).  It also
+prints each run's ``box.run_speed`` from perfbench's result record.  It
+exits 1 when a run fails its output checks, and edits nothing under
+``perfbench/``.
 
 Run it from a checkout with no other benchmark running on the box.
 """
@@ -69,6 +69,33 @@ def _values(values: list[float | None]) -> str:
     return " ".join("-" if value is None else f"{value:.6g}" for value in values)
 
 
+def verdict(before: list[float], after: list[float], better: str, bound: float) -> str:
+    """The acceptance rule's reading of one metric over ``(before[i], after[i])`` pairs.
+
+    ``GAIN`` when the change wins at least 9 in 10 pairs in the ``better``
+    direction (ties count for neither) and its median is better by more
+    than the base runs' interquartile range; ``PAST BOUND`` when its median
+    is worse by more than *bound*; ``UNRESOLVED`` when the base runs' IQR,
+    relative to their median, is wider than *bound*, unless every change
+    run beats every base run; ``WITHIN BOUND`` otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    median_before, median_after = float(np.median(before)), float(np.median(after))
+    gain = sign * (median_after - median_before)
+    iqr = float(np.subtract(*np.percentile(before, [75, 25])))
+    wins = sum(sign * (c - b) > 0 for b, c in zip(before, after))
+    if 10 * wins >= 9 * len(before) and gain > iqr:
+        return f"GAIN: the change wins {wins}/{len(before)} pairs, its median beyond the base IQR"
+    worse = -gain / abs(median_before) if median_before else 0.0
+    if worse > bound:
+        return f"PAST BOUND: the change's median is {worse:.1%} worse"
+    spread = iqr / abs(median_before) if median_before else 0.0
+    beats_all = min(sign * c for c in after) > max(sign * b for b in before)
+    if spread > bound and not beats_all:
+        return f"UNRESOLVED: the base IQR is {spread:.1%} of its median, past the bound"
+    return "WITHIN BOUND"
+
+
 def summarize(spec: dict, pairs: list[tuple[Run, Run]]) -> tuple[list[str], bool]:
     """Report lines for ``(base, change)`` pairs, and whether every run passed."""
     base = [pair[0] for pair in pairs]
@@ -93,20 +120,18 @@ def summarize(spec: dict, pairs: list[tuple[Run, Run]]) -> tuple[list[str], bool
         lines.append(f"{name} ({metric['unit']}, {better} is better, bound {bound:.0%})")
         if len(set(before + after)) == 1:
             lines.append(f"  every run  {before[0]!r}")
-            continue
-        lines.append(f"  base    {_values(before)}")
-        lines.append(f"  change  {_values(after)}")
-        median_before, median_after = float(np.median(before)), float(np.median(after))
-        relative = (median_after - median_before) / median_before if median_before else 0.0
-        iqr = float(np.subtract(*np.percentile(before, [75, 25])))
-        wins = sum((c < b) if better == "lower" else (c > b) for b, c in pairs_with)
-        lines.append(
-            f"  median  {median_before:.6g} -> {median_after:.6g} ({relative:+.1%}), "
-            f"base IQR {iqr:.4g}, change wins {wins}/{len(pairs_with)}"
-        )
-        worse = relative if better == "lower" else -relative
-        if worse > bound:
-            lines.append(f"  PAST BOUND: the change's median is {worse:.1%} worse")
+        else:
+            lines.append(f"  base    {_values(before)}")
+            lines.append(f"  change  {_values(after)}")
+            median_before, median_after = float(np.median(before)), float(np.median(after))
+            relative = (median_after - median_before) / median_before if median_before else 0.0
+            iqr = float(np.subtract(*np.percentile(before, [75, 25])))
+            wins = sum((c < b) if better == "lower" else (c > b) for b, c in pairs_with)
+            lines.append(
+                f"  median  {median_before:.6g} -> {median_after:.6g} ({relative:+.1%}), "
+                f"base IQR {iqr:.4g}, change wins {wins}/{len(pairs_with)}"
+            )
+        lines.append(f"  {verdict(before, after, better, bound)}")
     failed = [
         f"pair {index} {side} failed its checks"
         for index, pair in enumerate(pairs, start=1)
