@@ -36,7 +36,8 @@ offered through :attr:`CMAConfig.cell_updates`:
   run of distinct cells.  Offspring of one stream are bred from the grid
   state at the start of that stream; the mutation stream still sees the
   recombination stream's replacements, and mutates its staged copies of the
-  visited cells in one batch (:meth:`MutationOperator.mutate_batch`).  :func:`breed` breeds the recombination stream's children
+  visited cells in one batch (:meth:`MutationOperator.mutate_batch`).
+  :func:`breed` breeds the recombination stream's children
   in one pass: operators that draw only bounded integers declare their
   draws' bounds, one ``Generator.integers`` call draws every child's
   selection and crossover draws, and each operator runs once over the

@@ -105,13 +105,13 @@ class RebalanceMutation(MutationOperator):
         indices.  Overloaded machines are those whose completion time is
         the makespan; underloaded ones are those of the first
         ``ceil(fraction · M)`` machines in increasing completion-time order
-        that are not overloaded.  Each
-        row draws a source among its overloaded machines, a job of the
-        source and a target among its underloaded machines, each by
-        indexing with one bounded-integer draw.  With no underloaded
-        machine (every load equal), or a source that holds no job (its
-        ready time alone sets the makespan), the row draws the job and the
-        machine of a random :class:`MoveMutation` instead.
+        that are not overloaded.  Each row draws a source among its
+        overloaded machines, a job of the source and a target among its
+        underloaded machines, each by indexing with one bounded-integer
+        draw.  With no underloaded machine (every load equal), or a source
+        that holds no job (its ready time alone sets the makespan), the row
+        draws the job and the machine of a random :class:`MoveMutation`
+        instead.
 
         The draws of all rows come from one ``Generator.integers`` call
         over their bounds, which returns what one call per draw returns; a

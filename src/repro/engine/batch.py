@@ -575,8 +575,8 @@ class BatchEvaluator:
         (:meth:`_exact_flowtimes_of_machines`), for a whole phase of
         mutations at once; a move to the job's own machine changes nothing.
         Rows must be distinct.  Local search moves through
-        :meth:`apply_moves` instead, which is cheaper, lands within rounding
-        and can be undone.
+        :meth:`apply_moves` instead, which lands within rounding and can be
+        undone.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
         jobs = np.atleast_1d(np.asarray(jobs, dtype=np.int64))
