@@ -158,7 +158,10 @@ class RebalanceMutation(MutationOperator):
             draws[start:] = rng.integers(0, flat_bounds[start:])
         draws = draws.reshape(nb_rows, 3)
         by_load = np.argsort(completion, axis=1, kind="stable")
-        jobs = np.where(random_move, draws[:, 1], _nth_true(on_source, draws[:, 1]))
+        # The drawn job of the source: the first column where the count of
+        # the source's jobs so far passes the draw.
+        picked = (np.cumsum(on_source, axis=1) > draws[:, 1:2]).argmax(axis=1)
+        jobs = np.where(random_move, draws[:, 1], picked)
         targets = np.where(
             random_move, draws[:, 2], by_load[np.arange(nb_rows), draws[:, 2]]
         )
@@ -186,11 +189,6 @@ class RebalanceMutation(MutationOperator):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RebalanceMutation(underloaded_fraction={self.underloaded_fraction})"
-
-
-def _nth_true(mask: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Column of the ``index[i]``-th true entry of each row of *mask* (0 when none)."""
-    return (np.cumsum(mask, axis=1) > index[:, None]).argmax(axis=1)
 
 
 class MoveMutation(MutationOperator):

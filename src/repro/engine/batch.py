@@ -474,7 +474,7 @@ class BatchEvaluator:
     def _exact_flowtimes_of_machines(
         self, rows: np.ndarray, machines: np.ndarray
     ) -> np.ndarray:
-        """:func:`~repro.model.schedule.spt_flowtime` of ``machines[i]`` of ``rows[i]``, bit for bit.
+        """``spt_flowtime`` of ``machines[i]`` of ``rows[i]``, bit for bit.
 
         The scalar kernel sums a machine's packed finish times with numpy's
         ``sum``, which adds one after another below 8 elements: there the
@@ -585,8 +585,6 @@ class BatchEvaluator:
         moving = old != machines
         if not moving.all():
             rows, jobs, machines, old = rows[moving], jobs[moving], machines[moving], old[moving]
-            if rows.size == 0:
-                return
         etc = self.instance.etc
         self._completion[rows, old] -= etc[jobs, old]
         self._completion[rows, machines] += etc[jobs, machines]

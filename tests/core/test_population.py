@@ -40,6 +40,29 @@ class TestResidentGrid:
         with pytest.raises(IndexError):
             grid[9]
 
+    def test_adopt_installs_rows_into_cells(self, tiny_instance, evaluator):
+        batch = BatchEvaluator.random(tiny_instance, 9 + 3, rng=4)
+        grid = ResidentGrid(3, 3, batch, evaluator, scratch_rows=3)
+        offspring = grid.evaluate_rows([9, 10, 11]).copy()
+        untouched = grid.fitness_values()[[1, 2, 3]]
+        grid.adopt([4, 0], [11, 9])  # arrays of positions and rows
+        grid.adopt(8, 10)  # one position and row
+        np.testing.assert_array_equal(cell_rows(grid)[[4, 0, 8]], batch.assignments[[11, 9, 10]])
+        np.testing.assert_array_equal(grid.fitness_values()[[4, 0, 8]], offspring[[2, 0, 1]])
+        np.testing.assert_array_equal(grid.fitness_values()[[1, 2, 3]], untouched)
+        batch.validate()
+
+    @pytest.mark.parametrize("positions, rows", [([9], [9]), ([2, -1], [9, 10]), (12, 9)])
+    def test_adopt_rejects_positions_outside_the_grid(
+        self, tiny_instance, evaluator, positions, rows
+    ):
+        batch = BatchEvaluator.random(tiny_instance, 9 + 2, rng=4)
+        grid = ResidentGrid(3, 3, batch, evaluator, scratch_rows=2)
+        before = batch.assignments.copy()
+        with pytest.raises(IndexError, match="outside grid"):
+            grid.adopt(positions, rows)
+        np.testing.assert_array_equal(batch.assignments, before)
+
     def test_coordinate_conversions(self, tiny_instance, evaluator):
         grid = make_grid(tiny_instance, evaluator, height=3, width=4)
         assert grid.position_of(1, 2) == 6

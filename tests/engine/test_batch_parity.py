@@ -302,10 +302,12 @@ class TestExactMove:
     def test_no_move_and_empty_rows_change_nothing(self):
         instance = random_instance(3)
         batch = BatchEvaluator.random(instance, population_size=3, rng=1)
-        snapshot = [m.copy() for m in (batch.assignments, batch.completion_times, batch.machine_flowtimes)]
+
+        def state():
+            return batch.assignments, batch.completion_times, batch.machine_flowtimes
+
+        snapshot = [matrix.copy() for matrix in state()]
         batch.move_jobs([], [], [])
         batch.move_jobs([0, 2], [4, 7], batch.assignments[[0, 2], [4, 7]])
-        for before, after in zip(
-            snapshot, (batch.assignments, batch.completion_times, batch.machine_flowtimes)
-        ):
+        for before, after in zip(snapshot, state()):
             np.testing.assert_array_equal(before, after)
