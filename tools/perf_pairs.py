@@ -69,6 +69,16 @@ def _values(values: list[float | None]) -> str:
     return " ".join("-" if value is None else f"{value:.6g}" for value in values)
 
 
+def _compare(
+    before: list[float], after: list[float], better: str
+) -> tuple[float, float, float, int]:
+    """Both medians, the base runs' IQR and the pairs the change won in the ``better`` direction."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(before, after))
+    iqr = float(np.subtract(*np.percentile(before, [75, 25])))
+    return float(np.median(before)), float(np.median(after)), iqr, wins
+
+
 def verdict(before: list[float], after: list[float], better: str, bound: float) -> str:
     """The acceptance rule's reading of one metric over ``(before[i], after[i])`` pairs.
 
@@ -80,10 +90,8 @@ def verdict(before: list[float], after: list[float], better: str, bound: float) 
     run beats every base run; ``WITHIN BOUND`` otherwise.
     """
     sign = 1.0 if better == "higher" else -1.0
-    median_before, median_after = float(np.median(before)), float(np.median(after))
+    median_before, median_after, iqr, wins = _compare(before, after, better)
     gain = sign * (median_after - median_before)
-    iqr = float(np.subtract(*np.percentile(before, [75, 25])))
-    wins = sum(sign * (c - b) > 0 for b, c in zip(before, after))
     if 10 * wins >= 9 * len(before) and gain > iqr:
         return f"GAIN: the change wins {wins}/{len(before)} pairs, its median beyond the base IQR"
     worse = -gain / abs(median_before) if median_before else 0.0
@@ -123,10 +131,8 @@ def summarize(spec: dict, pairs: list[tuple[Run, Run]]) -> tuple[list[str], bool
         else:
             lines.append(f"  base    {_values(before)}")
             lines.append(f"  change  {_values(after)}")
-            median_before, median_after = float(np.median(before)), float(np.median(after))
+            median_before, median_after, iqr, wins = _compare(before, after, better)
             relative = (median_after - median_before) / median_before if median_before else 0.0
-            iqr = float(np.subtract(*np.percentile(before, [75, 25])))
-            wins = sum((c < b) if better == "lower" else (c > b) for b, c in pairs_with)
             lines.append(
                 f"  median  {median_before:.6g} -> {median_after:.6g} ({relative:+.1%}), "
                 f"base IQR {iqr:.4g}, change wins {wins}/{len(pairs_with)}"
